@@ -18,22 +18,6 @@ from . import fixtures, pipeline
 from .errors import ParameterError, ParseError
 from .pipeline import RunConfig, StageError
 
-_RUN_DEFAULTS = {
-    "edges": None,
-    "corpus": None,
-    "lexicon": None,
-    "graph": None,
-    "k": "2",
-    "alpha": 0.5,
-    "mode": "weighted",
-    "out": "out",
-    "precision": 6,
-    "token_delim": " ",
-    "pretokenized": False,
-    "no_matrices": False,
-}
-
-
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file mirroring these flags")
     parser.add_argument("--edges", help="edge CSV file (id_a,id_b per line)")
@@ -53,30 +37,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         default=None, help="skip matrix CSV exports")
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag value, else config-file value, else built-in default."""
-    file_values: dict = {}
-    if args.config is not None:
-        try:
-            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ParseError(f"config file {args.config}: expected a JSON object")
-        unknown = set(file_values) - set(_RUN_DEFAULTS)
-        if unknown:
-            raise ParseError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-    merged = {}
-    for key, default in _RUN_DEFAULTS.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in file_values:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    return merged
-
 def _parse_k(value) -> tuple[int, ...]:
     if isinstance(value, int):
         return (value,)
@@ -88,24 +48,49 @@ def _parse_k(value) -> tuple[int, ...]:
         raise ParameterError(f"cannot parse k values from {value!r}") from None
 
 
+def _input_path(value) -> Path | None:
+    return Path(value) if value else None
+
+
+# Flag (and config-file key) -> (RunConfig field, converter).  Defaults live
+# in RunConfig only: a key set neither by flag nor by file is left out.
+_RUN_FIELDS = {
+    "edges": ("edges", _input_path),
+    "corpus": ("corpus", _input_path),
+    "lexicon": ("lexicon", _input_path),
+    "graph": ("graph_path", _input_path),
+    "k": ("k_values", _parse_k),
+    "alpha": ("alpha", float),
+    "mode": ("mode", str),
+    "out": ("out_dir", Path),
+    "precision": ("precision", int),
+    "token_delim": ("token_delim", str),
+    "pretokenized": ("pretokenized", bool),
+    "no_matrices": ("export_matrices", lambda value: not value),
+}
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    merged = _merge_config(args)
-    if merged["edges"] is None and merged["graph"] is None:
-        raise ParameterError("--edges (or --graph) is required")
-    return RunConfig(
-        edges=Path(merged["edges"]) if merged["edges"] else None,
-        out_dir=Path(merged["out"]),
-        corpus=Path(merged["corpus"]) if merged["corpus"] else None,
-        lexicon=Path(merged["lexicon"]) if merged["lexicon"] else None,
-        k_values=_parse_k(merged["k"]),
-        alpha=float(merged["alpha"]),
-        mode=merged["mode"],
-        precision=int(merged["precision"]),
-        pretokenized=bool(merged["pretokenized"]),
-        token_delim=merged["token_delim"],
-        graph_path=Path(merged["graph"]) if merged["graph"] else None,
-        export_matrices=not merged["no_matrices"],
-    )
+    """Flag value, else config-file value, else the ``RunConfig`` default."""
+    file_values: dict = {}
+    if args.config is not None:
+        try:
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ParseError(f"config file {args.config}: expected a JSON object")
+        unknown = set(file_values) - set(_RUN_FIELDS)
+        if unknown:
+            raise ParseError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+    fields = {}
+    for key, (name, convert) in _RUN_FIELDS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+        if value is not None:
+            fields[name] = convert(value)
+    return RunConfig(**fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -194,10 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, ParseError, ValueError, OSError) as exc:
+    except (StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

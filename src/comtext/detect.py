@@ -159,9 +159,10 @@ def parse_partition(text: str) -> tuple[Partition, float | None]:
         else:
             index_field, _, members = line.partition(":")
             index = int(index_field)
-            for node in members.split(","):
-                if node:
-                    assignment[node] = index
+            for node in filter(None, members.split(",")):
+                if node in assignment:
+                    raise ValueError(f"node {node!r} is listed in two communities")
+                assignment[node] = index
     if k_requested is None or m is None:
         raise ValueError("partition text is missing k_requested or m")
     return Partition(assignment, m, k_requested), modularity

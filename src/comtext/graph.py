@@ -17,11 +17,17 @@ from .similarity import SymmetricMatrix
 
 
 class WeightedGraph:
-    """Immutable undirected weighted graph; adjacency sorted by neighbor id."""
+    """Immutable undirected weighted graph; adjacency sorted by neighbor id.
+
+    ``precision`` snaps each weight to that many decimal places, the grid
+    :meth:`write_csv` exports, so a reloaded export is bit-identical;
+    ``None`` keeps weights exact.
+    """
 
     __slots__ = ("nodes", "_index", "_adjacency", "_edges", "total_weight")
 
-    def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]]):
+    def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
+                 *, precision: int | None = None):
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise GraphError("duplicate node ids")
@@ -32,12 +38,14 @@ class WeightedGraph:
                 raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node")
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
+            if not math.isfinite(w):
+                raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
             if w < 0.0:
                 raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
             key = (u, v) if u < v else (v, u)
             if key in canonical:
                 raise GraphError(f"duplicate edge {key!r}")
-            canonical[key] = float(w)
+            canonical[key] = float(w if precision is None else f"{w:.{precision}f}")
         self._edges = tuple((u, v, canonical[(u, v)]) for u, v in sorted(canonical))
         adjacency: dict[str, list[tuple[str, float]]] = {u: [] for u in self.nodes}
         for u, v, w in self._edges:
@@ -76,7 +84,7 @@ class WeightedGraph:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
-    def read_csv(cls, path) -> "WeightedGraph":
+    def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
         """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
         nodes: set[str] = set()
         edges: list[tuple[str, str, float]] = []
@@ -98,9 +106,11 @@ class WeightedGraph:
                     w = float(w_field)
                 except ValueError:
                     raise ParseError(f"{path}: line {lineno}: weight is not a number") from None
+                if not math.isfinite(w):
+                    raise ParseError(f"{path}: line {lineno}: weight is not finite")
                 nodes.update((u, v))
                 edges.append((u, v, w))
-        return cls(tuple(sorted(nodes)), edges)
+        return cls(tuple(sorted(nodes)), edges, precision=precision)
 
 
 def build_weighted_graph(
@@ -108,12 +118,15 @@ def build_weighted_graph(
     s: SymmetricMatrix,
     sv: SymmetricMatrix,
     alpha: float = 0.5,
+    *,
+    precision: int | None = None,
 ) -> WeightedGraph:
     """Fuse content similarity ``s`` and sentiment bias ``sv`` into edge weights.
 
     Both matrices must share one node order; nodes without edges are kept as
     isolated vertices.  ``alpha`` is the content-similarity share of the
     weight (0.5 weights both signals equally; 1 ignores sentiment).
+    ``precision`` snaps weights as in :class:`WeightedGraph`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha!r}")
@@ -126,7 +139,7 @@ def build_weighted_graph(
         except KeyError:
             raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
         weighted.append((u, v, weight))
-    return WeightedGraph(s.nodes, weighted)
+    return WeightedGraph(s.nodes, weighted, precision=precision)
 
 
 def structural_graph(edges: EdgeList, nodes: Sequence[str]) -> WeightedGraph:

@@ -1,27 +1,30 @@
 """End-to-end runs: ingest, attribute matrices, weighted graph, detection.
 
 ``run`` drives one mode (weighted or structural) and writes every artifact
-into the output directory; ``compare`` runs both modes on the same inputs
-and tabulates modularity side by side.  All outputs are deterministic:
-identical inputs produce byte-identical output trees.
+into the output directory; ``compare`` computes the text features once,
+hands them to both modes (each writes the same matrices) and tabulates
+modularity side by side.  All outputs are deterministic: identical inputs
+produce byte-identical output trees.
 
-Edge weights are quantized to the export precision before detection and
-scoring, so reloading the exported graph CSV reproduces the reported
-numbers exactly.
+Edge weights are snapped to the export precision as the graph is built,
+so reloading the exported graph CSV reproduces the reported numbers
+exactly.  A failing stage raises ``StageError`` naming it: edges, corpus,
+similarity, sentiment, graph, detect or metrics.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import TokenizerConfig, ensure_users, load_corpus, load_edges
+from .corpus import EdgeList, TokenizerConfig, ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, quality_report
 from .sentiment import bias_matrix, load_lexicon
-from .similarity import similarity_matrix
+from .similarity import SymmetricMatrix, similarity_matrix
 
 _MODES = ("weighted", "structural")
 
@@ -81,34 +84,36 @@ class CompareResult:
     rows: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _quantize(g: WeightedGraph, precision: int) -> WeightedGraph:
-    # Snap weights onto the CSV export grid so in-memory and reloaded
-    # graphs agree bit for bit.
-    edges = [(u, v, float(f"{w:.{precision}f}")) for u, v, w in g.edges()]
-    return WeightedGraph(g.nodes, edges)
+@dataclass(frozen=True)
+class _Features:
+    """Text front half shared by every mode: inputs through the attribute matrices."""
+
+    edges: EdgeList
+    nodes: list[str]
+    similarity: SymmetricMatrix | None
+    bias: SymmetricMatrix | None
 
 
-def _build_graph(config: RunConfig) -> tuple[WeightedGraph, dict]:
-    """Shared front half of a run: inputs through the (quantized) graph."""
-    artifacts: dict = {}
-    if config.graph_path is not None:
-        try:
-            loaded = WeightedGraph.read_csv(config.graph_path)
-        except (ParseError, GraphError, OSError) as exc:
-            raise StageError("graph", str(exc)) from exc
-        return _quantize(loaded, config.precision), artifacts
-
+@contextmanager
+def _stage(name: str, *errors: type[Exception]):
+    """Re-raise any of ``errors`` as a :class:`StageError` naming ``name``."""
     try:
+        yield
+    except errors as exc:
+        raise StageError(name, str(exc)) from exc
+
+
+def _features(config: RunConfig) -> _Features | None:
+    """Load and score the text inputs once; ``None`` when reloading a graph."""
+    if config.graph_path is not None:
+        return None
+    with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
-    except (ParseError, OSError) as exc:
-        raise StageError("edges", str(exc)) from exc
 
     corp = None
     if config.corpus is not None:
-        try:
+        with _stage("corpus", ValueError, OSError):
             corp = load_corpus(config.corpus, config.tokenizer())
-        except (ParseError, ValueError, OSError) as exc:
-            raise StageError("corpus", str(exc)) from exc
     elif config.mode == "weighted":
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
@@ -116,59 +121,47 @@ def _build_graph(config: RunConfig) -> tuple[WeightedGraph, dict]:
     s = sv = None
     if corp is not None:
         corp = ensure_users(corp, nodes)
-        artifacts["corpus"] = corp
-        try:
+        with _stage("similarity", ValueError):
             s = similarity_matrix(corp)
-        except ValueError as exc:
-            raise StageError("similarity", str(exc)) from exc
         if config.lexicon is not None:
-            try:
-                lexicon = load_lexicon(config.lexicon)
-                sv = bias_matrix(corp, lexicon)
-            except (ParseError, ValueError, OSError) as exc:
-                raise StageError("sentiment", str(exc)) from exc
+            with _stage("sentiment", ValueError, OSError):
+                sv = bias_matrix(corp, load_lexicon(config.lexicon))
         elif config.mode == "weighted":
             raise StageError("sentiment", "weighted mode requires a lexicon file (--lexicon)")
-    artifacts["similarity"] = s
-    artifacts["bias"] = sv
+    return _Features(edge_list, nodes, s, sv)
 
-    try:
+
+def _graph(config: RunConfig, features: _Features | None) -> WeightedGraph:
+    """The mode's graph, weights snapped to the export precision."""
+    with _stage("graph", ParseError, GraphError, ParameterError, OSError):
+        if features is None:
+            return WeightedGraph.read_csv(config.graph_path, precision=config.precision)
         if config.mode == "weighted":
-            graph = build_weighted_graph(edge_list, s, sv, config.alpha)
-        else:
-            graph = structural_graph(edge_list, nodes)
-    except (GraphError, ParameterError) as exc:
-        raise StageError("graph", str(exc)) from exc
-    return _quantize(graph, config.precision), artifacts
+            return build_weighted_graph(features.edges, features.similarity, features.bias,
+                                        config.alpha, precision=config.precision)
+        return structural_graph(features.edges, features.nodes)
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute one full pipeline pass and write all artifacts."""
+def _run_mode(config: RunConfig, features: _Features | None) -> RunResult:
+    """Back half of a run: graph, exports, detection and scores for each k."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph, artifacts = _build_graph(config)
+    graph = _graph(config, features)
 
-    if config.export_matrices:
-        s = artifacts.get("similarity")
-        sv = artifacts.get("bias")
-        if s is not None:
-            s.write_csv(out / "similarity_matrix.csv", config.precision)
-        if sv is not None:
-            sv.write_csv(out / "bias_matrix.csv", config.precision)
+    if config.export_matrices and features is not None:
+        for name, matrix in (("similarity", features.similarity), ("bias", features.bias)):
+            if matrix is not None:
+                matrix.write_csv(out / f"{name}_matrix.csv", config.precision)
     graph.write_csv(out / "graph.csv", config.precision)
 
     partitions: dict[int, Partition] = {}
     reports: dict[int, QualityReport] = {}
     summary_rows: list[tuple[int, float]] = []
     for k in config.k_values:
-        try:
+        with _stage("detect", ParameterError, GraphError):
             partition = detect(graph, k)
-        except (ParameterError, GraphError) as exc:
-            raise StageError("detect", str(exc)) from exc
-        try:
+        with _stage("metrics", GraphError, UndefinedModularityError):
             report = quality_report(graph, partition)
-        except (GraphError, UndefinedModularityError) as exc:
-            raise StageError("metrics", str(exc)) from exc
         save_partition(partition, out / f"partition_k{k}.txt", report.modularity)
         report.write_json(out / f"quality_k{k}.json")
         partitions[k] = partition
@@ -182,12 +175,21 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(graph, partitions, reports, summary_rows, out)
 
 
+def run(config: RunConfig) -> RunResult:
+    """Execute one full pipeline pass and write all artifacts."""
+    return _run_mode(config, _features(config))
+
+
 def compare(config: RunConfig) -> CompareResult:
-    """Run weighted and structural modes side by side on the same inputs."""
+    """Run weighted and structural modes side by side on features computed
+    once, under the weighted mode's input checks."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weighted = run(replace(config, mode="weighted", out_dir=out / "weighted"))
-    structural = run(replace(config, mode="structural", out_dir=out / "structural"))
+    weighted_config = replace(config, mode="weighted", out_dir=out / "weighted")
+    features = _features(weighted_config)
+    weighted = _run_mode(weighted_config, features)
+    structural = _run_mode(
+        replace(config, mode="structural", out_dir=out / "structural"), features)
     rows = [
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)
@@ -201,15 +203,9 @@ def compare(config: RunConfig) -> CompareResult:
 
 def score(graph_path, partition_path) -> QualityReport:
     """Recompute the quality report for exported graph + partition files."""
-    try:
+    with _stage("graph", ParseError, GraphError, OSError):
         graph = WeightedGraph.read_csv(graph_path)
-    except (ParseError, GraphError, OSError) as exc:
-        raise StageError("graph", str(exc)) from exc
-    try:
+    with _stage("detect", ValueError, OSError):
         partition, _ = load_partition(partition_path)
-    except (ValueError, OSError) as exc:
-        raise StageError("detect", str(exc)) from exc
-    try:
+    with _stage("metrics", GraphError, UndefinedModularityError):
         return quality_report(graph, partition)
-    except (GraphError, UndefinedModularityError) as exc:
-        raise StageError("metrics", str(exc)) from exc

@@ -218,3 +218,7 @@ class TestPartition:
     def test_parse_requires_header(self):
         with pytest.raises(ValueError):
             parse_partition("0:a,b\n")
+
+    def test_parse_rejects_node_in_two_communities(self):
+        with pytest.raises(ValueError, match="'b' is listed in two communities"):
+            parse_partition("k_requested=2\nm=2\n0:a,b\n1:b,c\n")

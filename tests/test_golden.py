@@ -16,8 +16,8 @@ import pytest
 from comtext import cli
 from comtext.fixtures import RECOVERY_SPEC, TREND_SPEC, generate, write_karate
 
-# (case id, argv after the input flags).  "{graph}" is the graph.csv that
-# the spec's first case exported.
+# (case id, argv); text cases also get the fixture's input flags, and
+# "{graph}" is the graph.csv that the spec's "run" case exported.
 _TEXT_CASES = (
     ("run", ["run", "--k", "2,3,5"]),
     ("compare", ["compare", "--k", "2,4"]),
@@ -83,7 +83,7 @@ def digests(tmp_path_factory) -> dict[str, str]:
                   "--lexicon", str(fixture.lexicon_path)]
         for case, argv in _TEXT_CASES:
             found[f"{name}/{case}"] = _cli([*argv, *inputs], root / name / case)
-        graph = str(root / name / _TEXT_CASES[0][0] / "graph.csv")
+        graph = str(root / name / "run" / "graph.csv")
         for case, argv in _RELOAD_CASES:
             argv = [graph if a == "{graph}" else a for a in argv]
             found[f"{name}/{case}"] = _cli(argv, root / name / case)

@@ -131,6 +131,9 @@ class TestWeightedGraph:
             WeightedGraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
         with pytest.raises(GraphError, match="negative"):
             WeightedGraph(["a", "b"], [("a", "b", -0.1)])
+        for weight in (math.nan, math.inf):
+            with pytest.raises(GraphError, match="non-finite"):
+                WeightedGraph(["a", "b"], [("a", "b", weight)])
         with pytest.raises(GraphError, match="unknown"):
             WeightedGraph(["a"], [("a", "b", 1.0)])
         with pytest.raises(GraphError, match="duplicate node"):
@@ -178,3 +181,21 @@ class TestWeightedGraph:
         path.write_text("a,b,zzz\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 1"):
             WeightedGraph.read_csv(path)
+        for weight in ("nan", "inf", "-inf"):
+            path.write_text(f"a,b,1.0\nb,c,{weight}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match="line 2: weight is not finite"):
+                WeightedGraph.read_csv(path)
+
+    def test_precision_snaps_weights_to_export_grid(self, tmp_path):
+        exact = WeightedGraph(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])
+        assert exact.edges()[0][2] == 1 / 3
+        snapped = WeightedGraph(exact.nodes, exact.edges(), precision=3)
+        assert [w for _, _, w in snapped.edges()] == [0.333, 0.5]
+        path = tmp_path / "graph.csv"
+        exact.write_csv(path, precision=3)
+        assert WeightedGraph.read_csv(path).edges() == snapped.edges()
+        assert [w for _, _, w in WeightedGraph.read_csv(path, precision=1).edges()] == [0.3, 0.5]
+        s = SymmetricMatrix(["a", "b"])
+        s.set("a", "b", 1 / 3)
+        g = build_weighted_graph(EdgeList.from_pairs([("a", "b")]), s, s, precision=2)
+        assert g.edges() == (("a", "b", 0.33),)

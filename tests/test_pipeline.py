@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from comtext import cli
+from comtext import cli, pipeline
 from comtext.errors import ParameterError
 from comtext.fixtures import write_karate
+from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
 
 
@@ -194,6 +196,35 @@ class TestCompare:
         assert first.rows == second.rows
 
 
+class TestCallCounts:
+    """Each input is loaded and scored once; each mode builds one graph."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_corpus", "similarity_matrix", "bias_matrix"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        monkeypatch.setattr(WeightedGraph, "__init__", counted("graph", WeightedGraph.__init__))
+        return counts
+
+    def test_compare_computes_features_once(self, inputs, calls):
+        compare(config_for(inputs, "cmp"))
+        assert calls == {"load_corpus": 1, "similarity_matrix": 1, "bias_matrix": 1, "graph": 2}
+
+    def test_graph_reload_builds_one_graph(self, inputs, calls):
+        first = run(config_for(inputs, "one"))
+        calls.clear()
+        run(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv"))
+        assert calls == {"graph": 1}
+
+
 class TestCli:
     def _base_args(self, inputs, out_name):
         return [
@@ -230,6 +261,25 @@ class TestCli:
         code = cli.main(args)
         assert code == 1
         assert "stage sentiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_graph_weight_rejected(self, tmp_path, capsys, weight):
+        graph = tmp_path / "graph.csv"
+        graph.write_text(f"a,b,1.0\nb,c,{weight}\n", encoding="utf-8")
+        code = cli.main(["run", "--graph", str(graph), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage graph" in err and "line 2" in err
+
+    def test_score_rejects_node_in_two_communities(self, tmp_path, capsys):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("a,b,1.0\nb,c,1.0\n", encoding="utf-8")
+        partition = tmp_path / "partition.txt"
+        partition.write_text("k_requested=2\nm=2\n0:a,b\n1:b,c\n", encoding="utf-8")
+        code = cli.main(["score", "--graph", str(graph), "--partition", str(partition)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage detect" in err and "'b'" in err
 
     def test_missing_edges_rejected(self, inputs, capsys):
         code = cli.main(["run", "--out", str(inputs["tmp"] / "x")])
