@@ -4,16 +4,42 @@ A corpus file is JSON-lines: one object per line with string fields
 ``user_id`` and ``text``.  Multiple lines for the same user are merged into a
 single token sequence, because every network node carries exactly one text
 vector downstream.  An edge file is two-column CSV (``id_a,id_b``, no header).
+Every input file is read by :func:`read_lines`, and every node id in it
+passes :func:`node_id`, so all files agree on what a line and a node are.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError
+
+
+def read_lines(path, text: str | None = None) -> Iterator[tuple[str, str]]:
+    """Yield ``(where, line)`` for each non-blank line of ``path``, stripped.
+
+    Lines end only at LF, CR or CRLF; ``where`` is the ``path: line N``
+    prefix of every ParseError.  ``text``, if given, is read instead of ``path``.
+    """
+    with open(path, encoding="utf-8") if text is None else io.StringIO(text, newline=None) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield f"{path}: line {lineno}", line
+
+
+def node_id(raw: str, where: str) -> str:
+    """The node id ``raw`` names: stripped, non-empty, no reserved character."""
+    node = raw.strip()
+    if not node:
+        raise ParseError(f"{where}: empty node id")
+    if any(ch in node for ch in ",\n\r"):  # the export formats' separators
+        raise ParseError(f"{where}: node id {node!r} contains a reserved character")
+    return node
 
 
 @dataclass(frozen=True)
@@ -93,10 +119,9 @@ def build_corpus(
 ) -> Corpus:
     """Merge documents per user (in input order) and build the vocabulary."""
     merged: dict[str, list[str]] = {}
-    for doc in documents:
-        if not doc.user_id:
-            raise ValueError("user_id must be non-empty")
-        merged.setdefault(doc.user_id, []).extend(tokenize(doc.text, config))
+    for index, doc in enumerate(documents, start=1):
+        user = node_id(doc.user_id, f"document {index}")
+        merged.setdefault(user, []).extend(tokenize(doc.text, config))
     users = tuple(sorted(merged))
     docs = {u: tuple(merged[u]) for u in users}
     freq: dict[str, int] = {}
@@ -114,30 +139,19 @@ def load_corpus(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Corpus:
     an empty file.
     """
     documents: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}: line {lineno}: expected a JSON object")
-            user_id = record.get("user_id")
-            text = record.get("text")
-            if not isinstance(user_id, str) or not user_id:
-                raise ParseError(f"{path}: line {lineno}: missing or empty 'user_id'")
-            if any(ch in user_id for ch in ",\n\r"):
-                # commas/newlines would be ambiguous in the CSV and
-                # partition export formats
-                raise ParseError(
-                    f"{path}: line {lineno}: user_id contains a reserved character"
-                )
-            if not isinstance(text, str):
-                raise ParseError(f"{path}: line {lineno}: missing 'text' field")
-            documents.append(Document(user_id, text))
+    for where, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"{where}: expected a JSON object")
+        user_id, text = record.get("user_id"), record.get("text")
+        if not isinstance(user_id, str):
+            raise ParseError(f"{where}: missing 'user_id'")
+        if not isinstance(text, str):
+            raise ParseError(f"{where}: missing 'text' field")
+        documents.append(Document(node_id(user_id, where), text))
     if not documents:
         raise ParseError(f"{path}: empty corpus file")
     return build_corpus(documents, config)
@@ -192,16 +206,9 @@ def load_edges(path) -> EdgeList:
     ParseError naming the line.
     """
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'id_a,id_b'")
-            a, b = (f.strip() for f in fields)
-            if not a or not b:
-                raise ParseError(f"{path}: line {lineno}: empty endpoint id")
-            pairs.append((a, b))
+    for where, line in read_lines(path):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ParseError(f"{where}: expected 'id_a,id_b'")
+        pairs.append((node_id(fields[0], where), node_id(fields[1], where)))
     return EdgeList.from_pairs(pairs)

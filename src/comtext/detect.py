@@ -25,7 +25,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import GraphError, ParameterError
+from .corpus import node_id, read_lines
+from .errors import GraphError, ParameterError, ParseError
 from .graph import WeightedGraph
 
 
@@ -143,29 +144,7 @@ def format_partition(p: Partition, modularity: float | None = None) -> str:
 
 def parse_partition(text: str) -> tuple[Partition, float | None]:
     """Inverse of :func:`format_partition`."""
-    k_requested = m = None
-    modularity: float | None = None
-    assignment: dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("k_requested="):
-            k_requested = int(line.partition("=")[2])
-        elif line.startswith("m="):
-            m = int(line.partition("=")[2])
-        elif line.startswith("modularity="):
-            modularity = float(line.partition("=")[2])
-        else:
-            index_field, _, members = line.partition(":")
-            index = int(index_field)
-            for node in filter(None, members.split(",")):
-                if node in assignment:
-                    raise ValueError(f"node {node!r} is listed in two communities")
-                assignment[node] = index
-    if k_requested is None or m is None:
-        raise ValueError("partition text is missing k_requested or m")
-    return Partition(assignment, m, k_requested), modularity
+    return load_partition("<partition>", text)
 
 
 def save_partition(p: Partition, path, modularity: float | None = None) -> None:
@@ -173,6 +152,26 @@ def save_partition(p: Partition, path, modularity: float | None = None) -> None:
         fh.write(format_partition(p, modularity))
 
 
-def load_partition(path) -> tuple[Partition, float | None]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_partition(fh.read())
+def load_partition(path, text: str | None = None) -> tuple[Partition, float | None]:
+    """Read a partition file, or ``text`` named ``path`` in errors."""
+    header: dict[str, float] = {}
+    assignment: dict[str, int] = {}
+    for where, line in read_lines(path, text):
+        key, _, value = line.partition("=")
+        if key in ("k_requested", "m", "modularity"):
+            try:
+                header[key] = float(value) if key == "modularity" else int(value)
+            except ValueError:
+                raise ParseError(f"{where}: {key} is not a number") from None
+            continue
+        index, _, members = line.partition(":")
+        if not index.isdecimal():
+            raise ParseError(f"{where}: expected 'index:member,member,...'")
+        for member in members.split(","):
+            node = node_id(member, where)
+            if node in assignment:
+                raise ParseError(f"{where}: node {node!r} is listed in two communities")
+            assignment[node] = int(index)
+    if "k_requested" not in header or "m" not in header:
+        raise ParseError(f"{path}: missing the k_requested or m header line")
+    return Partition(assignment, header["m"], header["k_requested"]), header.get("modularity")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .corpus import EdgeList
+from .corpus import EdgeList, node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
 from .similarity import SymmetricMatrix
 
@@ -88,28 +88,23 @@ class WeightedGraph:
         """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
         nodes: set[str] = set()
         edges: list[tuple[str, str, float]] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 3:
-                    raise ParseError(f"{path}: line {lineno}: expected 'u,v,weight'")
-                u, v, w_field = (f.strip() for f in fields)
-                if not u:
-                    raise ParseError(f"{path}: line {lineno}: empty node id")
-                if not v and not w_field:
-                    nodes.add(u)
-                    continue
-                try:
-                    w = float(w_field)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: weight is not a number") from None
-                if not math.isfinite(w):
-                    raise ParseError(f"{path}: line {lineno}: weight is not finite")
-                nodes.update((u, v))
-                edges.append((u, v, w))
+        for where, line in read_lines(path):
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(f"{where}: expected 'u,v,weight'")
+            u = node_id(fields[0], where)
+            if not fields[1].strip() and not fields[2].strip():
+                nodes.add(u)
+                continue
+            v = node_id(fields[1], where)
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise ParseError(f"{where}: weight is not a number") from None
+            if not math.isfinite(w):
+                raise ParseError(f"{where}: weight is not finite")
+            nodes.update((u, v))
+            edges.append((u, v, w))
         return cls(tuple(sorted(nodes)), edges, precision=precision)
 
 

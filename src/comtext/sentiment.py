@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .errors import ParseError
 from .similarity import SymmetricMatrix
 
@@ -38,26 +38,22 @@ class SentimentLexicon:
 def load_lexicon(path) -> SentimentLexicon:
     """Read a TSV lexicon (``term<TAB>score``); ``#`` lines are comments."""
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'term<TAB>score'")
-            term = fields[0].strip()
-            if not term:
-                raise ParseError(f"{path}: line {lineno}: empty term")
-            if term in scores:
-                raise ParseError(f"{path}: line {lineno}: duplicate term {term!r}")
-            try:
-                score = float(fields[1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: score is not a number") from None
-            if not -1.0 <= score <= 1.0:
-                raise ParseError(f"{path}: line {lineno}: score outside [-1, 1]")
-            scores[term] = score
+    for where, line in read_lines(path):
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"{where}: expected 'term<TAB>score'")
+        term = fields[0].strip()
+        if term in scores:
+            raise ParseError(f"{where}: duplicate term {term!r}")
+        try:
+            score = float(fields[1])
+        except ValueError:
+            raise ParseError(f"{where}: score is not a number") from None
+        if not -1.0 <= score <= 1.0:
+            raise ParseError(f"{where}: score outside [-1, 1]")
+        scores[term] = score
     return SentimentLexicon(scores)
 
 
