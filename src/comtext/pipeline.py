@@ -135,7 +135,10 @@ def _graph(config: RunConfig, features: _Features | None) -> WeightedGraph:
     """The mode's graph, weights snapped to the export precision."""
     with _stage("graph", ParseError, GraphError, ParameterError, OSError):
         if features is None:
-            return WeightedGraph.read_csv(config.graph_path, precision=config.precision)
+            graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
+            if config.mode == "structural":  # unit weights on the reloaded edge set
+                graph = WeightedGraph(graph.nodes, [(u, v, 1.0) for u, v, _ in graph.edges()])
+            return graph
         if config.mode == "weighted":
             return build_weighted_graph(features.edges, features.similarity, features.bias,
                                         config.alpha, precision=config.precision)

@@ -41,7 +41,7 @@ GOLDEN = {
     "recovery/reload":
         "7900cd6758ee5bcd47f25e4710abb06de7d8560f1a08b6a360d20daec89118dd",
     "recovery/compare-reload":
-        "443fc5cbf1c31351c07ff2e16fc2958c102b62adb36500a0c43aa9082df14993",
+        "1477a6ba5ae7eb1bb2bcbb51368032bfad3483e4da7e3e6af3a1b1f73d2cda95",
     "trend/run":
         "0d154fa3d794e691541a08845ca811bd45b1524c5605740e0aaf49b01f0438c0",
     "trend/compare":
@@ -53,7 +53,7 @@ GOLDEN = {
     "trend/reload":
         "5fb32854f5ae70d5921ed81e961e9c17defef6a2620e5b372aae69188f3eab6e",
     "trend/compare-reload":
-        "c1fdba1206b0cc7b93171366df748488db8e3df695dc8cf4e371708fb4211ca8",
+        "1c1b064b74f77534e8fa9e243d327dea4573a57e2cd9f08c4ca72b2839ed80cd",
     "karate/structural":
         "d75771a7408c51d402f3a177ad0c97ae1e81bafb81ec83dfbecec74f8799f786",
 }

@@ -6,7 +6,7 @@ import pytest
 
 from comtext import cli, pipeline
 from comtext.errors import ParameterError
-from comtext.fixtures import write_karate
+from comtext.fixtures import RECOVERY_SPEC, generate, write_karate
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
 
@@ -188,6 +188,23 @@ class TestCompare:
             edges=edge_path, out_dir=tmp_path / "out", mode="structural"
         )
         assert run(structural).graph.n == 34
+
+    def test_structural_reload_uses_unit_weights(self, tmp_path):
+        fixture = generate(RECOVERY_SPEC, tmp_path / "inputs")
+        first = run(RunConfig(edges=fixture.edges_path, corpus=fixture.corpus_path,
+                              lexicon=fixture.lexicon_path, out_dir=tmp_path / "run"))
+        graph_csv = tmp_path / "run" / "graph.csv"
+        result = compare(RunConfig(graph_path=graph_csv, out_dir=tmp_path / "cmp",
+                                   k_values=(2, 4)))
+        lines = (tmp_path / "cmp" / "structural" / "graph.csv").read_text().splitlines()
+        edge_lines = [line for line in lines if not line.endswith(",,")]
+        assert edge_lines and all(line.endswith(",1.000000") for line in edge_lines)
+        rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:]
+        assert all(row.split(",")[1] != row.split(",")[2] for row in rows)
+        structural = result.structural.graph
+        assert structural.nodes == first.graph.nodes
+        assert [e[:2] for e in structural.edges()] == [e[:2] for e in first.graph.edges()]
+        assert result.weighted.graph.edges() == first.graph.edges()
 
     def test_deterministic(self, inputs):
         first = compare(config_for(inputs, "cmp1"))
