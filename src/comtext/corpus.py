@@ -4,8 +4,7 @@ A corpus file is JSON-lines: one object per line with string fields
 ``user_id`` and ``text``.  Multiple lines for the same user are merged into a
 single token sequence, because every network node carries exactly one text
 vector downstream.  An edge file is two-column CSV (``id_a,id_b``, no header).
-Every input file is read by :func:`read_lines`, and every node id in it
-passes :func:`node_id`, so all files agree on what a line and a node are.
+All input files share :func:`read_lines` and the node-id rule :func:`node_id`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ def node_id(raw: str, where: str) -> str:
     node = raw.strip()
     if not node:
         raise ParseError(f"{where}: empty node id")
-    if any(ch in node for ch in ",\n\r"):  # the export formats' separators
+    if "," in node or "\n" in node or "\r" in node:  # the exports' separators
         raise ParseError(f"{where}: node id {node!r} contains a reserved character")
     return node
 

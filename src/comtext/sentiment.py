@@ -36,7 +36,8 @@ class SentimentLexicon:
 
 
 def load_lexicon(path) -> SentimentLexicon:
-    """Read a TSV lexicon (``term<TAB>score``); ``#`` lines are comments."""
+    """Read a TSV lexicon (``term<TAB>score``, terms lowercased as tokens are);
+    ``#`` lines are comments."""
     scores: dict[str, float] = {}
     for where, line in read_lines(path):
         if line.startswith("#"):
@@ -44,7 +45,7 @@ def load_lexicon(path) -> SentimentLexicon:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"{where}: expected 'term<TAB>score'")
-        term = fields[0].strip()
+        term = fields[0].strip().lower()
         if term in scores:
             raise ParseError(f"{where}: duplicate term {term!r}")
         try:

@@ -9,16 +9,29 @@ CSV and partition exports.
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from comtext import cli
 from comtext.corpus import Document, build_corpus, load_corpus, load_edges, node_id, read_lines
-from comtext.detect import Partition, format_partition, load_partition, parse_partition
+from comtext.detect import (
+    Partition, format_partition, load_partition, parse_partition, save_partition)
 from comtext.errors import ParseError
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, run
 
 # Line boundaries of str.splitlines() that are not line ends in any input file.
 UNICODE_BREAKS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+# Derandomized, so every run of the suite checks the same examples.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+# Any Unicode text (no surrogates), with separators and line breaks well represented.
+raw_ids = st.text(st.one_of(st.characters(codec="utf-8"),
+                            st.sampled_from([" ", "\t", ":", "=", ",", "\n", "\r",
+                                             *UNICODE_BREAKS])), max_size=12)
+valid_ids = raw_ids.map(str.strip).filter(
+    lambda s: s and not any(ch in s for ch in ",\n\r"))
 
 
 def write_inputs(tmp_path, users, edge_lines):
@@ -139,3 +152,44 @@ class TestPartitionReader:
                          "--partition", str(out / "partition_k1.txt")]) == 0
         partition, _ = load_partition(out / "partition_k1.txt")
         assert set(partition.assignment) == {"w", "x\u2028y", "z"}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("ids")
+
+
+class TestIdProperties:
+    @PROPERTY
+    @given(raw_ids)
+    def test_node_id_is_idempotent(self, raw):
+        try:
+            node = node_id(raw, "x")
+        except ParseError:
+            assume(False)
+        assert node_id(node, "x") == node
+
+    @PROPERTY
+    @given(valid_ids)
+    def test_valid_ids_pass_unchanged(self, node):
+        assert node_id(node, "x") == node
+
+    @PROPERTY
+    @given(st.lists(valid_ids, min_size=2, max_size=6, unique=True))
+    def test_graph_csv_round_trip(self, scratch, ids):
+        edges = [(u, v, 0.5) for u, v in zip(ids[:-2], ids[1:-1])]  # ids[-1] isolated
+        g = WeightedGraph(ids, edges)
+        path = scratch / "graph.csv"
+        g.write_csv(path)
+        loaded = WeightedGraph.read_csv(path)
+        assert loaded.nodes == tuple(sorted(ids))
+        assert loaded.edges() == g.edges()
+
+    @PROPERTY
+    @given(st.lists(valid_ids, min_size=2, max_size=6, unique=True))
+    def test_partition_round_trip(self, scratch, ids):
+        p = Partition({u: i % 2 for i, u in enumerate(ids)}, 2, 2)
+        assert parse_partition(format_partition(p, -0.125)) == (p, -0.125)
+        path = scratch / "partition.txt"
+        save_partition(p, path)
+        assert load_partition(path) == (p, None)

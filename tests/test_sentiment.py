@@ -52,6 +52,20 @@ class TestLexicon:
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(path)
 
+    def test_terms_lowercased_to_match_tokens(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("Good\t0.8\n", encoding="utf-8")
+        lexicon = load_lexicon(path)
+        assert lexicon.scores == {"good": 0.8}
+        corpus = build_corpus([Document("u1", "Good day"), Document("u2", "good night")])
+        assert bias_matrix(corpus, lexicon).get("u1", "u2") == pytest.approx(1.0)
+
+    def test_terms_equal_after_lowercasing_are_duplicates(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("good\t0.5\nGOOD\t0.4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: duplicate term 'good'"):
+            load_lexicon(path)
+
     def test_missing_tab(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("good 0.5\n", encoding="utf-8")
@@ -117,6 +131,18 @@ class TestCompose:
         c = compose(NEUTRAL, SentimentVector(1.0, 0.0))
         assert c.rho_n == pytest.approx(1.0, abs=1e-12)
         assert c.omega_n == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.25, 1.0])
+    @pytest.mark.parametrize("theta, bias", [(0.0, 0.5), (math.pi / 2, 1.0), (math.pi, 0.5)])
+    def test_neutral_paired_with_opinion(self, rho, theta, bias):
+        # rho_n = 1 and omega_n = (1 + sin theta) / 2, so the bias lies in [0.5, 1]
+        opinion = SentimentVector(rho, theta)
+        for pair in ((NEUTRAL, opinion), (opinion, NEUTRAL)):
+            c = compose(*pair)
+            assert c.rho_n == pytest.approx(1.0)
+            assert c.omega_n == pytest.approx((1.0 + math.sin(theta)) / 2.0)
+            assert bias_value(c) == pytest.approx(bias)
+        assert bias_value(compose(NEUTRAL, NEUTRAL)) == 0.0
 
     def test_both_neutral(self):
         c = compose(NEUTRAL, NEUTRAL)
