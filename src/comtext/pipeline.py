@@ -136,9 +136,9 @@ def _graph(config: RunConfig, features: _Features | None) -> WeightedGraph:
     with _stage("graph", ParseError, GraphError, ParameterError, OSError):
         if features is None:
             graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
-            if config.mode == "structural":  # unit weights on the reloaded edge set
-                graph = WeightedGraph(graph.nodes, [(u, v, 1.0) for u, v, _ in graph.edges()])
-            return graph
+            if config.mode == "weighted":
+                return graph
+            return structural_graph(EdgeList(tuple(e[:2] for e in graph.edges())), graph.nodes)
         if config.mode == "weighted":
             return build_weighted_graph(features.edges, features.similarity, features.bias,
                                         config.alpha, precision=config.precision)

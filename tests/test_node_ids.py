@@ -90,12 +90,6 @@ class TestReaders:
         assert g.nodes == ("a", "b", "z")
         assert g.edges() == (("a", "b", 0.5),)
 
-    def test_graph_csv_rejects_extra_field(self, tmp_path):
-        path = tmp_path / "graph.csv"
-        path.write_text("a,b,c,1.0\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 1"):
-            WeightedGraph.read_csv(path)
-
     def test_corpus_and_edge_ids_name_one_node(self, tmp_path):
         corpus, edges, lexicon = write_inputs(tmp_path, [" a", "b"], [" a , b"])
         assert load_corpus(corpus).users == ("a", "b")
@@ -106,12 +100,6 @@ class TestReaders:
         assert result.graph.edges()[0][2] > 0.0  # the text reached the edge's node
         reloaded = WeightedGraph.read_csv(tmp_path / "out" / "graph.csv")
         assert reloaded.nodes == result.graph.nodes
-
-    def test_edges_reject_empty_id(self, tmp_path):
-        path = tmp_path / "edges.csv"
-        path.write_text("a,b\n,b\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2: empty node id"):
-            load_edges(path)
 
 
 class TestPartitionReader:
@@ -167,11 +155,6 @@ class TestIdProperties:
             node = node_id(raw, "x")
         except ParseError:
             assume(False)
-        assert node_id(node, "x") == node
-
-    @PROPERTY
-    @given(valid_ids)
-    def test_valid_ids_pass_unchanged(self, node):
         assert node_id(node, "x") == node
 
     @PROPERTY
