@@ -18,20 +18,37 @@ from typing import Iterable, Iterator
 from .errors import ParseError
 
 
-def read_lines(path, text: str | None = None) -> Iterator[tuple[str, str]]:
+class Where:
+    """The ``path: line N`` prefix of a ParseError, formatted only when an
+    error message (or a comparison with a string) asks for its text."""
+
+    __slots__ = ("path", "lineno")
+
+    def __init__(self, path, lineno: int):
+        self.path = path
+        self.lineno = lineno
+
+    def __str__(self) -> str:
+        return f"{self.path}: line {self.lineno}"
+
+    def __eq__(self, other) -> bool:
+        return str(self) == str(other)
+
+
+def read_lines(path, text: str | None = None) -> Iterator[tuple[Where, str]]:
     """Yield ``(where, line)`` for each non-blank line of ``path``, stripped.
 
-    Lines end only at LF, CR or CRLF; ``where`` is the ``path: line N``
-    prefix of every ParseError.  ``text``, if given, is read instead of ``path``.
+    Lines end only at LF, CR or CRLF; ``where`` names the line as
+    ``path: line N``.  ``text``, if given, is read instead of ``path``.
     """
     with open(path, encoding="utf-8") if text is None else io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:
-                yield f"{path}: line {lineno}", line
+                yield Where(path, lineno), line
 
 
-def node_id(raw: str, where: str) -> str:
+def node_id(raw: str, where: str | Where) -> str:
     """The node id ``raw`` names: stripped, non-empty, no reserved character."""
     node = raw.strip()
     if not node:
@@ -118,9 +135,11 @@ def build_corpus(
 ) -> Corpus:
     """Merge documents per user (in input order) and build the vocabulary."""
     merged: dict[str, list[str]] = {}
+    terms: dict[str, str] = {}  # one object per distinct term, shared by every occurrence
     for index, doc in enumerate(documents, start=1):
         user = node_id(doc.user_id, f"document {index}")
-        merged.setdefault(user, []).extend(tokenize(doc.text, config))
+        merged.setdefault(user, []).extend(
+            terms.setdefault(t, t) for t in tokenize(doc.text, config))
     users = tuple(sorted(merged))
     docs = {u: tuple(merged[u]) for u in users}
     freq: dict[str, int] = {}

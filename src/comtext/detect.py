@@ -80,14 +80,15 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
             raise GraphError(f"unknown center {c!r}")
 
     assignment = {c: i for i, c in enumerate(centers)}
-    # Best-known connection score per (node, community); each community's
-    # heap holds (-score, node) entries, stale ones skipped on pop.
-    scores: dict[tuple[str, int], float] = {}
+    # Best-known connection score of each candidate node, one dict per
+    # community; each community's heap holds (-score, node) entries, stale
+    # ones skipped on pop.
+    scores: list[dict[str, float]] = [{} for _ in centers]
     heaps: list[list[tuple[float, str]]] = [[] for _ in centers]
 
     def relax(node: str, community: int, weight: float) -> None:
-        score = scores.get((node, community), 0.0) + weight
-        scores[(node, community)] = score
+        score = scores[community].get(node, 0.0) + weight
+        scores[community][node] = score
         heapq.heappush(heaps[community], (-score, node))
 
     for center in centers:
@@ -104,7 +105,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
             negscore, candidate = heapq.heappop(heap)
             if candidate in assignment:
                 continue
-            if scores.get((candidate, community)) != -negscore:
+            if scores[community].get(candidate) != -negscore:
                 continue
             node = candidate
             break

@@ -24,34 +24,43 @@ class WeightedGraph:
     ``None`` keeps weights exact.
     """
 
-    __slots__ = ("nodes", "_index", "_adjacency", "_edges", "total_weight")
+    __slots__ = ("nodes", "_adjacency", "_edges", "total_weight")
 
     def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
                  *, precision: int | None = None):
         self.nodes = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
+        # Every endpoint is rebound to its object in ``self.nodes``, so the
+        # graph holds each id string once however many edges name it.
+        shared = {u: u for u in self.nodes}
+        if len(shared) != len(self.nodes):
             raise GraphError("duplicate node ids")
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        canonical: dict[tuple[str, str], float] = {}
+        edges: list[tuple[str, str, float]] = []
         for u, v, w in weighted_edges:
-            if u not in self._index or v not in self._index:
-                raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node")
-            if u == v:
+            try:
+                u, v = shared[u], shared[v]
+            except KeyError:
+                raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
+            if u is v:
                 raise GraphError(f"self-loop at {u!r}")
             if not math.isfinite(w):
                 raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
             if w < 0.0:
                 raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
-            key = (u, v) if u < v else (v, u)
-            if key in canonical:
-                raise GraphError(f"duplicate edge {key!r}")
-            canonical[key] = float(w if precision is None else f"{w:.{precision}f}")
-        self._edges = tuple((u, v, canonical[(u, v)]) for u, v in sorted(canonical))
+            if v < u:
+                u, v = v, u
+            edges.append((u, v, float(w if precision is None else f"{w:.{precision}f}")))
+        edges.sort()
+        for (u, v, _), (x, y, _) in zip(edges, edges[1:]):
+            if u is x and v is y:
+                raise GraphError(f"duplicate edge {(u, v)!r}")
+        self._edges = tuple(edges)
+        # Sorted edges fill each adjacency list in neighbor order: the
+        # smaller ids first, then the larger ones.
         adjacency: dict[str, list[tuple[str, float]]] = {u: [] for u in self.nodes}
         for u, v, w in self._edges:
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
-        self._adjacency = {u: tuple(sorted(adjacency[u])) for u in self.nodes}
+        self._adjacency = {u: tuple(adjacency.pop(u)) for u in self.nodes}
         self.total_weight = math.fsum(w for _, _, w in self._edges)
 
     @property
@@ -59,7 +68,7 @@ class WeightedGraph:
         return len(self.nodes)
 
     def has_node(self, node: str) -> bool:
-        return node in self._index
+        return node in self._adjacency
 
     def neighbors(self, node: str) -> tuple[tuple[str, float], ...]:
         try:
@@ -78,32 +87,31 @@ class WeightedGraph:
     def write_csv(self, path, precision: int = 6) -> None:
         """``u,v,weight`` lines; isolated nodes appear as ``u,,`` so the
         node set round-trips through :func:`read_csv`."""
-        lines = [f"{u},," for u in sorted(self.nodes) if not self._adjacency[u]]
-        lines.extend(f"{u},{v},{w:.{precision}f}" for u, v, w in self._edges)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.writelines(f"{u},,\n" for u in sorted(self.nodes) if not self._adjacency[u])
+            fh.writelines(f"{u},{v},{w:.{precision}f}\n" for u, v, w in self._edges)
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
         """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
-        nodes: set[str] = set()
+        nodes: dict[str, str] = {}  # each id maps to the one object all its edges share
         edges: list[tuple[str, str, float]] = []
         for where, line in read_lines(path):
             fields = line.split(",")
             if len(fields) != 3:
                 raise ParseError(f"{where}: expected 'u,v,weight'")
             u = node_id(fields[0], where)
+            u = nodes.setdefault(u, u)
             if not fields[1].strip() and not fields[2].strip():
-                nodes.add(u)
                 continue
             v = node_id(fields[1], where)
+            v = nodes.setdefault(v, v)
             try:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"{where}: weight is not a number") from None
             if not math.isfinite(w):
                 raise ParseError(f"{where}: weight is not finite")
-            nodes.update((u, v))
             edges.append((u, v, w))
         return cls(tuple(sorted(nodes)), edges, precision=precision)
 

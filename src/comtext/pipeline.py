@@ -1,10 +1,10 @@
 """End-to-end runs: ingest, attribute matrices, weighted graph, detection.
 
 ``run`` drives one mode (weighted or structural) and writes every artifact
-into the output directory; ``compare`` computes the text features once,
-hands them to both modes (each writes the same matrices) and tabulates
-modularity side by side.  All outputs are deterministic: identical inputs
-produce byte-identical output trees.
+into the output directory; ``compare`` computes the text features (or
+reloads the graph) once, hands them to both modes (each writes the same
+matrices) and tabulates modularity side by side.  All outputs are
+deterministic: identical inputs produce byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
@@ -86,12 +86,14 @@ class CompareResult:
 
 @dataclass(frozen=True)
 class _Features:
-    """Text front half shared by every mode: inputs through the attribute matrices."""
+    """Front half shared by every mode: the text inputs through the attribute
+    matrices, or else the reloaded graph."""
 
-    edges: EdgeList
-    nodes: list[str]
-    similarity: SymmetricMatrix | None
-    bias: SymmetricMatrix | None
+    edges: EdgeList | None = None
+    nodes: list[str] = field(default_factory=list)
+    similarity: SymmetricMatrix | None = None
+    bias: SymmetricMatrix | None = None
+    reloaded: WeightedGraph | None = None
 
 
 @contextmanager
@@ -103,10 +105,12 @@ def _stage(name: str, *errors: type[Exception]):
         raise StageError(name, str(exc)) from exc
 
 
-def _features(config: RunConfig) -> _Features | None:
-    """Load and score the text inputs once; ``None`` when reloading a graph."""
+def _features(config: RunConfig) -> _Features:
+    """Load and score the text inputs, or reload the graph, once."""
     if config.graph_path is not None:
-        return None
+        with _stage("graph", ParseError, GraphError, OSError):
+            return _Features(reloaded=WeightedGraph.read_csv(config.graph_path,
+                                                             precision=config.precision))
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
 
@@ -131,11 +135,11 @@ def _features(config: RunConfig) -> _Features | None:
     return _Features(edge_list, nodes, s, sv)
 
 
-def _graph(config: RunConfig, features: _Features | None) -> WeightedGraph:
+def _graph(config: RunConfig, features: _Features) -> WeightedGraph:
     """The mode's graph, weights snapped to the export precision."""
     with _stage("graph", ParseError, GraphError, ParameterError, OSError):
-        if features is None:
-            graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
+        graph = features.reloaded
+        if graph is not None:
             if config.mode == "weighted":
                 return graph
             return structural_graph(EdgeList(tuple(e[:2] for e in graph.edges())), graph.nodes)
@@ -145,13 +149,13 @@ def _graph(config: RunConfig, features: _Features | None) -> WeightedGraph:
         return structural_graph(features.edges, features.nodes)
 
 
-def _run_mode(config: RunConfig, features: _Features | None) -> RunResult:
+def _run_mode(config: RunConfig, features: _Features) -> RunResult:
     """Back half of a run: graph, exports, detection and scores for each k."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = _graph(config, features)
 
-    if config.export_matrices and features is not None:
+    if config.export_matrices:
         for name, matrix in (("similarity", features.similarity), ("bias", features.bias)):
             if matrix is not None:
                 matrix.write_csv(out / f"{name}_matrix.csv", config.precision)

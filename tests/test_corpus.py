@@ -116,6 +116,12 @@ class TestLoadCorpus:
         assert corpus.doc_frequency == {"a": 1, "b": 2, "c": 1}
         assert all(df >= 1 for df in corpus.doc_frequency.values())
 
+    def test_one_object_per_term(self):
+        corpus = build_corpus([Document("u1", "shared words"), Document("u2", "more shared")])
+        first, second = corpus.docs_by_user["u1"][0], corpus.docs_by_user["u2"][1]
+        assert first == second == "shared"
+        assert first is second
+
     def test_users_strictly_increasing(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -12,6 +12,20 @@ from helpers import random_weighted_graph
 from comtext.fixtures import KARATE_NODES, karate_edge_list
 
 
+def fresh(text):
+    """An equal string that is a distinct object (literals may be shared)."""
+    return "".join(list(text))
+
+
+def assert_endpoints_shared(g):
+    """Every endpoint the graph hands out is the one object in ``g.nodes``."""
+    shared = {u: u for u in g.nodes}
+    for u, v, _ in g.edges():
+        assert u is shared[u] and v is shared[v]
+    for u in g.nodes:
+        assert all(v is shared[v] for v, _ in g.neighbors(u))
+
+
 def matrix_from(nodes, entries):
     matrix = SymmetricMatrix(nodes)
     for u, v, value in entries:
@@ -79,6 +93,12 @@ class TestBuildWeightedGraph:
         assert g.nodes == ("a", "b", "c")
         assert g.strength("c") == 0.0
 
+    def test_endpoints_share_the_node_objects(self):
+        nodes = ["alice", "bob", "carol"]
+        edges = EdgeList.from_pairs([(fresh("alice"), fresh("bob")), (fresh("carol"), fresh("bob"))])
+        s = matrix_from(nodes, [("alice", "bob", 0.5), ("bob", "carol", 0.25)])
+        assert_endpoints_shared(build_weighted_graph(edges, s, s))
+
     def test_zero_weight_edges_retained(self):
         edges = EdgeList.from_pairs([("a", "b")])
         s = matrix_from(["a", "b"], [])
@@ -127,8 +147,9 @@ class TestWeightedGraph:
     def test_constructor_validation(self):
         with pytest.raises(GraphError, match="self-loop"):
             WeightedGraph(["a"], [("a", "a", 1.0)])
-        with pytest.raises(GraphError, match="duplicate edge"):
-            WeightedGraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])
+        for weights in ((1.0, 1.0), (1.0, 0.5)):
+            with pytest.raises(GraphError, match="duplicate edge"):
+                WeightedGraph(["a", "b"], [("a", "b", weights[0]), ("b", "a", weights[1])])
         with pytest.raises(GraphError, match="negative"):
             WeightedGraph(["a", "b"], [("a", "b", -0.1)])
         for weight in (math.nan, math.inf):
@@ -138,6 +159,21 @@ class TestWeightedGraph:
             WeightedGraph(["a"], [("a", "b", 1.0)])
         with pytest.raises(GraphError, match="duplicate node"):
             WeightedGraph(["a", "a"], [])
+
+    def test_edges_canonical_and_adjacency_sorted(self):
+        rng = random.Random(79)
+        ids = ["a", "a10", "a9", "ab", "B", "b", "z1", "\u00e9"]
+        for _ in range(50):
+            nodes = rng.sample(ids, 6)
+            pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:] if rng.random() < 0.5]
+            rng.shuffle(pairs)
+            g = WeightedGraph(nodes, [(u, v, 0.5) if rng.random() < 0.5 else (v, u, 0.5)
+                                      for u, v in pairs])
+            assert list(g.edges()) == sorted(g.edges())
+            assert all(u < v for u, v, _ in g.edges())
+            for u in g.nodes:
+                neighbor_ids = [v for v, _ in g.neighbors(u)]
+                assert neighbor_ids == sorted(neighbor_ids)
 
     def test_handshake_identity(self):
         rng = random.Random(71)
@@ -172,6 +208,14 @@ class TestWeightedGraph:
         assert loaded.nodes == g.nodes
         assert loaded.edges() == g.edges()
         assert loaded.total_weight == g.total_weight
+
+    def test_csv_endpoints_share_the_node_objects(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("alice,bob,0.5\nbob,carol,0.25\ncarol,alice,1.0\ndave,,\n",
+                        encoding="utf-8")
+        g = WeightedGraph.read_csv(path)
+        assert len(g.edges()) == 3
+        assert_endpoints_shared(g)
 
     def test_csv_parse_errors(self, tmp_path):
         path = tmp_path / "graph.csv"

@@ -241,6 +241,19 @@ class TestCallCounts:
         run(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv"))
         assert calls == {"graph": 1}
 
+    def test_compare_graph_reload_reads_once(self, inputs, calls, monkeypatch):
+        first = run(config_for(inputs, "one"))
+        read_csv = WeightedGraph.read_csv.__func__
+
+        def counted_read_csv(cls, *args, **kwargs):
+            calls["read_csv"] += 1
+            return read_csv(cls, *args, **kwargs)
+
+        monkeypatch.setattr(WeightedGraph, "read_csv", classmethod(counted_read_csv))
+        calls.clear()
+        compare(config_for(inputs, "cmp", graph_path=first.out_dir / "graph.csv"))
+        assert calls == {"read_csv": 1, "graph": 2}
+
 
 class TestCli:
     def _base_args(self, inputs, out_name):
