@@ -204,13 +204,18 @@ class EdgeList:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "EdgeList":
         canonical: set[tuple[str, str]] = set()
+        shared: dict[str, str] = {}  # one object per id, shared by every edge naming it
         dropped = 0
         for a, b in pairs:
             if a == b:
                 dropped += 1
                 continue
+            a, b = shared.setdefault(a, a), shared.setdefault(b, b)
             canonical.add((a, b) if a < b else (b, a))
         return cls(tuple(sorted(canonical)), dropped)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self.edges)
 
     def endpoints(self) -> tuple[str, ...]:
         return tuple(sorted({u for edge in self.edges for u in edge}))

@@ -56,17 +56,26 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
     """Greedy strength-ranked, spread-out center selection (see module doc)."""
     if not isinstance(k, int) or k < 1 or k > g.n:
         raise ParameterError(f"k must be an integer in 1..{g.n}, got {k!r}")
-    strength = {u: g.strength(u) for u in g.nodes}
-    remaining = set(g.nodes)
-    blocked: set[str] = set()
-    centers: list[str] = []
+    # Strongest first; the sort is stable, so ties stay in index (= id) order.
+    ranked = sorted(range(g.n), key=g.strengths.__getitem__, reverse=True)
+    taken = bytearray(g.n)
+    blocked = bytearray(g.n)
+    # A node once taken or blocked stays so, which lets each generator
+    # resume where it last stopped: ``spread`` yields the strongest node
+    # neither taken nor adjacent to a center, ``fallback`` the strongest
+    # node not taken.
+    spread = (i for i in ranked if not (taken[i] or blocked[i]))
+    fallback = (i for i in ranked if not taken[i])
+    centers: list[int] = []
     for _ in range(k):
-        pool = [u for u in remaining if u not in blocked] or list(remaining)
-        best = min(pool, key=lambda u: (-strength[u], u))
+        best = next(spread, None)
+        if best is None:
+            best = next(fallback)
         centers.append(best)
-        remaining.remove(best)
-        blocked.update(v for v, _ in g.neighbors(best))
-    return centers
+        taken[best] = 1
+        for a in range(g.offsets[best], g.offsets[best + 1]):
+            blocked[g.targets[a]] = 1
+    return [g.ids[i] for i in centers]
 
 
 def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
@@ -78,23 +87,30 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     for c in centers:
         if not g.has_node(c):
             raise GraphError(f"unknown center {c!r}")
+    seeds = [g.index_of(c) for c in centers]
 
-    assignment = {c: i for i, c in enumerate(centers)}
-    # Best-known connection score of each candidate node, one dict per
-    # community; each community's heap holds (-score, node) entries, stale
+    offsets, targets, weights = g.offsets, g.targets, g.weights
+    assignment = [-1] * g.n  # community of each node index; -1 while unassigned
+    for community, seed in enumerate(seeds):
+        assignment[seed] = community
+    # Best-known connection score of each candidate node index, one dict per
+    # community; each community's heap holds (-score, index) entries, stale
     # ones skipped on pop.
-    scores: list[dict[str, float]] = [{} for _ in centers]
-    heaps: list[list[tuple[float, str]]] = [[] for _ in centers]
+    scores: list[dict[int, float]] = [{} for _ in centers]
+    heaps: list[list[tuple[float, int]]] = [[] for _ in centers]
 
-    def relax(node: str, community: int, weight: float) -> None:
-        score = scores[community].get(node, 0.0) + weight
-        scores[community][node] = score
-        heapq.heappush(heaps[community], (-score, node))
+    def attach(node: int, community: int) -> None:
+        """Relax the community's scores of ``node``'s unassigned neighbors."""
+        score_of, heap = scores[community], heaps[community]
+        for a in range(offsets[node], offsets[node + 1]):
+            v, w = targets[a], weights[a]
+            if assignment[v] < 0 and w > 0.0:
+                score = score_of.get(v, 0.0) + w
+                score_of[v] = score
+                heapq.heappush(heap, (-score, v))
 
-    for center in centers:
-        for v, w in g.neighbors(center):
-            if v not in assignment and w > 0.0:
-                relax(v, assignment[center], w)
+    for community, seed in enumerate(seeds):
+        attach(seed, community)
 
     active = deque(range(len(centers)))
     while active:
@@ -103,7 +119,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         node = None
         while heap:
             negscore, candidate = heapq.heappop(heap)
-            if candidate in assignment:
+            if assignment[candidate] >= 0:
                 continue
             if scores[community].get(candidate) != -negscore:
                 continue
@@ -112,16 +128,15 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         if node is None:
             continue  # community retired: no positively connected candidates
         assignment[node] = community
-        for v, w in g.neighbors(node):
-            if v not in assignment and w > 0.0:
-                relax(v, community, w)
+        attach(node, community)
         active.append(community)
 
     m = len(centers)
-    for node in sorted(u for u in g.nodes if u not in assignment):
-        assignment[node] = m
-        m += 1
-    return Partition({u: assignment[u] for u in sorted(assignment)}, m, len(centers))
+    for i, community in enumerate(assignment):
+        if community < 0:
+            assignment[i] = m
+            m += 1
+    return Partition(dict(zip(g.ids, assignment)), m, len(centers))
 
 
 def detect(g: WeightedGraph, k: int) -> Partition:

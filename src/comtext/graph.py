@@ -9,7 +9,10 @@ are separate concerns); they contribute nothing to strengths or scores.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, pairwise
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import EdgeList, node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
@@ -17,103 +20,148 @@ from .similarity import SymmetricMatrix
 
 
 class WeightedGraph:
-    """Immutable undirected weighted graph; adjacency sorted by neighbor id.
+    """Immutable undirected weighted graph stored as compressed sparse rows.
+
+    A node's index is the rank of its id in sorted order, so comparing two
+    indices compares the ids.  ``ids[i]`` is the node with index ``i``; its
+    neighbors are ``targets[offsets[i]:offsets[i + 1]]``, sorted by index,
+    with the matching edge weights in the same slice of ``weights``.  Each
+    edge appears once in each endpoint's slice.  ``strengths[i]`` is the
+    node's weighted degree.  ``nodes`` keeps the order the nodes were given
+    in, and every id the graph hands out is the object in ``nodes``.
 
     ``precision`` snaps each weight to that many decimal places, the grid
     :meth:`write_csv` exports, so a reloaded export is bit-identical;
     ``None`` keeps weights exact.
     """
 
-    __slots__ = ("nodes", "_adjacency", "_edges", "total_weight")
+    __slots__ = ("nodes", "ids", "offsets", "targets", "weights", "strengths", "total_weight")
 
     def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
                  *, precision: int | None = None):
         self.nodes = tuple(nodes)
-        # Every endpoint is rebound to its object in ``self.nodes``, so the
-        # graph holds each id string once however many edges name it.
-        shared = {u: u for u in self.nodes}
-        if len(shared) != len(self.nodes):
+        self.ids = tuple(sorted(self.nodes))
+        index = {u: i for i, u in enumerate(self.ids)}
+        if len(index) != len(self.ids):
             raise GraphError("duplicate node ids")
-        edges: list[tuple[str, str, float]] = []
+        n = len(self.ids)
+        keys = array("q")  # i * n + j for each edge, i < j
+        edge_weights = array("d")
+        degree = [0] * n
         for u, v, w in weighted_edges:
             try:
-                u, v = shared[u], shared[v]
+                i, j = index[u], index[v]
             except KeyError:
                 raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
-            if u is v:
+            if i == j:
                 raise GraphError(f"self-loop at {u!r}")
             if not math.isfinite(w):
                 raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
             if w < 0.0:
                 raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
-            if v < u:
-                u, v = v, u
-            edges.append((u, v, float(w if precision is None else f"{w:.{precision}f}")))
-        edges.sort()
-        for (u, v, _), (x, y, _) in zip(edges, edges[1:]):
-            if u is x and v is y:
-                raise GraphError(f"duplicate edge {(u, v)!r}")
-        self._edges = tuple(edges)
-        # Sorted edges fill each adjacency list in neighbor order: the
-        # smaller ids first, then the larger ones.
-        adjacency: dict[str, list[tuple[str, float]]] = {u: [] for u in self.nodes}
-        for u, v, w in self._edges:
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
-        self._adjacency = {u: tuple(adjacency.pop(u)) for u in self.nodes}
-        self.total_weight = math.fsum(w for _, _, w in self._edges)
+            keys.append(i * n + j if i < j else j * n + i)
+            degree[i] += 1
+            degree[j] += 1
+            edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
+        del index  # freed before the sort allocates its key and order lists
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        for p, q in pairwise(order):
+            if keys[p] == keys[q]:
+                i, j = divmod(keys[p], n)
+                raise GraphError(f"duplicate edge {(self.ids[i], self.ids[j])!r}")
+        self.offsets = offsets = array("q", accumulate(degree, initial=0))
+        self.targets = targets = array("i", [0]) * offsets[-1]
+        self.weights = weights = array("d", [0.0]) * offsets[-1]
+        # Filling the slices in sorted edge order leaves each one sorted by
+        # neighbor: node i's edges (h, i), h < i, all sort before its (i, j).
+        cursor = offsets[:-1]
+        for p in order:
+            i, j = divmod(keys[p], n)
+            a, b = cursor[i], cursor[j]
+            targets[a], weights[a], cursor[i] = j, edge_weights[p], a + 1
+            targets[b], weights[b], cursor[j] = i, edge_weights[p], b + 1
+        self.strengths = array("d", (math.fsum(weights[offsets[i]:offsets[i + 1]])
+                                     for i in range(n)))
+        self.total_weight = math.fsum(edge_weights)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
+    def _find(self, node: str) -> int:
+        """Index of ``node``, or -1 if the graph does not have it."""
+        i = bisect_left(self.ids, node)
+        return i if i < len(self.ids) and self.ids[i] == node else -1
+
     def has_node(self, node: str) -> bool:
-        return node in self._adjacency
+        return self._find(node) >= 0
+
+    def index_of(self, node: str) -> int:
+        i = self._find(node)
+        if i < 0:
+            raise GraphError(f"unknown node {node!r}")
+        return i
 
     def neighbors(self, node: str) -> tuple[tuple[str, float], ...]:
-        try:
-            return self._adjacency[node]
-        except KeyError:
-            raise GraphError(f"unknown node {node!r}") from None
+        """``(neighbor, weight)`` pairs, sorted by neighbor id."""
+        i = self.index_of(node)
+        start, end = self.offsets[i], self.offsets[i + 1]
+        return tuple(zip(map(self.ids.__getitem__, self.targets[start:end]),
+                         self.weights[start:end]))
 
     def strength(self, node: str) -> float:
         """Weighted degree: sum of incident edge weights."""
-        return math.fsum(w for _, w in self.neighbors(node))
+        return self.strengths[self.index_of(node)]
+
+    def edge_indices(self) -> Iterator[tuple[int, int, float]]:
+        """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``, sorted."""
+        offsets, targets, weights = self.offsets, self.targets, self.weights
+        for i in range(len(self.ids)):
+            end = offsets[i + 1]
+            for a in range(bisect_right(targets, i, offsets[i], end), end):
+                yield i, targets[a], weights[a]
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """Canonical edge tuples (min id first, sorted)."""
-        return self._edges
+        ids = self.ids
+        return tuple((ids[i], ids[j], w) for i, j, w in self.edge_indices())
 
     def write_csv(self, path, precision: int = 6) -> None:
         """``u,v,weight`` lines; isolated nodes appear as ``u,,`` so the
         node set round-trips through :func:`read_csv`."""
+        ids, offsets = self.ids, self.offsets
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{u},,\n" for u in sorted(self.nodes) if not self._adjacency[u])
-            fh.writelines(f"{u},{v},{w:.{precision}f}\n" for u, v, w in self._edges)
+            fh.writelines(f"{u},,\n" for i, u in enumerate(ids) if offsets[i] == offsets[i + 1])
+            fh.writelines(f"{ids[i]},{ids[j]},{w:.{precision}f}\n"
+                          for i, j, w in self.edge_indices())
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
         """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
-        nodes: dict[str, str] = {}  # each id maps to the one object all its edges share
-        edges: list[tuple[str, str, float]] = []
+        names: dict[str, int] = {}  # each id, numbered in order of first appearance
+        heads, tails, weights = array("q"), array("q"), array("d")
         for where, line in read_lines(path):
             fields = line.split(",")
             if len(fields) != 3:
                 raise ParseError(f"{where}: expected 'u,v,weight'")
             u = node_id(fields[0], where)
-            u = nodes.setdefault(u, u)
+            u = names.setdefault(u, len(names))
             if not fields[1].strip() and not fields[2].strip():
                 continue
             v = node_id(fields[1], where)
-            v = nodes.setdefault(v, v)
+            v = names.setdefault(v, len(names))
             try:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"{where}: weight is not a number") from None
             if not math.isfinite(w):
                 raise ParseError(f"{where}: weight is not finite")
-            edges.append((u, v, w))
-        return cls(tuple(sorted(nodes)), edges, precision=precision)
+            heads.append(u)
+            tails.append(v)
+            weights.append(w)
+        ids = list(names)
+        return cls(sorted(ids), ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights)),
+                   precision=precision)
 
 
 def build_weighted_graph(
@@ -145,6 +193,7 @@ def build_weighted_graph(
     return WeightedGraph(s.nodes, weighted, precision=precision)
 
 
-def structural_graph(edges: EdgeList, nodes: Sequence[str]) -> WeightedGraph:
-    """Unit-weight graph on the structural edge set."""
-    return WeightedGraph(nodes, [(u, v, 1.0) for u, v in edges.edges])
+def structural_graph(edges: Iterable[tuple[str, str]], nodes: Sequence[str]) -> WeightedGraph:
+    """Unit-weight graph on a structural edge set: an :class:`EdgeList` or
+    any other iterable of ``(u, v)`` pairs."""
+    return WeightedGraph(nodes, ((u, v, 1.0) for u, v in edges))

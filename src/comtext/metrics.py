@@ -70,9 +70,10 @@ def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
         community = p.assignment[node]
         size[community] += 1
         degree_sum[community] += g.strength(node)
-    for u, v, w in g.edges():
-        if p.assignment[u] == p.assignment[v]:
-            intra[p.assignment[u]] += w
+    community_of = [p.assignment[u] for u in g.ids]
+    for i, j, w in g.edge_indices():
+        if community_of[i] == community_of[j]:
+            intra[community_of[i]] += w
     q = math.fsum(
         intra[c] / total - (degree_sum[c] / (2.0 * total)) ** 2 for c in range(p.m)
     )

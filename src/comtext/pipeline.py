@@ -142,7 +142,9 @@ def _graph(config: RunConfig, features: _Features) -> WeightedGraph:
         if graph is not None:
             if config.mode == "weighted":
                 return graph
-            return structural_graph(EdgeList(tuple(e[:2] for e in graph.edges())), graph.nodes)
+            ids = graph.ids
+            return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()),
+                                    graph.nodes)
         if config.mode == "weighted":
             return build_weighted_graph(features.edges, features.similarity, features.bias,
                                         config.alpha, precision=config.precision)

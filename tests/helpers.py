@@ -1,14 +1,18 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately take the long way round: the modularity oracle
-sums over all ordered node pairs from an adjacency dict, and the
-similarity oracle builds dense vocabulary-length numpy vectors.  They
-share no code path with the implementations they check.
+sums over all ordered node pairs from an adjacency dict, the similarity
+oracle builds dense vocabulary-length numpy vectors, and the detection
+oracle is the string-keyed form of center selection and expansion, which
+reads the graph only through ``strength`` and ``neighbors``.  They share
+no code path with the implementations they check.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 
 import numpy as np
 
@@ -107,3 +111,63 @@ def dense_similarity_oracle(corpus: Corpus) -> np.ndarray:
                 continue
             out[i, j] = float(np.dot(vectors[i], vectors[j]) / (ni * nj))
     return out
+
+
+def reference_select_centers(g: WeightedGraph, k: int) -> list[str]:
+    """String-keyed center selection: strongest node not adjacent to a
+    chosen center, else the strongest remaining; ties by smaller id."""
+    strength = {u: g.strength(u) for u in g.nodes}
+    remaining = set(g.nodes)
+    blocked: set[str] = set()
+    centers: list[str] = []
+    for _ in range(k):
+        pool = [u for u in remaining if u not in blocked] or list(remaining)
+        best = min(pool, key=lambda u: (-strength[u], u))
+        centers.append(best)
+        remaining.remove(best)
+        blocked.update(v for v, _ in g.neighbors(best))
+    return centers
+
+
+def reference_expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
+    """String-keyed balanced-rotation expansion with (-score, node id) heaps."""
+    assignment = {c: i for i, c in enumerate(centers)}
+    scores: list[dict[str, float]] = [{} for _ in centers]
+    heaps: list[list[tuple[float, str]]] = [[] for _ in centers]
+
+    def relax(node: str, community: int, weight: float) -> None:
+        score = scores[community].get(node, 0.0) + weight
+        scores[community][node] = score
+        heapq.heappush(heaps[community], (-score, node))
+
+    for center in centers:
+        for v, w in g.neighbors(center):
+            if v not in assignment and w > 0.0:
+                relax(v, assignment[center], w)
+
+    active = deque(range(len(centers)))
+    while active:
+        community = active.popleft()
+        heap = heaps[community]
+        node = None
+        while heap:
+            negscore, candidate = heapq.heappop(heap)
+            if candidate in assignment:
+                continue
+            if scores[community].get(candidate) != -negscore:
+                continue
+            node = candidate
+            break
+        if node is None:
+            continue
+        assignment[node] = community
+        for v, w in g.neighbors(node):
+            if v not in assignment and w > 0.0:
+                relax(v, community, w)
+        active.append(community)
+
+    m = len(centers)
+    for node in sorted(u for u in g.nodes if u not in assignment):
+        assignment[node] = m
+        m += 1
+    return Partition({u: assignment[u] for u in sorted(assignment)}, m, len(centers))

@@ -187,3 +187,10 @@ class TestLoadEdges:
     def test_endpoints(self):
         edges = EdgeList.from_pairs([("b", "a"), ("c", "b")])
         assert edges.endpoints() == ("a", "b", "c")
+
+    def test_one_object_per_endpoint_id(self, tmp_path):
+        path = self._write(tmp_path, ["alice,bob", "bob,carol", "carol,alice", "dave,bob"])
+        edges = load_edges(path)
+        endpoints = [u for edge in edges.edges for u in edge]
+        assert len(endpoints) == 8
+        assert len({id(u) for u in endpoints}) == len(set(endpoints)) == 4

@@ -12,7 +12,12 @@ from comtext.detect import (
 )
 from comtext.errors import GraphError, ParameterError
 from comtext.graph import WeightedGraph
-from helpers import random_weighted_graph, scaled
+from helpers import (
+    random_weighted_graph,
+    reference_expand_communities,
+    reference_select_centers,
+    scaled,
+)
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
 from comtext.graph import structural_graph
@@ -192,6 +197,62 @@ class TestDetect:
             baseline = detect(g, k)
             for factor in (0.25, 0.5, 2.0, 3.0, 10.0):
                 assert detect(scaled(g, factor), k).assignment == baseline.assignment
+
+
+def tie_heavy_graph(rng):
+    """Nodes given in shuffled order, ids whose sorted order differs from
+    their creation order, weights from {0, 0.5, 1} (tied strengths and
+    scores, zero-weight edges) and some isolated nodes."""
+    n = rng.randint(2, 30)
+    nodes = [f"{rng.choice('abAB')}{i}" for i in range(n)]
+    rng.shuffle(nodes)
+    isolated = set(rng.sample(nodes, rng.randint(0, n // 4)))
+    connected = [u for u in nodes if u not in isolated]
+    density = rng.choice((0.15, 0.4, 0.8))
+    edges = []
+    for i, u in enumerate(connected):
+        for v in connected[i + 1:]:
+            if rng.random() < density:
+                w = rng.choice((0.0, 0.5, 1.0, 1.0))
+                edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
+    return WeightedGraph(nodes, edges)
+
+
+class TestReferenceOracle:
+    """Index-keyed detection gives the same partitions as the string-keyed
+    reference in ``helpers``, ties broken by smaller node id."""
+
+    def assert_same(self, g, centers):
+        expected = reference_expand_communities(g, centers)
+        actual = expand_communities(g, centers)
+        assert actual == expected
+        assert list(actual.assignment) == list(expected.assignment)
+
+    def test_tie_heavy_graphs(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            g = tie_heavy_graph(rng)
+            for k in sorted({1, 2, 3, g.n // 2, g.n} & set(range(1, g.n + 1))):
+                centers = select_centers(g, k)
+                assert centers == reference_select_centers(g, k)
+                self.assert_same(g, centers)
+                assert detect(g, k) == reference_expand_communities(g, centers)
+
+    def test_arbitrary_centers(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            g = tie_heavy_graph(rng)
+            self.assert_same(g, rng.sample(g.nodes, rng.randint(1, g.n)))
+
+    def test_sixteenth_weights_and_karate(self):
+        rng = random.Random(103)
+        graphs = [random_weighted_graph(rng, max_nodes=20) for _ in range(100)]
+        graphs.append(structural_graph(karate_edge_list(), KARATE_NODES))
+        for g in graphs:
+            for k in range(1, g.n + 1):
+                centers = select_centers(g, k)
+                assert centers == reference_select_centers(g, k)
+                self.assert_same(g, centers)
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -174,6 +175,45 @@ class TestWeightedGraph:
             for u in g.nodes:
                 neighbor_ids = [v for v, _ in g.neighbors(u)]
                 assert neighbor_ids == sorted(neighbor_ids)
+
+    def test_csr_arrays_match_the_public_api(self):
+        rng = random.Random(83)
+        for _ in range(50):
+            g = random_weighted_graph(rng)
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            g = WeightedGraph(nodes, g.edges())
+            assert g.nodes == tuple(nodes)
+            assert g.ids == tuple(sorted(nodes))
+            assert len(g.offsets) == g.n + 1 and g.offsets[-1] == 2 * len(g.edges())
+            for i, u in enumerate(g.ids):
+                assert g.index_of(u) == i
+                start, end = g.offsets[i], g.offsets[i + 1]
+                row = zip(g.targets[start:end], g.weights[start:end])
+                assert [(g.ids[j], w) for j, w in row] == list(g.neighbors(u))
+                assert g.strengths[i] == g.strength(u) == math.fsum(w for _, w in g.neighbors(u))
+            assert [(g.ids[i], g.ids[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
+            assert g.total_weight == math.fsum(w for _, _, w in g.edges())
+
+    def test_retained_bytes_per_edge(self):
+        """Compressed sparse rows cost two index entries and two weights per
+        edge; a tuple per edge and a pair per endpoint cost about 207."""
+        rng = random.Random(113)
+        nodes = [f"n{i:04d}" for i in range(2000)]
+        pairs = set()
+        while len(pairs) < 20000:
+            i, j = sorted(rng.sample(range(2000), 2))
+            pairs.add((i, j))
+        edges = [(nodes[i], nodes[j], rng.random()) for i, j in sorted(pairs)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = WeightedGraph(nodes, edges)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges()) == len(edges)
+        assert retained / len(edges) < 64
 
     def test_handshake_identity(self):
         rng = random.Random(71)

@@ -1,9 +1,11 @@
 import math
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.community import modularity as nx_modularity
 
-from comtext.detect import Partition
+from comtext.detect import Partition, detect
 from comtext.errors import GraphError, UndefinedModularityError
 from comtext.graph import WeightedGraph, structural_graph
 from comtext.metrics import modularity, nmi, quality_report
@@ -84,6 +86,43 @@ class TestModularity:
         bad = Partition({"x": 0}, 1, 1)
         with pytest.raises(GraphError):
             modularity(g, bad)
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.nodes)
+    h.add_weighted_edges_from(g.edges())
+    return h
+
+
+class TestNetworkxOracle:
+    """Weighted modularity and strength against networkx (Newman 2004)."""
+
+    def assert_modularity_matches(self, g, p):
+        expected = nx_modularity(to_networkx(g), p.communities(), weight="weight")
+        assert quality_report(g, p).modularity == pytest.approx(expected, abs=1e-12)
+
+    def test_random_graphs_and_partitions(self):
+        rng = random.Random(107)
+        for _ in range(100):
+            g = random_weighted_graph(rng, max_nodes=20)
+            self.assert_modularity_matches(g, random_partition(rng, g.nodes))
+            self.assert_modularity_matches(g, detect(g, rng.randint(1, g.n)))
+
+    def test_karate(self):
+        g = structural_graph(karate_edge_list(), KARATE_NODES)
+        self.assert_modularity_matches(g, karate_partition())
+        for k in (2, 3, 4):
+            self.assert_modularity_matches(g, detect(g, k))
+
+    def test_strength_is_weighted_degree(self):
+        rng = random.Random(109)
+        graphs = [random_weighted_graph(rng, max_nodes=20) for _ in range(100)]
+        graphs.append(structural_graph(karate_edge_list(), KARATE_NODES))
+        for g in graphs:
+            h = to_networkx(g)
+            for u in g.nodes:
+                assert g.strength(u) == pytest.approx(h.degree(u, weight="weight"), abs=1e-12)
 
 
 class TestQualityReport:
