@@ -38,35 +38,59 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_k(value) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        return tuple(int(k) for k in value)
-    try:
-        return tuple(int(part) for part in str(value).split(",") if part.strip())
-    except ValueError:
-        raise ParameterError(f"cannot parse k values from {value!r}") from None
+    if isinstance(value, str):
+        try:
+            return tuple(int(part) for part in value.split(",") if part.strip())
+        except ValueError:
+            raise ParameterError(f"cannot parse k values from {value!r}") from None
+    values = value if isinstance(value, list) else [value]
+    if not all(type(k) is int for k in values):
+        raise ParameterError(f"k values must be integers, got {value!r}")
+    return tuple(values)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"expected a string, got {value!r}")
+    return value
 
 
 def _input_path(value) -> Path | None:
-    return Path(value) if value else None
+    return Path(value) if _text(value) else None
 
 
-# Flag (and config-file key) -> (RunConfig field, converter).  Defaults live
-# in RunConfig only: a key set neither by flag nor by file is left out.
+def _int(value) -> int:
+    return value if type(value) is int else int(_text(value))
+
+
+def _float(value) -> float:
+    return float(value if type(value) in (int, float) else _text(value))
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"expected true or false, got {value!r}")
+    return value
+
+
+# Flag (and config-file key) -> (RunConfig field, converter).  A converter
+# takes the flag's value or the file's JSON value: a JSON string is read as
+# the flag's text would be, switches take only JSON booleans, and a boolean
+# is never a number.  Defaults live in RunConfig only: a key set neither by
+# flag nor by file is left out.
 _RUN_FIELDS = {
     "edges": ("edges", _input_path),
     "corpus": ("corpus", _input_path),
     "lexicon": ("lexicon", _input_path),
     "graph": ("graph_path", _input_path),
     "k": ("k_values", _parse_k),
-    "alpha": ("alpha", float),
-    "mode": ("mode", str),
-    "out": ("out_dir", Path),
-    "precision": ("precision", int),
-    "token_delim": ("token_delim", str),
-    "pretokenized": ("pretokenized", bool),
-    "no_matrices": ("export_matrices", lambda value: not value),
+    "alpha": ("alpha", _float),
+    "mode": ("mode", _text),
+    "out": ("out_dir", lambda value: Path(_text(value))),
+    "precision": ("precision", _int),
+    "token_delim": ("token_delim", _text),
+    "pretokenized": ("pretokenized", _switch),
+    "no_matrices": ("export_matrices", lambda value: not _switch(value)),
 }
 
 
@@ -86,10 +110,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     fields = {}
     for key, (name, convert) in _RUN_FIELDS.items():
         value = getattr(args, key)
-        if value is None:
-            value = file_values.get(key)
         if value is not None:
             fields[name] = convert(value)
+        elif key in file_values:
+            try:
+                fields[name] = convert(file_values[key])
+            except ValueError as exc:
+                raise ParseError(f"config file {args.config}: key {key!r}: {exc}") from None
     return RunConfig(**fields)
 
 

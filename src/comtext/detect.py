@@ -175,6 +175,8 @@ def load_partition(path, text: str | None = None) -> tuple[Partition, float | No
     for where, line in read_lines(path, text):
         key, _, value = line.partition("=")
         if key in ("k_requested", "m", "modularity"):
+            if key in header:
+                raise ParseError(f"{where}: repeated {key} header line")
             try:
                 header[key] = float(value) if key == "modularity" else int(value)
             except ValueError:
@@ -190,4 +192,8 @@ def load_partition(path, text: str | None = None) -> tuple[Partition, float | No
             assignment[node] = int(index)
     if "k_requested" not in header or "m" not in header:
         raise ParseError(f"{path}: missing the k_requested or m header line")
-    return Partition(assignment, header["m"], header["k_requested"]), header.get("modularity")
+    try:
+        partition = Partition(assignment, header["m"], header["k_requested"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return partition, header.get("modularity")

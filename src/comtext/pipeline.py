@@ -57,7 +57,7 @@ class RunConfig:
             raise ParameterError("an edges file (or a graph reload path) is required")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
+        if not self.k_values or any(type(k) is not int or k < 1 for k in self.k_values):
             raise ParameterError("k values must be positive integers")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must be in [0, 1]")

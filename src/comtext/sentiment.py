@@ -132,9 +132,5 @@ def bias_value(c: CompositeSentiment) -> float:
 
 def bias_matrix(corpus: Corpus, lexicon: SentimentLexicon) -> SymmetricMatrix:
     """Pairwise sentiment bias values over all users; zero diagonal."""
-    vectors = {u: score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users}
-    matrix = SymmetricMatrix(corpus.users)
-    for i, u in enumerate(corpus.users):
-        for v in corpus.users[i + 1 :]:
-            matrix.set(u, v, bias_value(compose(vectors[u], vectors[v])))
-    return matrix
+    vectors = [score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users]
+    return SymmetricMatrix(corpus.users, vectors, lambda a, b: bias_value(compose(a, b)))

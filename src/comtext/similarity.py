@@ -1,4 +1,5 @@
-"""Content similarity: tf-idf term vectors and pairwise cosine.
+"""Content similarity: tf-idf term vectors, their pairwise cosine, and the
+:class:`SymmetricMatrix` that holds it (and the sentiment bias values).
 
 Term vectors are sparse maps (term -> weight, zeros omitted).  The log in
 the inverse document frequency is natural; any fixed base rescales every
@@ -10,8 +11,10 @@ out of the vectors: they carry no discriminative signal.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from typing import Mapping, Sequence
+from itertools import combinations, starmap
+from typing import Callable, Mapping, Sequence
 
 from .corpus import Corpus
 
@@ -20,57 +23,58 @@ TermVector = dict[str, float]
 
 
 class SymmetricMatrix:
-    """Pairwise values in [0, 1] over an ordered node list, zero diagonal.
+    """Immutable pairwise values in [0, 1] over an ordered node list, zero diagonal.
 
-    Only the upper triangle is stored; ``get`` is symmetric by construction.
+    ``features[i]`` belongs to ``nodes[i]``; ``score(features[i], features[j])``
+    is called once for each pair ``i < j``, row by row, and must return a
+    value in [0, 1] (``ValueError`` otherwise).  Only the upper triangle is
+    stored, 8 bytes per pair; ``get`` is symmetric by construction.
     """
 
     __slots__ = ("nodes", "_index", "_values")
 
-    def __init__(self, nodes: Sequence[str]):
+    def __init__(self, nodes: Sequence[str], features: Sequence,
+                 score: Callable[..., float]):
         self.nodes = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node ids")
         self._index = {u: i for i, u in enumerate(self.nodes)}
-        n = len(self.nodes)
-        self._values = [0.0] * (n * (n - 1) // 2)
+        if len(self._index) != len(self.nodes):
+            raise ValueError("duplicate node ids")
+        if len(features) != len(self.nodes):
+            raise ValueError("expected one feature per node")
+        self._values = array("d", starmap(score, combinations(features, 2)))
+        bad = next((x for x in self._values if not 0.0 <= x <= 1.0), None)
+        if bad is not None:
+            raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def _offset(self, u: str, v: str) -> int:
+    def _base(self, i: int) -> int:
+        """Entry ``(i, j)``, ``i < j``, is stored at ``_values[_base(i) + j]``."""
+        return i * len(self.nodes) - i * (i + 3) // 2 - 1
+
+    def get(self, u: str, v: str) -> float:
         try:
             i, j = self._index[u], self._index[v]
         except KeyError as exc:
             raise KeyError(f"unknown node {exc.args[0]!r}") from None
         if i > j:
             i, j = j, i
-        n = len(self.nodes)
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    def set(self, u: str, v: str, value: float) -> None:
-        if u == v:
-            raise ValueError("diagonal entries are fixed at 0")
-        if not -1e-9 <= value <= 1.0 + 1e-9:
-            raise ValueError(f"matrix value out of [0, 1]: {value!r}")
-        self._values[self._offset(u, v)] = min(1.0, max(0.0, value))
-
-    def get(self, u: str, v: str) -> float:
-        if u == v:
-            if u not in self._index:
-                raise KeyError(f"unknown node {u!r}")
-            return 0.0
-        return self._values[self._offset(u, v)]
+        return 0.0 if i == j else self._values[self._base(i) + j]
 
     def write_csv(self, path, precision: int = 6) -> None:
-        """Full square matrix with row/column labels, fixed decimal places."""
-        lines = ["node," + ",".join(self.nodes)]
-        for u in self.nodes:
-            row = (f"{self.get(u, v):.{precision}f}" for v in self.nodes)
-            lines.append(u + "," + ",".join(row))
+        """Full square matrix with row/column labels, fixed decimal places,
+        written one row at a time."""
+        values, n = self._values, len(self.nodes)
+        bases = [self._base(i) for i in range(n)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("node," + ",".join(self.nodes) + "\n")
+            for i, u in enumerate(self.nodes):
+                row = [values[bases[h] + i] for h in range(i)]
+                row.append(0.0)
+                row.extend(values[bases[i] + i + 1:bases[i] + n])
+                fh.write(u + "," + ",".join(f"{x:.{precision}f}" for x in row) + "\n")
 
 
 def term_frequency(tokens: Sequence[str]) -> dict[str, float]:
@@ -130,9 +134,5 @@ def user_vectors(corpus: Corpus) -> dict[str, TermVector]:
 
 def similarity_matrix(corpus: Corpus) -> SymmetricMatrix:
     """Pairwise cosine similarity of all user vectors."""
-    vectors = user_vectors(corpus)
-    matrix = SymmetricMatrix(corpus.users)
-    for i, u in enumerate(corpus.users):
-        for v in corpus.users[i + 1 :]:
-            matrix.set(u, v, cosine_similarity(vectors[u], vectors[v]))
-    return matrix
+    return SymmetricMatrix(corpus.users, list(user_vectors(corpus).values()),
+                           cosine_similarity)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,10 +8,11 @@ from comtext.detect import (
     detect,
     expand_communities,
     format_partition,
+    load_partition,
     parse_partition,
     select_centers,
 )
-from comtext.errors import GraphError, ParameterError
+from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph
 from helpers import (
     random_weighted_graph,
@@ -279,6 +281,20 @@ class TestPartition:
     def test_parse_requires_header(self):
         with pytest.raises(ValueError):
             parse_partition("0:a,b\n")
+
+    @pytest.mark.parametrize("text", [
+        "k_requested=1\nm=3\n0:a\n1:b\n",
+        "k_requested=0\nm=1\n0:a,b\n",
+    ], ids=["m-above-indices", "k-requested-zero"])
+    def test_load_names_file_on_invalid_partition(self, tmp_path, text):
+        path = tmp_path / "partition.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            load_partition(path)
+
+    def test_repeated_header_names_line(self):
+        with pytest.raises(ParseError, match="line 3: repeated m header"):
+            parse_partition("k_requested=1\nm=1\nm=2\n0:a\n1:b\n")
 
     def test_parse_rejects_node_in_two_communities(self):
         with pytest.raises(ValueError, match="'b' is listed in two communities"):

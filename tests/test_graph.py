@@ -28,10 +28,9 @@ def assert_endpoints_shared(g):
 
 
 def matrix_from(nodes, entries):
-    matrix = SymmetricMatrix(nodes)
-    for u, v, value in entries:
-        matrix.set(u, v, value)
-    return matrix
+    """Matrix over ``nodes`` with the listed ``(u, v, value)`` entries, else 0."""
+    values = {frozenset((u, v)): value for u, v, value in entries}
+    return SymmetricMatrix(nodes, nodes, lambda u, v: values.get(frozenset((u, v)), 0.0))
 
 
 class TestBuildWeightedGraph:
@@ -58,10 +57,7 @@ class TestBuildWeightedGraph:
     def test_alpha_half_with_equal_matrices_reproduces_s(self):
         rng = random.Random(67)
         nodes = [f"n{i}" for i in range(5)]
-        s = SymmetricMatrix(nodes)
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1 :]:
-                s.set(u, v, rng.random())
+        s = SymmetricMatrix(nodes, nodes, lambda u, v: rng.random())
         sv = matrix_from(nodes, [(u, v, s.get(u, v)) for i, u in enumerate(nodes) for v in nodes[i + 1 :]])
         edges = EdgeList.from_pairs([("n0", "n1"), ("n2", "n3"), ("n1", "n4")])
         g = build_weighted_graph(edges, s, sv)
@@ -279,7 +275,6 @@ class TestWeightedGraph:
         exact.write_csv(path, precision=3)
         assert WeightedGraph.read_csv(path).edges() == snapped.edges()
         assert [w for _, _, w in WeightedGraph.read_csv(path, precision=1).edges()] == [0.3, 0.5]
-        s = SymmetricMatrix(["a", "b"])
-        s.set("a", "b", 1 / 3)
+        s = matrix_from(["a", "b"], [("a", "b", 1 / 3)])
         g = build_weighted_graph(EdgeList.from_pairs([("a", "b")]), s, s, precision=2)
         assert g.edges() == (("a", "b", 0.33),)

@@ -162,6 +162,8 @@ class TestStageErrors:
         with pytest.raises(ParameterError):
             config_for(inputs, k_values=())
         with pytest.raises(ParameterError):
+            config_for(inputs, k_values=(True,))
+        with pytest.raises(ParameterError):
             config_for(inputs, alpha=2.0)
         with pytest.raises(ParameterError):
             RunConfig()
@@ -342,6 +344,42 @@ class TestCli:
         code = cli.main(["run", "--config", str(config_path)])
         assert code == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        {"no_matrices": "false"},
+        {"pretokenized": "false"},
+        {"pretokenized": 1},
+        {"k": True},
+        {"k": [2, True]},
+        {"k": 2.0},
+        {"precision": 2.9},
+        {"precision": True},
+        {"alpha": True},
+        {"alpha": [0.5]},
+        {"mode": None},
+        {"graph": 0},
+    ], ids=json.dumps)
+    def test_config_file_wrong_type_names_key(self, inputs, capsys, values):
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text(json.dumps(values), encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "typed"), "--config", str(config_path)])
+        assert code == 1
+        key, = values
+        assert f"config file {config_path}: key {key!r}" in capsys.readouterr().err
+        assert not (inputs["tmp"] / "typed").exists()
+
+    def test_config_file_strings_read_as_flag_text(self, inputs):
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text(json.dumps({"k": "2,3", "precision": "3", "alpha": "0.25",
+                                           "no_matrices": True}), encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "typed"), "--config", str(config_path)])
+        assert code == 0
+        out = inputs["tmp"] / "typed"
+        assert sorted(p.name for p in out.glob("partition_k*.txt")) == [
+            "partition_k2.txt", "partition_k3.txt"]
+        assert not (out / "similarity_matrix.csv").exists()
+        weights = [line.rsplit(",", 1)[1] for line in (out / "graph.csv").read_text().split()]
+        assert all(len(w.split(".")[1]) == 3 for w in weights)
 
     def test_generate_and_score_round_trip(self, tmp_path, capsys):
         fix_dir = tmp_path / "fixture"

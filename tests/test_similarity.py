@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,38 +149,90 @@ class TestSimilarityMatrix:
         assert matrix.get("u1", "u3") == 0.0
 
 
+def lookup_matrix(nodes, values):
+    """Matrix over ``nodes`` whose features are node indices and whose
+    ``score`` looks ``(i, j)`` up in ``values`` (0 when absent)."""
+    return SymmetricMatrix(nodes, range(len(nodes)), lambda i, j: values.get((i, j), 0.0))
+
+
+def reference_csv(matrix, precision):
+    """The square CSV built cell by cell from ``get``."""
+    lines = ["node," + ",".join(matrix.nodes)]
+    for u in matrix.nodes:
+        lines.append(u + "," + ",".join(f"{matrix.get(u, v):.{precision}f}" for v in matrix.nodes))
+    return "\n".join(lines) + "\n"
+
+
 class TestSymmetricMatrix:
-    def test_set_get_symmetric(self):
-        matrix = SymmetricMatrix(["a", "b", "c"])
-        matrix.set("c", "a", 0.25)
+    def test_get_symmetric(self):
+        matrix = lookup_matrix(["a", "b", "c"], {(0, 2): 0.25})
         assert matrix.get("a", "c") == 0.25
         assert matrix.get("c", "a") == 0.25
+        assert matrix.get("a", "b") == 0.0
 
     def test_diagonal_fixed(self):
-        matrix = SymmetricMatrix(["a", "b"])
+        matrix = lookup_matrix(["a", "b"], {(0, 1): 1.0})
         assert matrix.get("a", "a") == 0.0
-        with pytest.raises(ValueError):
-            matrix.set("a", "a", 0.5)
+        assert matrix.get("b", "b") == 0.0
+
+    def test_score_called_once_per_pair_row_major(self):
+        calls = []
+
+        def score(i, j):
+            calls.append((i, j))
+            return 0.5
+
+        for n in range(7):
+            calls.clear()
+            SymmetricMatrix([f"n{i}" for i in range(n)], range(n), score)
+            assert len(calls) == n * (n - 1) // 2
+            assert calls == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def test_range_enforced(self):
-        matrix = SymmetricMatrix(["a", "b"])
-        with pytest.raises(ValueError):
-            matrix.set("a", "b", 1.5)
-        matrix.set("a", "b", 1.0 + 1e-12)  # float fuzz clamps
-        assert matrix.get("a", "b") == 1.0
+        # Values are checked, not clamped: 1 + 1e-12 is out of range too.
+        for value in (1.5, -0.25, 1.0 + 1e-12, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="out of \\[0, 1\\]"):
+                lookup_matrix(["a", "b", "c"], {(1, 2): value})
 
     def test_unknown_node(self):
-        matrix = SymmetricMatrix(["a", "b"])
+        matrix = lookup_matrix(["a", "b"], {})
         with pytest.raises(KeyError):
             matrix.get("a", "z")
+        with pytest.raises(KeyError):
+            matrix.get("z", "z")
 
     def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            SymmetricMatrix(["a", "a"])
+        with pytest.raises(ValueError, match="duplicate"):
+            lookup_matrix(["a", "a"], {})
+
+    def test_one_feature_per_node(self):
+        with pytest.raises(ValueError, match="one feature per node"):
+            SymmetricMatrix(["a", "b"], [0], lambda i, j: 0.0)
 
     def test_write_csv(self, tmp_path):
-        matrix = SymmetricMatrix(["a", "b"])
-        matrix.set("a", "b", 0.123456789)
+        matrix = lookup_matrix(["a", "b"], {(0, 1): 0.123456789})
         path = tmp_path / "matrix.csv"
         matrix.write_csv(path, precision=2)
         assert path.read_text(encoding="utf-8") == "node,a,b\na,0.00,0.12\nb,0.12,0.00\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    def test_write_csv_matches_get(self, tmp_path, n):
+        rng = random.Random(n)
+        values = {(i, j): rng.random() for i in range(n) for j in range(i + 1, n)}
+        matrix = lookup_matrix([f"u{i}" for i in range(n)], values)
+        path = tmp_path / "matrix.csv"
+        matrix.write_csv(path, precision=4)
+        assert path.read_text(encoding="utf-8") == reference_csv(matrix, 4)
+
+    def test_retained_bytes_per_pair(self):
+        n = 300
+        nodes = [f"u{i:03d}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = SymmetricMatrix(nodes, range(n), lambda i, j: (i + j) / (2 * n))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert matrix.n == n
+        assert retained / (n * (n - 1) // 2) < 10
