@@ -98,6 +98,10 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     # ones skipped on pop.
     scores: list[dict[int, float]] = [{} for _ in centers]
     heaps: list[list[tuple[float, int]]] = [[] for _ in centers]
+    # Heap size at each community's last compaction.  A heap that outgrows
+    # it by more than max(64, size // 2) drops its stale entries: at most
+    # 1.5 entries per live candidate plus 64 stay allocated.
+    compacted = [0] * len(centers)
 
     def attach(node: int, community: int) -> None:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
@@ -108,6 +112,15 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
                 score = score_of.get(v, 0.0) + w
                 score_of[v] = score
                 heapq.heappush(heap, (-score, v))
+        size = compacted[community]
+        if len(heap) > size + max(64, size // 2):
+            # One entry per unassigned candidate at its current score: the
+            # entries a pop would accept.  They never tie, since each holds a
+            # distinct index, so the pop order is unchanged.
+            score_of = {v: s for v, s in score_of.items() if assignment[v] < 0}
+            heap = [(-s, v) for v, s in score_of.items()]
+            heapq.heapify(heap)
+            scores[community], heaps[community], compacted[community] = score_of, heap, len(heap)
 
     for community, seed in enumerate(seeds):
         attach(seed, community)

@@ -45,8 +45,7 @@ class WeightedGraph:
         if len(index) != len(self.ids):
             raise GraphError("duplicate node ids")
         n = len(self.ids)
-        keys = array("q")  # i * n + j for each edge, i < j
-        edge_weights = array("d")
+        heads, tails, edge_weights = array("i"), array("i"), array("d")
         degree = [0] * n
         for u, v, w in weighted_edges:
             try:
@@ -59,27 +58,35 @@ class WeightedGraph:
                 raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
             if w < 0.0:
                 raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
-            keys.append(i * n + j if i < j else j * n + i)
+            heads.append(i)
+            tails.append(j)
             degree[i] += 1
             degree[j] += 1
             edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
-        del index  # freed before the sort allocates its key and order lists
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        for p, q in pairwise(order):
-            if keys[p] == keys[q]:
-                i, j = divmod(keys[p], n)
-                raise GraphError(f"duplicate edge {(self.ids[i], self.ids[j])!r}")
+        del index
         self.offsets = offsets = array("q", accumulate(degree, initial=0))
         self.targets = targets = array("i", [0]) * offsets[-1]
         self.weights = weights = array("d", [0.0]) * offsets[-1]
-        # Filling the slices in sorted edge order leaves each one sorted by
-        # neighbor: node i's edges (h, i), h < i, all sort before its (i, j).
         cursor = offsets[:-1]
-        for p in order:
-            i, j = divmod(keys[p], n)
+        for i, j, w in zip(heads, tails, edge_weights):
             a, b = cursor[i], cursor[j]
-            targets[a], weights[a], cursor[i] = j, edge_weights[p], a + 1
-            targets[b], weights[b], cursor[j] = i, edge_weights[p], b + 1
+            targets[a], weights[a], cursor[i] = j, w, a + 1
+            targets[b], weights[b], cursor[j] = i, w, b + 1
+        # Sort each row on its own by neighbor.  A repeated pair (i, j), i < j,
+        # shows as equal neighbors side by side in rows i and j; scanning the
+        # rows in index order meets it first in row i, so the pair reported
+        # is the smallest repeated one.
+        for i in range(n):
+            start, end = offsets[i], offsets[i + 1]
+            if end - start < 2:
+                continue
+            order = sorted(range(start, end), key=targets.__getitem__)
+            row = array("i", map(targets.__getitem__, order))
+            for a, b in pairwise(row):
+                if a == b:
+                    raise GraphError(f"duplicate edge {(self.ids[i], self.ids[a])!r}")
+            targets[start:end] = row
+            weights[start:end] = array("d", map(weights.__getitem__, order))
         self.strengths = array("d", (math.fsum(weights[offsets[i]:offsets[i + 1]])
                                      for i in range(n)))
         self.total_weight = math.fsum(edge_weights)
@@ -139,7 +146,7 @@ class WeightedGraph:
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
         """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
         names: dict[str, int] = {}  # each id, numbered in order of first appearance
-        heads, tails, weights = array("q"), array("q"), array("d")
+        heads, tails, weights = array("i"), array("i"), array("d")
         for where, line in read_lines(path):
             fields = line.split(",")
             if len(fields) != 3:

@@ -58,8 +58,12 @@ class QualityReport:
 
 def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     """Per-community intra weight / strength sums plus the modularity score."""
-    if set(p.assignment) != set(g.nodes):
-        raise GraphError("partition does not cover exactly the graph's nodes")
+    nodes, listed = set(g.nodes), set(p.assignment)
+    if listed != nodes:
+        named = [f"{what} {min(diff)!r}" for what, diff in
+                 (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
+        raise GraphError("partition does not cover exactly the graph's nodes: "
+                         + ", ".join(named))
     total = g.total_weight
     if total <= 0.0:
         raise UndefinedModularityError("modularity is undefined for zero total weight")

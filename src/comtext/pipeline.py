@@ -59,6 +59,9 @@ class RunConfig:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.k_values or any(type(k) is not int or k < 1 for k in self.k_values):
             raise ParameterError("k values must be positive integers")
+        for i, k in enumerate(self.k_values):
+            if k in self.k_values[:i]:
+                raise ParameterError(f"k value {k} is repeated")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must be in [0, 1]")
         if self.precision < 1:

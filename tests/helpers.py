@@ -36,6 +36,27 @@ def random_weighted_graph(rng: random.Random, max_nodes: int = 12) -> WeightedGr
     return WeightedGraph(nodes, edges)
 
 
+def block_graph(rng: random.Random, n: int = 2000, blocks: int = 16, degree: int = 20,
+                weights=(0.0, 0.5, 1.0, 1.0)) -> WeightedGraph:
+    """Planted-block graph with about ``n * degree / 2`` distinct edges, 5%
+    of them drawn between blocks.  Node ids sort in a different order than
+    they were made in; nodes and edges come in shuffled order, each edge in
+    a random orientation, with weights drawn from ``weights``."""
+    nodes = [f"{rng.choice('abAB')}{i}" for i in range(n)]
+    size = n // blocks
+    pairs = set()
+    while len(pairs) < n * degree // 2:
+        i = rng.randrange(n)
+        j = rng.randrange(n) if rng.random() < 0.05 else (i - i % size + rng.randrange(size)) % n
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    edges = [(nodes[i], nodes[j], rng.choice(weights)) for i, j in sorted(pairs)]
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
+    rng.shuffle(edges)
+    rng.shuffle(nodes)
+    return WeightedGraph(nodes, edges)
+
+
 def scaled(g: WeightedGraph, factor: float) -> WeightedGraph:
     return WeightedGraph(g.nodes, [(u, v, w * factor) for u, v, w in g.edges()])
 

@@ -1,5 +1,9 @@
+import heapq
+import importlib
 import random
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +19,7 @@ from comtext.detect import (
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph
 from helpers import (
+    block_graph,
     random_weighted_graph,
     reference_expand_communities,
     reference_select_centers,
@@ -23,6 +28,9 @@ from helpers import (
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
 from comtext.graph import structural_graph
+
+# The module, which the package's ``detect`` function shadows as an attribute.
+detect_module = importlib.import_module("comtext.detect")
 
 
 def two_triangles():
@@ -200,6 +208,20 @@ class TestDetect:
             for factor in (0.25, 0.5, 2.0, 3.0, 10.0):
                 assert detect(scaled(g, factor), k).assignment == baseline.assignment
 
+    def test_peak_bytes_per_edge_at_large_k(self):
+        """Compacted heaps hold about one entry per live candidate; with
+        every stale entry kept until popped the peak is about 114 B/edge."""
+        g = block_graph(random.Random(109), weights=(0.25, 0.5, 1.0))
+        edges = len(g.targets) // 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            detect(g, 64)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / edges < 75
+
 
 def tie_heavy_graph(rng):
     """Nodes given in shuffled order, ids whose sorted order differs from
@@ -255,6 +277,23 @@ class TestReferenceOracle:
                 centers = select_centers(g, k)
                 assert centers == reference_select_centers(g, k)
                 self.assert_same(g, centers)
+
+    def test_compacted_heaps_on_block_graphs(self, monkeypatch):
+        """Graphs large enough that every k compacts its heaps."""
+        heapify_calls = []
+        counting = SimpleNamespace(heappush=heapq.heappush, heappop=heapq.heappop,
+                                   heapify=lambda heap: heapify_calls.append(len(heap))
+                                   or heapq.heapify(heap))
+        monkeypatch.setattr(detect_module, "heapq", counting)
+        rng = random.Random(107)
+        for _ in range(3):
+            g = block_graph(rng)
+            for k in (1, 8, 64, 256):
+                heapify_calls.clear()
+                centers = select_centers(g, k)
+                assert centers == reference_select_centers(g, k)
+                self.assert_same(g, centers)
+                assert heapify_calls
 
 
 class TestPartition:

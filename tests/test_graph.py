@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -8,7 +9,7 @@ from comtext.corpus import EdgeList, load_edges
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph, build_weighted_graph, structural_graph
 from comtext.similarity import SymmetricMatrix
-from helpers import random_weighted_graph
+from helpers import block_graph, random_weighted_graph
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
 
@@ -157,6 +158,15 @@ class TestWeightedGraph:
         with pytest.raises(GraphError, match="duplicate node"):
             WeightedGraph(["a", "a"], [])
 
+    def test_duplicate_error_names_the_smallest_pair(self):
+        nodes = ["d", "B", "c", "a", "e"]  # ids sort as B < a < c < d < e
+        pairs = [("d", "e"), ("c", "e"), ("a", "e"), ("a", "d"), ("B", "c")]  # largest first
+        for count, smallest in ((5, ("B", "c")), (4, ("a", "d")), (2, ("c", "e"))):
+            repeated = pairs[:count]
+            edges = [(u, v, 1.0) for u, v in repeated] + [(v, u, 0.5) for u, v in repeated]
+            with pytest.raises(GraphError, match=re.escape(f"duplicate edge {smallest!r}")):
+                WeightedGraph(nodes, edges)
+
     def test_edges_canonical_and_adjacency_sorted(self):
         rng = random.Random(79)
         ids = ["a", "a10", "a9", "ab", "B", "b", "z1", "\u00e9"]
@@ -210,6 +220,20 @@ class TestWeightedGraph:
             tracemalloc.stop()
         assert len(g.edges()) == len(edges)
         assert retained / len(edges) < 64
+
+    def test_read_csv_peak_bytes_per_edge(self, tmp_path):
+        """Rows filled in input order and sorted one at a time; one sort over
+        an integer key per edge peaks at about 134 B/edge."""
+        path = tmp_path / "graph.csv"
+        block_graph(random.Random(113), n=1000, weights=(0.25, 0.5, 1.0)).write_csv(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = WeightedGraph.read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / (len(g.targets) // 2) < 100
 
     def test_handshake_identity(self):
         rng = random.Random(71)

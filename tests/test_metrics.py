@@ -87,6 +87,20 @@ class TestModularity:
         with pytest.raises(GraphError):
             modularity(g, bad)
 
+    def test_node_mismatch_names_first_missing_and_extra(self):
+        g, p = two_triangles_split()
+        cases = [
+            ({"a3": 0, "b1": 0, "zz": 0, "b3": 0, "x": 0},
+             "missing 'a1', extra 'x'"),
+            ({**p.assignment, "zz": 1, "c": 1}, "nodes: extra 'c'$"),
+            ({u: c for u, c in p.assignment.items() if u not in ("b2", "a2")},
+             "nodes: missing 'a2'$"),
+        ]
+        for assignment, message in cases:
+            m = max(assignment.values()) + 1
+            with pytest.raises(GraphError, match=message):
+                quality_report(g, Partition(assignment, m, m))
+
 
 def to_networkx(g):
     h = nx.Graph()

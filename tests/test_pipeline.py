@@ -163,6 +163,8 @@ class TestStageErrors:
             config_for(inputs, k_values=())
         with pytest.raises(ParameterError):
             config_for(inputs, k_values=(True,))
+        with pytest.raises(ParameterError, match="k value 2 is repeated"):
+            config_for(inputs, k_values=(2, 3, 2))
         with pytest.raises(ParameterError):
             config_for(inputs, alpha=2.0)
         with pytest.raises(ParameterError):
@@ -312,6 +314,27 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "stage detect" in err and "'b'" in err
+
+    def test_score_names_uncovered_nodes(self, tmp_path, capsys):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("a,b,1.0\nb,c,1.0\n", encoding="utf-8")
+        partition = tmp_path / "partition.txt"
+        partition.write_text("k_requested=1\nm=1\n0:a,b,zzz\n", encoding="utf-8")
+        code = cli.main(["score", "--graph", str(graph), "--partition", str(partition)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage metrics" in err and "missing 'c', extra 'zzz'" in err
+
+    def test_repeated_k_rejected(self, inputs, capsys):
+        code = cli.main(["run", *self._base_args(inputs, "flag"), "--k", "3,2,3"])
+        assert code == 1
+        assert "k value 3 is repeated" in capsys.readouterr().err
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text(json.dumps({"k": [2, 2]}), encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "file"), "--config", str(config_path)])
+        assert code == 1
+        assert "k value 2 is repeated" in capsys.readouterr().err
+        assert not (inputs["tmp"] / "flag").exists() and not (inputs["tmp"] / "file").exists()
 
     def test_missing_edges_rejected(self, inputs, capsys):
         code = cli.main(["run", "--out", str(inputs["tmp"] / "x")])
