@@ -35,6 +35,7 @@ from .sentiment import (
     score_text,
 )
 from .similarity import (
+    PackedVector,
     SymmetricMatrix,
     cosine_similarity,
     inverse_document_frequency,

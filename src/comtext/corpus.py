@@ -141,7 +141,7 @@ def build_corpus(
         merged.setdefault(user, []).extend(
             terms.setdefault(t, t) for t in tokenize(doc.text, config))
     users = tuple(sorted(merged))
-    docs = {u: tuple(merged[u]) for u in users}
+    docs = {u: tuple(merged.pop(u)) for u in users}  # each list freed once it is a tuple
     freq: dict[str, int] = {}
     for u in users:
         for term in set(docs[u]):
@@ -154,9 +154,17 @@ def load_corpus(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Corpus:
     """Read a JSON-lines corpus file.
 
     Raises ParseError for malformed lines (naming the line number) and for
-    an empty file.
+    an empty file.  Each line is tokenized, and its text dropped, before the
+    next line is read.
     """
-    documents: list[Document] = []
+    corpus = build_corpus(_read_documents(path), config)
+    if not corpus.users:
+        raise ParseError(f"{path}: empty corpus file")
+    return corpus
+
+
+def _read_documents(path) -> Iterator[Document]:
+    """Yield the corpus file's documents one line at a time."""
     for where, line in read_lines(path):
         try:
             record = json.loads(line)
@@ -169,10 +177,7 @@ def load_corpus(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Corpus:
             raise ParseError(f"{where}: missing 'user_id'")
         if not isinstance(text, str):
             raise ParseError(f"{where}: missing 'text' field")
-        documents.append(Document(node_id(user_id, where), text))
-    if not documents:
-        raise ParseError(f"{path}: empty corpus file")
-    return build_corpus(documents, config)
+        yield Document(node_id(user_id, where), text)
 
 
 def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:

@@ -167,8 +167,11 @@ class WeightedGraph:
             tails.append(v)
             weights.append(w)
         ids = list(names)
-        return cls(sorted(ids), ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights)),
-                   precision=precision)
+        edges = ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights))
+        # The generator alone now holds the parsed arrays, and frees them once
+        # the constructor has drawn every edge, before it allocates the rows.
+        del heads, tails, weights
+        return cls(sorted(ids), edges, precision=precision)
 
 
 def build_weighted_graph(

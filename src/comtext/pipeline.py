@@ -220,4 +220,7 @@ def score(graph_path, partition_path) -> QualityReport:
     with _stage("detect", ValueError, OSError):
         partition, _ = load_partition(partition_path)
     with _stage("metrics", GraphError, UndefinedModularityError):
-        return quality_report(graph, partition)
+        try:
+            return quality_report(graph, partition)
+        except GraphError as exc:  # the partition does not cover the graph
+            raise GraphError(f"{partition_path}: {exc}") from exc

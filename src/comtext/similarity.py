@@ -1,7 +1,9 @@
 """Content similarity: tf-idf term vectors, their pairwise cosine, and the
 :class:`SymmetricMatrix` that holds it (and the sentiment bias values).
 
-Term vectors are sparse maps (term -> weight, zeros omitted).  The log in
+Term vectors are sparse maps (term -> weight, zeros omitted); the per-user
+vectors the matrix is built from are packed into :class:`PackedVector`
+arrays over vocabulary ranks, and score bit-identically.  The log in
 the inverse document frequency is natural; any fixed base rescales every
 idf uniformly and cancels in the cosine, so the choice is unobservable in
 the similarity values.  Terms present in every document get idf 0 and drop
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, starmap
 from typing import Callable, Mapping, Sequence
@@ -126,13 +129,58 @@ def cosine_similarity(v1: TermVector, v2: TermVector) -> float:
     return min(1.0, max(0.0, dot / (norm1 * norm2)))
 
 
-def user_vectors(corpus: Corpus) -> dict[str, TermVector]:
-    """One tf-idf vector per user, keyed in user order."""
+class PackedVector:
+    """A tf-idf vector packed for scoring, 12 bytes per term.
+
+    ``terms`` holds the vocabulary ranks of its terms in ascending order,
+    ``weights`` their weights at the same positions, and ``norm`` its
+    Euclidean norm, computed as :func:`cosine_similarity` computes it.
+    ``len()`` is the term count.
+    """
+
+    __slots__ = ("terms", "weights", "norm")
+
+    def __init__(self, vector: TermVector, vocabulary: Sequence[str]):
+        # tfidf_vector emits terms in ascending order, and the vocabulary is
+        # sorted, so the ranks ascend too.
+        self.terms = array("i", [bisect_left(vocabulary, t) for t in vector])
+        self.weights = array("d", list(vector.values()))  # from a list: no spare capacity
+        self.norm = math.sqrt(sum(w * w for w in vector.values()))
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+def user_vectors(corpus: Corpus) -> dict[str, PackedVector]:
+    """One packed tf-idf vector per user, keyed in user order."""
     idf = inverse_document_frequency(corpus)
-    return {u: tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users}
+    return {u: PackedVector(tfidf_vector(corpus.docs_by_user[u], idf), corpus.vocabulary)
+            for u in corpus.users}
+
+
+def _packed_cosine() -> Callable[[PackedVector, PackedVector], float]:
+    """:func:`cosine_similarity` on packed vectors, bit for bit.
+
+    The left operand is expanded into one rank -> weight dict, rebuilt only
+    when the left operand changes (once per row of a :class:`SymmetricMatrix`).
+    The dot product sums the same products of the common terms, in the same
+    ascending order, as the dict version.
+    """
+    left, row = None, {}
+
+    def cosine(a: PackedVector, b: PackedVector) -> float:
+        nonlocal left, row
+        if a is not left:
+            left, row = a, dict(zip(a.terms, a.weights))
+        dot = sum(w * row[t] for t, w in zip(b.terms, b.weights) if t in row)
+        if dot == 0.0:
+            return 0.0
+        return min(1.0, max(0.0, dot / (a.norm * b.norm)))
+
+    return cosine
 
 
 def similarity_matrix(corpus: Corpus) -> SymmetricMatrix:
     """Pairwise cosine similarity of all user vectors."""
     return SymmetricMatrix(corpus.users, list(user_vectors(corpus).values()),
-                           cosine_similarity)
+                           _packed_cosine())

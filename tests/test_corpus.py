@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from comtext.corpus import (
     tokenize,
 )
 from comtext.errors import ParseError
+from comtext.fixtures import default_spec, generate
 
 
 class TestTokenize:
@@ -92,6 +94,49 @@ class TestLoadCorpus:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ParseError, match="empty corpus"):
             load_corpus(path)
+
+    def test_blank_lines_only_is_empty(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n  \n\t\n\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty corpus file"):
+            load_corpus(path)
+
+    def test_user_lines_apart_merge_in_input_order(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            ['{"user_id": "u2", "text": "x"}', '{"user_id": "u1", "text": "c d"}',
+             '{"user_id": "u2", "text": "y"}', '{"user_id": "u1", "text": "a"}',
+             '{"user_id": "u1", "text": "b"}'],
+        )
+        corpus = load_corpus(path)
+        assert corpus.users == ("u1", "u2")
+        assert corpus.docs_by_user == {"u1": ("c", "d", "a", "b"), "u2": ("x", "y")}
+
+    def test_bad_line_after_good_ones_names_its_line(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            ['{"user_id": "u1", "text": "a"}', "", '{"user_id": "u2", "text": "b"}',
+             '{"user_id": "u3", "text": "c"', '{"user_id": "u4", "text": "d"}'],
+        )
+        with pytest.raises(ParseError, match=r"corpus\.jsonl: line 4: invalid JSON"):
+            load_corpus(path)
+
+    def test_load_peak_bytes_per_token(self, tmp_path):
+        """Lines are tokenized as they are read and each user's token list is
+        freed once it is a tuple; reading every document first and keeping
+        the lists beside the tuples peaks at about 30 B/token."""
+        path = generate(default_spec(10, 40, rng_seed=3, tokens_per_user=300),
+                        tmp_path).corpus_path
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        tokens = sum(map(len, corpus.docs_by_user.values()))
+        assert tokens == 400 * 300
+        assert peak / tokens < 16
 
     def test_empty_user_id(self, tmp_path):
         path = self._write(tmp_path, ['{"user_id": "", "text": "a"}'])

@@ -222,8 +222,10 @@ class TestWeightedGraph:
         assert retained / len(edges) < 64
 
     def test_read_csv_peak_bytes_per_edge(self, tmp_path):
-        """Rows filled in input order and sorted one at a time; one sort over
-        an integer key per edge peaks at about 134 B/edge."""
+        """Rows filled in input order and sorted one at a time, the parsed
+        arrays freed before the rows are allocated: about 57 B/edge.  Keeping
+        the parsed arrays alive reads 73, one sort over an integer key per
+        edge 134."""
         path = tmp_path / "graph.csv"
         block_graph(random.Random(113), n=1000, weights=(0.25, 0.5, 1.0)).write_csv(path)
         tracemalloc.start()
@@ -233,7 +235,7 @@ class TestWeightedGraph:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak / (len(g.targets) // 2) < 100
+        assert peak / (len(g.targets) // 2) < 65
 
     def test_handshake_identity(self):
         rng = random.Random(71)

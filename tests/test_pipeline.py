@@ -322,8 +322,9 @@ class TestCli:
         partition.write_text("k_requested=1\nm=1\n0:a,b,zzz\n", encoding="utf-8")
         code = cli.main(["score", "--graph", str(graph), "--partition", str(partition)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "stage metrics" in err and "missing 'c', extra 'zzz'" in err
+        assert capsys.readouterr().err.strip() == (
+            f"error: stage metrics: {partition}: partition does not cover exactly the "
+            "graph's nodes: missing 'c', extra 'zzz'")
 
     def test_repeated_k_rejected(self, inputs, capsys):
         code = cli.main(["run", *self._base_args(inputs, "flag"), "--k", "3,2,3"])

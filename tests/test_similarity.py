@@ -1,17 +1,20 @@
 import math
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
-from comtext.corpus import Document, build_corpus
+from comtext.corpus import Document, build_corpus, ensure_users
 from comtext.similarity import (
     SymmetricMatrix,
+    _packed_cosine,
     cosine_similarity,
     inverse_document_frequency,
     similarity_matrix,
     term_frequency,
     tfidf_vector,
+    user_vectors,
 )
 from helpers import dense_similarity_oracle, random_corpus
 
@@ -147,6 +150,86 @@ class TestSimilarityMatrix:
         matrix = similarity_matrix(corpus)
         assert matrix.get("u1", "u2") == 0.0
         assert matrix.get("u1", "u3") == 0.0
+
+
+def oracle_corpora():
+    """Seeded corpora covering the cosine's edge cases."""
+    rng = random.Random(131)
+    alphabet = [f"t{i}" for i in range(200)]
+    for _ in range(20):
+        # Empty documents for users that only the edge list names.
+        corpus = random_corpus(rng, max_users=12)
+        yield ensure_users(corpus, [f"v{i}" for i in range(rng.randint(1, 3))])
+    for _ in range(10):
+        # Longer vectors over a skewed vocabulary.
+        yield build_corpus([
+            Document(f"u{i:02d}", " ".join(alphabet[int(rng.paretovariate(0.8)) % 200]
+                                           for _ in range(rng.randint(1, 80))))
+            for i in range(30)])
+    # One-term users and disjoint vocabularies.
+    yield build_corpus([Document("a", "x"), Document("b", "y"), Document("c", "x x"),
+                        Document("d", "p q r"), Document("e", "s t"), Document("f", "y")])
+    for _ in range(5):
+        # Vectors of equal length: three distinct terms each.
+        yield build_corpus([
+            Document(f"u{i:02d}", " ".join(rng.sample(alphabet[:9], 3) * rng.randint(1, 3)))
+            for i in range(12)])
+        # A term in every document (idf 0) next to rarer ones.
+        yield build_corpus([
+            Document(f"u{i:02d}",
+                     " ".join(["common", *rng.choices(alphabet[:30], k=rng.randint(0, 12))]))
+            for i in range(15)])
+
+
+class TestPackedVectors:
+    def test_bit_identical_to_dict_cosine(self):
+        positive = 0
+        for corpus in oracle_corpora():
+            idf = inverse_document_frequency(corpus)
+            dicts = {u: tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users}
+            packed = user_vectors(corpus)
+            assert list(packed) == list(corpus.users)
+            for u in corpus.users:
+                assert len(packed[u]) == len(dicts[u])
+                assert [corpus.vocabulary[r] for r in packed[u].terms] == list(dicts[u])
+                assert list(packed[u].weights) == list(dicts[u].values())
+            matrix = similarity_matrix(corpus)
+            for u, v in combinations(corpus.users, 2):
+                expected = cosine_similarity(dicts[u], dicts[v])
+                assert matrix.get(u, v) == expected, (u, v)
+                positive += expected > 0.0
+        assert positive > 1000
+
+    def test_scorer_correct_in_any_call_order(self):
+        # The scorer caches the left operand's expansion by identity, so
+        # alternating and repeated operands must not reuse a stale row.
+        rng = random.Random(137)
+        corpus = next(c for c in oracle_corpora() if len(c.users) >= 30)
+        idf = inverse_document_frequency(corpus)
+        dicts = [tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users]
+        packed = list(user_vectors(corpus).values())
+        cosine = _packed_cosine()
+        pairs = [(i, j) for i in range(len(packed)) for j in range(len(packed))]
+        rng.shuffle(pairs)
+        for i, j in pairs:
+            assert cosine(packed[i], packed[j]) == cosine_similarity(dicts[i], dicts[j])
+
+    def test_matrix_peak_bytes_per_vector_term(self):
+        """Vectors packed into two arrays, 12 B/term plus a small object per
+        user: about 21 B/term here; one dict per user peaks at about 54."""
+        rng = random.Random(139)
+        words = [f"w{i}" for i in range(4000)]
+        corpus = build_corpus([Document(f"u{i:03d}", " ".join(rng.choices(words, k=300)))
+                               for i in range(100)])
+        terms = sum(map(len, user_vectors(corpus).values()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            similarity_matrix(corpus)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / terms < 30
 
 
 def lookup_matrix(nodes, values):
