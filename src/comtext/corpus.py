@@ -186,17 +186,16 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     Used when the edge list mentions users that never wrote text: they keep
     the graph structure but contribute an empty attribute vector.  Note that
     added users count as documents, which enters the inverse-document-
-    frequency denominator's corpus size.
+    frequency denominator's corpus size.  Empty documents change neither
+    the vocabulary nor any document frequency, so the extended corpus
+    shares those two objects with ``corpus``.
     """
-    missing = sorted(set(user_ids) - set(corpus.users))
+    missing = set(user_ids) - set(corpus.users)
     if not missing:
         return corpus
-    users = tuple(sorted(corpus.users + tuple(missing)))
-    docs = dict(corpus.docs_by_user)
-    for u in missing:
-        docs[u] = ()
-    docs = {u: docs[u] for u in users}
-    return Corpus(users, docs, corpus.vocabulary, dict(corpus.doc_frequency))
+    users = tuple(sorted(missing.union(corpus.users)))
+    docs = {u: corpus.docs_by_user.get(u, ()) for u in users}
+    return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 
 @dataclass(frozen=True)

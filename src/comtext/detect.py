@@ -93,34 +93,41 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
-    # Best-known connection score of each candidate node index, one dict per
-    # community; each community's heap holds (-score, index) entries, stale
-    # ones skipped on pop.
-    scores: list[dict[int, float]] = [{} for _ in centers]
-    heaps: list[list[tuple[float, int]]] = [[] for _ in centers]
+    # One int object per node index, shared by every dict key and heap entry
+    # (reading ``targets`` makes a new int each time).
+    index = list(range(g.n))
+    # Each community maps a candidate index to the (-score, index) entry it
+    # pushed last, and its heap holds those same tuples; a popped entry is
+    # stale unless it is still the one its dict holds.  Both are set to None
+    # once the community retires.
+    entries: list[dict[int, tuple[float, int]] | None] = [{} for _ in centers]
+    heaps: list[list[tuple[float, int]] | None] = [[] for _ in centers]
     # Heap size at each community's last compaction.  A heap that outgrows
-    # it by more than max(64, size // 2) drops its stale entries: at most
-    # 1.5 entries per live candidate plus 64 stay allocated.
+    # it by more than max(64, size // 4) drops its stale entries: at most
+    # 1.25 entries per live candidate plus 64 stay allocated.
     compacted = [0] * len(centers)
 
     def attach(node: int, community: int) -> None:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
-        score_of, heap = scores[community], heaps[community]
+        entry_of, heap = entries[community], heaps[community]
         for a in range(offsets[node], offsets[node + 1]):
             v, w = targets[a], weights[a]
             if assignment[v] < 0 and w > 0.0:
-                score = score_of.get(v, 0.0) + w
-                score_of[v] = score
-                heapq.heappush(heap, (-score, v))
+                v = index[v]
+                old = entry_of.get(v)
+                # old[0] - w is -(score + w) exactly: IEEE negation is exact.
+                entry = (-w if old is None else old[0] - w, v)
+                entry_of[v] = entry
+                heapq.heappush(heap, entry)
         size = compacted[community]
-        if len(heap) > size + max(64, size // 2):
-            # One entry per unassigned candidate at its current score: the
-            # entries a pop would accept.  They never tie, since each holds a
-            # distinct index, so the pop order is unchanged.
-            score_of = {v: s for v, s in score_of.items() if assignment[v] < 0}
-            heap = [(-s, v) for v, s in score_of.items()]
+        if len(heap) > size + max(64, size // 4):
+            # The live entries of unassigned candidates: the ones a pop would
+            # accept.  They never tie, since each holds a distinct index, so
+            # the pop order is unchanged.
+            entry_of = {v: e for v, e in entry_of.items() if assignment[v] < 0}
+            heap = list(entry_of.values())
             heapq.heapify(heap)
-            scores[community], heaps[community], compacted[community] = score_of, heap, len(heap)
+            entries[community], heaps[community], compacted[community] = entry_of, heap, len(heap)
 
     for community, seed in enumerate(seeds):
         attach(seed, community)
@@ -128,18 +135,18 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     active = deque(range(len(centers)))
     while active:
         community = active.popleft()
-        heap = heaps[community]
+        entry_of, heap = entries[community], heaps[community]
         node = None
         while heap:
-            negscore, candidate = heapq.heappop(heap)
-            if assignment[candidate] >= 0:
-                continue
-            if scores[community].get(candidate) != -negscore:
-                continue
-            node = candidate
-            break
+            entry = heapq.heappop(heap)
+            candidate = entry[1]
+            if assignment[candidate] < 0 and entry_of[candidate] is entry:
+                node = candidate
+                break
         if node is None:
-            continue  # community retired: no positively connected candidates
+            # Retired: no positively connected candidate left.
+            entries[community] = heaps[community] = None
+            continue
         assignment[node] = community
         attach(node, community)
         active.append(community)

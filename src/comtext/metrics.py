@@ -58,8 +58,9 @@ class QualityReport:
 
 def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     """Per-community intra weight / strength sums plus the modularity score."""
-    nodes, listed = set(g.nodes), set(p.assignment)
-    if listed != nodes:
+    # Equal sizes and every graph node listed mean the same node set.
+    if len(p.assignment) != g.n or not all(u in p.assignment for u in g.ids):
+        nodes, listed = set(g.ids), set(p.assignment)
         named = [f"{what} {min(diff)!r}" for what, diff in
                  (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
         raise GraphError("partition does not cover exactly the graph's nodes: "

@@ -179,7 +179,11 @@ class TestLoadCorpus:
         extended = ensure_users(corpus, ["u1", "u2", "u3"])
         assert extended.users == ("u1", "u2", "u3")
         assert extended.docs_by_user["u1"] == ()
-        assert extended.vocabulary == corpus.vocabulary
+        assert list(extended.docs_by_user) == list(extended.users)
+        assert extended.docs_by_user["u2"] is corpus.docs_by_user["u2"]
+        # empty documents change no term statistic, so both are shared
+        assert extended.vocabulary is corpus.vocabulary
+        assert extended.doc_frequency is corpus.doc_frequency
         assert extended.n_documents == 3
         # no-op when nothing is missing
         assert ensure_users(corpus, ["u2"]) is corpus
