@@ -39,9 +39,10 @@ def read_lines(path, text: str | None = None) -> Iterator[tuple[Where, str]]:
     """Yield ``(where, line)`` for each non-blank line of ``path``, stripped.
 
     Lines end only at LF, CR or CRLF; ``where`` names the line as
-    ``path: line N``.  ``text``, if given, is read instead of ``path``.
+    ``path: line N``.  A file is read as UTF-8, and a byte-order mark at its
+    start is dropped.  ``text``, if given, is read instead of ``path``.
     """
-    with open(path, encoding="utf-8") if text is None else io.StringIO(text, newline=None) as fh:
+    with open(path, encoding="utf-8-sig") if text is None else io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:

@@ -13,6 +13,12 @@ stopped, and nodes with zero connection to every community end up as
 singleton communities.  Assignment is one-shot: nodes are never moved
 after they attach.
 
+Each community keeps its candidates in a heap of int keys, one per score
+it pushed: the score's IEEE-754 bits above the node-index bits, so one int
+orders by score and then by smaller index.  Scores only rise, so a popped
+key is current exactly when its node is still unassigned; the others are
+skipped, and a heap that outgrows its live candidates is rebuilt from them.
+
 The rotation keeps one strong seed from starving the others, which a
 single global best-first queue does on hub-dominated graphs.  Every choice
 is deterministic, and the procedure depends on weights only through
@@ -89,45 +95,58 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
             raise GraphError(f"unknown center {c!r}")
     seeds = [g.index_of(c) for c in centers]
 
-    offsets, targets, weights = g.offsets, g.targets, g.weights
+    offsets, targets, weights, ids = g.offsets, g.targets, g.weights, g.ids
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
-    # One int object per node index, shared by every dict key and heap entry
-    # (reading ``targets`` makes a new int each time).
-    index = list(range(g.n))
-    # Each community maps a candidate index to the (-score, index) entry it
-    # pushed last, and its heap holds those same tuples; a popped entry is
-    # stale unless it is still the one its dict holds.  Both are set to None
-    # once the community retires.
-    entries: list[dict[int, tuple[float, int]] | None] = [{} for _ in centers]
-    heaps: list[list[tuple[float, int]] | None] = [[] for _ in centers]
+    # A candidate's score and index are one int key: the score's IEEE-754
+    # bits, which order non-negative doubles as the doubles do, shifted left
+    # by ``shift``, OR ``mask - index`` for the tie on the smaller index, all
+    # negated for the min-heap.  ``as_float`` and ``as_bits`` view one
+    # 8-byte buffer as a double and as its bits.
+    shift = g.n.bit_length()
+    mask = (1 << shift) - 1
+    as_float = memoryview(bytearray(8)).cast("d")
+    as_bits = as_float.cast("B").cast("Q")
+    heappush, heappop, heapify = heapq.heappush, heapq.heappop, heapq.heapify
+    # Each community maps a candidate's id to the key it pushed last, and
+    # its heap holds those same ints.  Scores only rise (a relaxation below
+    # half an ulp pushes an equal key), so the first key popped for a node
+    # carries its current score: a popped key is valid exactly when its node
+    # is unassigned.  Both are set to None once the community retires.
+    keys: list[dict[str, int] | None] = [{} for _ in centers]
+    heaps: list[list[int] | None] = [[] for _ in centers]
     # Heap size at each community's last compaction.  A heap that outgrows
-    # it by more than max(64, size // 4) drops its stale entries: at most
-    # 1.25 entries per live candidate plus 64 stay allocated.
+    # it by more than max(64, size // 4) drops its stale keys: at most
+    # 1.25 keys per live candidate plus 64 stay allocated.
     compacted = [0] * len(centers)
 
     def attach(node: int, community: int) -> None:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
-        entry_of, heap = entries[community], heaps[community]
+        key_of, heap = keys[community], heaps[community]
         for a in range(offsets[node], offsets[node + 1]):
             v, w = targets[a], weights[a]
             if assignment[v] < 0 and w > 0.0:
-                v = index[v]
-                old = entry_of.get(v)
-                # old[0] - w is -(score + w) exactly: IEEE negation is exact.
-                entry = (-w if old is None else old[0] - w, v)
-                entry_of[v] = entry
-                heapq.heappush(heap, entry)
+                u = ids[v]
+                old = key_of.get(u)
+                if old is None:
+                    as_float[0] = w
+                else:
+                    as_bits[0] = -old >> shift
+                    as_float[0] += w
+                key = -((as_bits[0] << shift) | (mask - v))
+                key_of[u] = key
+                heappush(heap, key)
         size = compacted[community]
         if len(heap) > size + max(64, size // 4):
-            # The live entries of unassigned candidates: the ones a pop would
-            # accept.  They never tie, since each holds a distinct index, so
-            # the pop order is unchanged.
-            entry_of = {v: e for v, e in entry_of.items() if assignment[v] < 0}
-            heap = list(entry_of.values())
-            heapq.heapify(heap)
-            entries[community], heaps[community], compacted[community] = entry_of, heap, len(heap)
+            # The keys of unassigned candidates: the ones a pop would accept.
+            # They never tie, since each holds a distinct index, so the pop
+            # order is unchanged.
+            key_of = {u: key for u, key in key_of.items()
+                      if assignment[mask - (-key & mask)] < 0}
+            heap = list(key_of.values())
+            heapify(heap)
+            keys[community], heaps[community], compacted[community] = key_of, heap, len(heap)
 
     for community, seed in enumerate(seeds):
         attach(seed, community)
@@ -135,17 +154,16 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     active = deque(range(len(centers)))
     while active:
         community = active.popleft()
-        entry_of, heap = entries[community], heaps[community]
+        heap = heaps[community]
         node = None
         while heap:
-            entry = heapq.heappop(heap)
-            candidate = entry[1]
-            if assignment[candidate] < 0 and entry_of[candidate] is entry:
+            candidate = mask - (-heappop(heap) & mask)
+            if assignment[candidate] < 0:
                 node = candidate
                 break
         if node is None:
             # Retired: no positively connected candidate left.
-            entries[community] = heaps[community] = None
+            keys[community] = heaps[community] = None
             continue
         assignment[node] = community
         attach(node, community)

@@ -19,6 +19,15 @@ from .errors import GraphError, ParameterError, ParseError
 from .similarity import SymmetricMatrix
 
 
+def _finite_sum(values: Iterable[float], what: str) -> float:
+    """``math.fsum`` of finite ``values``, which raises OverflowError rather
+    than return inf; that becomes a GraphError naming ``what``."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise GraphError(f"{what} overflows a float") from None
+
+
 class WeightedGraph:
     """Immutable undirected weighted graph stored as compressed sparse rows.
 
@@ -27,8 +36,10 @@ class WeightedGraph:
     neighbors are ``targets[offsets[i]:offsets[i + 1]]``, sorted by index,
     with the matching edge weights in the same slice of ``weights``.  Each
     edge appears once in each endpoint's slice.  ``strengths[i]`` is the
-    node's weighted degree.  ``nodes`` keeps the order the nodes were given
-    in, and every id the graph hands out is the object in ``nodes``.
+    node's weighted degree.  Every strength and twice the total weight must
+    be finite, or the constructor raises GraphError.  ``nodes`` keeps the
+    order the nodes were given in, and every id the graph hands out is the
+    object in ``nodes``.
 
     ``precision`` snaps each weight to that many decimal places, the grid
     :meth:`write_csv` exports, so a reloaded export is bit-identical;
@@ -87,9 +98,12 @@ class WeightedGraph:
                     raise GraphError(f"duplicate edge {(self.ids[i], self.ids[a])!r}")
             targets[start:end] = row
             weights[start:end] = array("d", map(weights.__getitem__, order))
-        self.strengths = array("d", (math.fsum(weights[offsets[i]:offsets[i + 1]])
+        self.strengths = array("d", (_finite_sum(weights[offsets[i]:offsets[i + 1]],
+                                                 f"strength of {self.ids[i]!r}")
                                      for i in range(n)))
-        self.total_weight = math.fsum(edge_weights)
+        self.total_weight = _finite_sum(edge_weights, "total weight")
+        if not math.isfinite(2.0 * self.total_weight):
+            raise GraphError("twice the total weight overflows a float")
 
     @property
     def n(self) -> int:

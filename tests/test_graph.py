@@ -158,6 +158,17 @@ class TestWeightedGraph:
         with pytest.raises(GraphError, match="duplicate node"):
             WeightedGraph(["a", "a"], [])
 
+    @pytest.mark.parametrize("weights, message", [
+        ((1e308, 1e308), "strength of 'b' overflows"),
+        ((1e308, 1e307), "twice the total weight overflows"),
+    ], ids=["strength", "doubled-total"])
+    def test_overflowing_weights_rejected(self, weights, message):
+        """Finite weights whose sums overflow: fsum raises OverflowError on
+        the first, and the second has a finite total but an infinite 2L."""
+        edges = [("a", "b", weights[0]), ("b", "c", weights[1])]
+        with pytest.raises(GraphError, match=message):
+            WeightedGraph(["a", "b", "c"], edges)
+
     def test_duplicate_error_names_the_smallest_pair(self):
         nodes = ["d", "B", "c", "a", "e"]  # ids sort as B < a < c < d < e
         pairs = [("d", "e"), ("c", "e"), ("a", "e"), ("a", "d"), ("B", "c")]  # largest first

@@ -1,9 +1,10 @@
 """One line policy and one node-id rule for every input file.
 
-Every reader splits lines only at LF, CR and CRLF, and every node id it
-reads is stripped, non-empty and free of ``,``, LF and CR, so an id that
-one file accepts names the same node in every other file and survives the
-CSV and partition exports.
+Every reader drops a UTF-8 byte-order mark at the start of a file and
+splits lines only at LF, CR and CRLF, and every node id it reads is
+stripped, non-empty and free of ``,``, LF and CR, so an id that one file
+accepts names the same node in every other file and survives the CSV and
+partition exports.
 """
 
 import json
@@ -19,6 +20,7 @@ from comtext.detect import (
 from comtext.errors import ParseError
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, run
+from comtext.sentiment import load_lexicon
 
 # Line boundaries of str.splitlines() that are not line ends in any input file.
 UNICODE_BREAKS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
@@ -74,6 +76,50 @@ class TestReadLines:
                     (f"{path}: line 4", "e")]
         assert list(read_lines(path)) == expected
         assert list(read_lines(path, text)) == expected
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A UTF-8 BOM, which spreadsheet programs write, is not part of the
+    first line: the first id names the same node as everywhere else."""
+
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(BOM + text, encoding="utf-8")
+        return path
+
+    def test_edges(self, tmp_path):
+        path = self.write(tmp_path, "edges.csv", "a,b\nb,c\nc,a\n")
+        assert load_edges(path).edges == (("a", "b"), ("a", "c"), ("b", "c"))
+
+    def test_graph_csv(self, tmp_path):
+        path = self.write(tmp_path, "graph.csv", "a,b,0.5\nb,c,1.0\n")
+        g = WeightedGraph.read_csv(path)
+        assert g.nodes == ("a", "b", "c")
+        assert g.edges() == (("a", "b", 0.5), ("b", "c", 1.0))
+
+    def test_lexicon(self, tmp_path):
+        path = self.write(tmp_path, "lexicon.tsv", "good\t0.5\n")
+        assert load_lexicon(path).scores == {"good": 0.5}
+
+    def test_partition(self, tmp_path):
+        path = self.write(tmp_path, "partition.txt", "k_requested=1\nm=1\n0:a,b\n")
+        assert load_partition(path) == (Partition({"a": 0, "b": 0}, 1, 1), None)
+
+    def test_corpus(self, tmp_path):
+        text = "".join(json.dumps({"user_id": u, "text": "good talk"}) + "\n" for u in "ab")
+        corpus = load_corpus(self.write(tmp_path, "corpus.jsonl", text))
+        assert corpus.users == ("a", "b")
+
+    def test_structural_run_writes_no_bom(self, tmp_path):
+        edges = self.write(tmp_path, "edges.csv", "a,b\nb,c\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--mode", "structural", "--edges", str(edges),
+                         "--k", "1", "--out", str(out)]) == 0
+        graph = (out / "graph.csv").read_text(encoding="utf-8")
+        assert graph == "a,b,1.000000\nb,c,1.000000\n"
 
 
 class TestReaders:

@@ -305,6 +305,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage graph" in err and "line 2" in err
 
+    @pytest.mark.parametrize("second", ["1e308", "1e307"])
+    def test_overflowing_graph_weights_rejected(self, tmp_path, capsys, second):
+        graph = tmp_path / "graph.csv"
+        graph.write_text(f"a,b,1e308\nb,c,{second}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--graph", str(graph), "--k", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage graph: ") and "overflows" in err
+        assert not out.exists()
+
     def test_score_rejects_node_in_two_communities(self, tmp_path, capsys):
         graph = tmp_path / "graph.csv"
         graph.write_text("a,b,1.0\nb,c,1.0\n", encoding="utf-8")
@@ -361,6 +372,13 @@ class TestCli:
         out = inputs["tmp"] / "from_config"
         assert (out / "partition_k3.txt").exists()  # flag wins
         assert not (out / "partition_k2.txt").exists()
+
+    def test_config_file_with_byte_order_mark(self, inputs, capsys):
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text("\ufeff" + json.dumps({"k": [2]}), encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "bom"), "--config", str(config_path)])
+        assert code == 0
+        assert (inputs["tmp"] / "bom" / "partition_k2.txt").exists()
 
     def test_config_file_unknown_key(self, inputs, capsys):
         config_path = inputs["tmp"] / "config.json"
