@@ -4,21 +4,25 @@ The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
 oracle is the string-keyed form of center selection and expansion, which
-reads the graph only through ``strength`` and ``neighbors``.  They share
-no code path with the implementations they check.
+reads the graph only through ``strength`` and ``neighbors``, and the
+export oracle weights every pair from the dict forms of tf-idf, cosine and
+sentiment.  They share no code path with the implementations they check.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
-from comtext.corpus import Corpus, Document, build_corpus
+from comtext.corpus import Corpus, Document, build_corpus, tokenize
 from comtext.detect import Partition
 from comtext.graph import WeightedGraph
+from comtext.sentiment import SentimentLexicon, bias_value, compose, score_text
+from comtext.similarity import cosine_similarity, tfidf_vector
 
 
 def random_weighted_graph(rng: random.Random, max_nodes: int = 12) -> WeightedGraph:
@@ -192,3 +196,48 @@ def reference_expand_communities(g: WeightedGraph, centers: list[str]) -> Partit
         assignment[node] = m
         m += 1
     return Partition({u: assignment[u] for u in sorted(assignment)}, m, len(centers))
+
+
+def reference_exports(docs: list[tuple[str, str]], edges: list[tuple[str, str]],
+                      lexicon: dict[str, float], alpha: float,
+                      precision: int) -> dict[str, str]:
+    """The text of ``graph.csv``, ``similarity_matrix.csv`` and
+    ``bias_matrix.csv`` that a weighted ``run`` writes for these inputs.
+
+    ``docs`` are ``(user, text)`` corpus lines in file order.  Every pair is
+    scored with the dict forms, smaller id on the left; graph weights are
+    snapped to ``precision`` decimals before they are written.
+    """
+    canonical = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
+    tokens: dict[str, list[str]] = {}
+    for user, text in docs:
+        tokens.setdefault(user, []).extend(tokenize(text))
+    linked = {u for edge in canonical for u in edge}
+    nodes = sorted(linked | set(tokens))
+    df = Counter(t for u in nodes for t in set(tokens.get(u, ())))
+    idf = {t: math.log(len(nodes) / d) for t, d in df.items()}
+    vectors = {u: tfidf_vector(tokens.get(u, ()), idf) for u in nodes}
+    polar = {u: score_text(tokens.get(u, ()), SentimentLexicon(lexicon)) for u in nodes}
+
+    def s(u: str, v: str) -> float:
+        return cosine_similarity(vectors[u], vectors[v])
+
+    def sv(u: str, v: str) -> float:
+        return bias_value(compose(polar[u], polar[v]))
+
+    def fixed(x: float) -> str:
+        return f"{x:.{precision}f}"
+
+    def matrix(score) -> str:
+        rows = ["node," + ",".join(nodes) + "\n"]
+        for u in nodes:
+            cells = (0.0 if u == v else score(min(u, v), max(u, v)) for v in nodes)
+            rows.append(u + "," + ",".join(map(fixed, cells)) + "\n")
+        return "".join(rows)
+
+    graph = [f"{u},,\n" for u in nodes if u not in linked]
+    for u, v in canonical:
+        weight = alpha * s(u, v) + (1.0 - alpha) * sv(u, v)
+        graph.append(f"{u},{v},{fixed(float(fixed(weight)))}\n")
+    return {"graph.csv": "".join(graph), "similarity_matrix.csv": matrix(s),
+            "bias_matrix.csv": matrix(sv)}
