@@ -29,6 +29,7 @@ from .sentiment import (
     SentimentLexicon,
     SentimentVector,
     bias_matrix,
+    bias_score,
     bias_value,
     compose,
     load_lexicon,
@@ -40,6 +41,7 @@ from .similarity import (
     cosine_similarity,
     inverse_document_frequency,
     similarity_matrix,
+    similarity_score,
     term_frequency,
     tfidf_vector,
     user_vectors,

@@ -1,6 +1,6 @@
 """Undirected weighted graphs over string node ids.
 
-Edge weights fuse the two attribute signals on the structural edge set:
+Edge weights fuse two pairwise scores, each taken once per structural edge:
 ``W(u, v) = alpha * s(u, v) + (1 - alpha) * sv(u, v)`` with ``alpha`` = 0.5
 by default.  Zero-weight edges stay in the edge set (structure and weights
 are separate concerns); they contribute nothing to strengths or scores.
@@ -12,11 +12,10 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import EdgeList, node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
-from .similarity import SymmetricMatrix
 
 
 def _finite_sum(values: Iterable[float], what: str) -> float:
@@ -188,33 +187,20 @@ class WeightedGraph:
         return cls(sorted(ids), edges, precision=precision)
 
 
-def build_weighted_graph(
-    edges: EdgeList,
-    s: SymmetricMatrix,
-    sv: SymmetricMatrix,
-    alpha: float = 0.5,
-    *,
-    precision: int | None = None,
-) -> WeightedGraph:
+def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str, str], float],
+                         sv: Callable[[str, str], float], alpha: float = 0.5, *,
+                         precision: int | None = None) -> WeightedGraph:
     """Fuse content similarity ``s`` and sentiment bias ``sv`` into edge weights.
 
-    Both matrices must share one node order; nodes without edges are kept as
-    isolated vertices.  ``alpha`` is the content-similarity share of the
-    weight (0.5 weights both signals equally; 1 ignores sentiment).
+    ``s(u, v)`` and ``sv(u, v)`` score two node ids in [0, 1], once per edge,
+    smaller id first; ``nodes`` without edges stay isolated.  ``alpha`` is the
+    content-similarity share of the weight (1 ignores sentiment);
     ``precision`` snaps weights as in :class:`WeightedGraph`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha!r}")
-    if s.nodes != sv.nodes:
-        raise GraphError("similarity and bias matrices disagree on node order")
-    weighted = []
-    for u, v in edges.edges:
-        try:
-            weight = alpha * s.get(u, v) + (1.0 - alpha) * sv.get(u, v)
-        except KeyError:
-            raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
-        weighted.append((u, v, weight))
-    return WeightedGraph(s.nodes, weighted, precision=precision)
+    return WeightedGraph(nodes, ((u, v, alpha * s(u, v) + (1.0 - alpha) * sv(u, v))
+                                 for u, v in edges), precision=precision)
 
 
 def structural_graph(edges: Iterable[tuple[str, str]], nodes: Sequence[str]) -> WeightedGraph:

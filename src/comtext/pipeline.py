@@ -1,15 +1,15 @@
-"""End-to-end runs: ingest, attribute matrices, weighted graph, detection.
+"""End-to-end runs: ingest, per-user features, weighted graph, detection.
 
 ``run`` drives one mode (weighted or structural) and writes every artifact
-into the output directory; ``compare`` computes the text features (or
-reloads the graph) once, hands them to both modes (each writes the same
-matrices) and tabulates modularity side by side.  All outputs are
-deterministic: identical inputs produce byte-identical output trees.
+into the output directory; ``compare`` builds the front half (or reloads the
+graph) once and hands it to both modes, then tabulates modularity side by
+side.  Only the structural edges are scored, and every pair of users only
+for the matrix export.  Identical inputs give byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
 exactly.  A failing stage raises ``StageError`` naming it: edges, corpus,
-similarity, sentiment, graph, detect or metrics.
+sentiment, graph, detect or metrics.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, quality_report
-from .sentiment import bias_matrix, load_lexicon
-from .similarity import SymmetricMatrix, similarity_matrix
+from .sentiment import bias_matrix, bias_score, load_lexicon
+from .similarity import SymmetricMatrix, similarity_matrix, similarity_score
 
 _MODES = ("weighted", "structural")
 
@@ -55,6 +55,8 @@ class RunConfig:
     def __post_init__(self):
         if self.edges is None and self.graph_path is None:
             raise ParameterError("an edges file (or a graph reload path) is required")
+        if self.graph_path is not None and (self.edges or self.corpus or self.lexicon):
+            raise ParameterError("a graph reload takes no edges, corpus or lexicon file")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.k_values or any(type(k) is not int or k < 1 for k in self.k_values):
@@ -89,14 +91,12 @@ class CompareResult:
 
 @dataclass(frozen=True)
 class _Features:
-    """Front half shared by every mode: the text inputs through the attribute
-    matrices, or else the reloaded graph."""
+    """Front half shared by every mode: text edges, nodes, weighted graph, exports."""
 
     edges: EdgeList | None = None
     nodes: list[str] = field(default_factory=list)
-    similarity: SymmetricMatrix | None = None
-    bias: SymmetricMatrix | None = None
-    reloaded: WeightedGraph | None = None
+    graph: WeightedGraph | None = None
+    matrices: list[tuple[str, SymmetricMatrix]] = field(default_factory=list)
 
 
 @contextmanager
@@ -109,11 +109,11 @@ def _stage(name: str, *errors: type[Exception]):
 
 
 def _features(config: RunConfig) -> _Features:
-    """Load and score the text inputs, or reload the graph, once."""
+    """Load and weight the text inputs, or reload the graph, once."""
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
-            return _Features(reloaded=WeightedGraph.read_csv(config.graph_path,
-                                                             precision=config.precision))
+            return _Features(graph=WeightedGraph.read_csv(config.graph_path,
+                                                          precision=config.precision))
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
 
@@ -125,33 +125,40 @@ def _features(config: RunConfig) -> _Features:
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
     nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
-    s = sv = None
-    if corp is not None:
-        corp = ensure_users(corp, nodes)
-        with _stage("similarity", ValueError):
-            s = similarity_matrix(corp)
-        if config.lexicon is not None:
-            with _stage("sentiment", ValueError, OSError):
-                sv = bias_matrix(corp, load_lexicon(config.lexicon))
-        elif config.mode == "weighted":
-            raise StageError("sentiment", "weighted mode requires a lexicon file (--lexicon)")
-    return _Features(edge_list, nodes, s, sv)
+    if corp is None:
+        return _Features(edge_list, nodes)
+    corp = ensure_users(corp, nodes)
+    scored = config.mode == "weighted" or config.export_matrices
+    s = similarity_score(corp) if scored else None
+    sv = None
+    if config.lexicon is not None:
+        with _stage("sentiment", ValueError, OSError):
+            lexicon = load_lexicon(config.lexicon)
+        sv = bias_score(corp, lexicon) if scored else None
+    elif config.mode == "weighted":
+        raise StageError("sentiment", "weighted mode requires a lexicon file (--lexicon)")
+    del corp  # the scores keep what they need: free the tokens before the pairwise work
+    graph = None
+    if config.mode == "weighted":
+        graph = build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
+                                     precision=config.precision)
+    matrices = []
+    if config.export_matrices:
+        matrices.append(("similarity", similarity_matrix(nodes, s)))
+        if sv is not None:
+            matrices.append(("bias", bias_matrix(nodes, sv)))
+    return _Features(edge_list, nodes, graph, matrices)
 
 
 def _graph(config: RunConfig, features: _Features) -> WeightedGraph:
-    """The mode's graph, weights snapped to the export precision."""
-    with _stage("graph", ParseError, GraphError, ParameterError, OSError):
-        graph = features.reloaded
-        if graph is not None:
-            if config.mode == "weighted":
-                return graph
-            ids = graph.ids
-            return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()),
-                                    graph.nodes)
-        if config.mode == "weighted":
-            return build_weighted_graph(features.edges, features.similarity, features.bias,
-                                        config.alpha, precision=config.precision)
+    """The mode's graph: the weighted one, or unit weights on its edges."""
+    graph = features.graph
+    if config.mode == "weighted":
+        return graph
+    if features.edges is not None:
         return structural_graph(features.edges, features.nodes)
+    ids = graph.ids
+    return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()), graph.nodes)
 
 
 def _run_mode(config: RunConfig, features: _Features) -> RunResult:
@@ -160,10 +167,8 @@ def _run_mode(config: RunConfig, features: _Features) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     graph = _graph(config, features)
 
-    if config.export_matrices:
-        for name, matrix in (("similarity", features.similarity), ("bias", features.bias)):
-            if matrix is not None:
-                matrix.write_csv(out / f"{name}_matrix.csv", config.precision)
+    for name, matrix in features.matrices:
+        matrix.write_csv(out / f"{name}_matrix.csv", config.precision)
     graph.write_csv(out / "graph.csv", config.precision)
 
     partitions: dict[int, Partition] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import Corpus, read_lines
 from .errors import ParseError
@@ -130,7 +130,12 @@ def bias_value(c: CompositeSentiment) -> float:
     return c.rho_n * c.omega_n
 
 
-def bias_matrix(corpus: Corpus, lexicon: SentimentLexicon) -> SymmetricMatrix:
-    """Pairwise sentiment bias values over all users; zero diagonal."""
-    vectors = [score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users]
-    return SymmetricMatrix(corpus.users, vectors, lambda a, b: bias_value(compose(a, b)))
+def bias_score(corpus: Corpus, lexicon: SentimentLexicon) -> Callable[[str, str], float]:
+    """``sv(u, v)``: the bias value of two users' polar vectors, each scored once."""
+    polar = {u: score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users}
+    return lambda u, v: bias_value(compose(polar[u], polar[v]))
+
+
+def bias_matrix(nodes: Sequence[str], sv: Callable[[str, str], float]) -> SymmetricMatrix:
+    """Sentiment bias ``sv`` of every pair of ``nodes``, for export; zero diagonal."""
+    return SymmetricMatrix(nodes, sv)

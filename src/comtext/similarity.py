@@ -1,9 +1,9 @@
 """Content similarity: tf-idf term vectors, their pairwise cosine, and the
 :class:`SymmetricMatrix` that holds it (and the sentiment bias values).
 
-Term vectors are sparse maps (term -> weight, zeros omitted); the per-user
-vectors the matrix is built from are packed into :class:`PackedVector`
-arrays over vocabulary ranks, and score bit-identically.  The log in
+Term vectors are sparse maps (term -> weight, zeros omitted); each user's
+vector is packed once into :class:`PackedVector` arrays over vocabulary
+ranks, and scores bit-identically.  The log in
 the inverse document frequency is natural; any fixed base rescales every
 idf uniformly and cancels in the cosine, so the choice is unobservable in
 the similarity values.  Terms present in every document get idf 0 and drop
@@ -28,23 +28,20 @@ TermVector = dict[str, float]
 class SymmetricMatrix:
     """Immutable pairwise values in [0, 1] over an ordered node list, zero diagonal.
 
-    ``features[i]`` belongs to ``nodes[i]``; ``score(features[i], features[j])``
-    is called once for each pair ``i < j``, row by row, and must return a
-    value in [0, 1] (``ValueError`` otherwise).  Only the upper triangle is
-    stored, 8 bytes per pair; ``get`` is symmetric by construction.
+    ``score(nodes[i], nodes[j])`` is called once for each pair ``i < j``, row
+    by row, and must return a value in [0, 1] (``ValueError`` otherwise).
+    Only the upper triangle is stored, 8 bytes per pair; ``get`` is
+    symmetric by construction.
     """
 
     __slots__ = ("nodes", "_index", "_values")
 
-    def __init__(self, nodes: Sequence[str], features: Sequence,
-                 score: Callable[..., float]):
+    def __init__(self, nodes: Sequence[str], score: Callable[[str, str], float]):
         self.nodes = tuple(nodes)
         self._index = {u: i for i, u in enumerate(self.nodes)}
         if len(self._index) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        if len(features) != len(self.nodes):
-            raise ValueError("expected one feature per node")
-        self._values = array("d", starmap(score, combinations(features, 2)))
+        self._values = array("d", starmap(score, combinations(self.nodes, 2)))
         bad = next((x for x in self._values if not 0.0 <= x <= 1.0), None)
         if bad is not None:
             raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
@@ -158,18 +155,21 @@ def user_vectors(corpus: Corpus) -> dict[str, PackedVector]:
             for u in corpus.users}
 
 
-def _packed_cosine() -> Callable[[PackedVector, PackedVector], float]:
-    """:func:`cosine_similarity` on packed vectors, bit for bit.
+def similarity_score(corpus: Corpus) -> Callable[[str, str], float]:
+    """``s(u, v)``: :func:`cosine_similarity` of two users' tf-idf vectors, bit
+    for bit, with each user's vector packed once.
 
-    The left operand is expanded into one rank -> weight dict, rebuilt only
-    when the left operand changes (once per row of a :class:`SymmetricMatrix`).
-    The dot product sums the same products of the common terms, in the same
-    ascending order, as the dict version.
+    The left user's vector is expanded into one rank -> weight dict, rebuilt
+    only when the left user changes (once per left user, in edge or row
+    order).  The dot product sums the same products of the common terms, in
+    the same ascending order, as the dict version.
     """
+    vectors = user_vectors(corpus)
     left, row = None, {}
 
-    def cosine(a: PackedVector, b: PackedVector) -> float:
+    def s(u: str, v: str) -> float:
         nonlocal left, row
+        a, b = vectors[u], vectors[v]
         if a is not left:
             left, row = a, dict(zip(a.terms, a.weights))
         dot = sum(w * row[t] for t, w in zip(b.terms, b.weights) if t in row)
@@ -177,10 +177,9 @@ def _packed_cosine() -> Callable[[PackedVector, PackedVector], float]:
             return 0.0
         return min(1.0, max(0.0, dot / (a.norm * b.norm)))
 
-    return cosine
+    return s
 
 
-def similarity_matrix(corpus: Corpus) -> SymmetricMatrix:
-    """Pairwise cosine similarity of all user vectors."""
-    return SymmetricMatrix(corpus.users, list(user_vectors(corpus).values()),
-                           _packed_cosine())
+def similarity_matrix(nodes: Sequence[str], s: Callable[[str, str], float]) -> SymmetricMatrix:
+    """Content similarity ``s`` of every pair of ``nodes``, for export."""
+    return SymmetricMatrix(nodes, s)

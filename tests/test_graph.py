@@ -8,7 +8,6 @@ import pytest
 from comtext.corpus import EdgeList, load_edges
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph, build_weighted_graph, structural_graph
-from comtext.similarity import SymmetricMatrix
 from helpers import block_graph, random_weighted_graph
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
@@ -28,79 +27,81 @@ def assert_endpoints_shared(g):
         assert all(v is shared[v] for v, _ in g.neighbors(u))
 
 
-def matrix_from(nodes, entries):
-    """Matrix over ``nodes`` with the listed ``(u, v, value)`` entries, else 0."""
+def score_from(entries):
+    """Pairwise score with the listed ``(u, v, value)`` entries, else 0."""
     values = {frozenset((u, v)): value for u, v, value in entries}
-    return SymmetricMatrix(nodes, nodes, lambda u, v: values.get(frozenset((u, v)), 0.0))
+    return lambda u, v: values.get(frozenset((u, v)), 0.0)
 
 
 class TestBuildWeightedGraph:
     def test_equal_blend(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [("a", "b", 0.4)])
-        sv = matrix_from(["a", "b"], [("a", "b", 0.6)])
-        g = build_weighted_graph(edges, s, sv)
+        s = score_from([("a", "b", 0.4)])
+        sv = score_from([("a", "b", 0.6)])
+        g = build_weighted_graph(edges, ["a", "b"], s, sv)
         assert g.edges() == (("a", "b", 0.5),)
 
     def test_saturated(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [("a", "b", 1.0)])
-        sv = matrix_from(["a", "b"], [("a", "b", 1.0)])
-        assert build_weighted_graph(edges, s, sv).edges() == (("a", "b", 1.0),)
+        s = score_from([("a", "b", 1.0)])
+        assert build_weighted_graph(edges, ["a", "b"], s, s).edges() == (("a", "b", 1.0),)
 
     def test_alpha_boundaries(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [("a", "b", 0.3)])
-        sv = matrix_from(["a", "b"], [("a", "b", 0.9)])
-        assert build_weighted_graph(edges, s, sv, alpha=1.0).edges()[0][2] == 0.3
-        assert build_weighted_graph(edges, s, sv, alpha=0.0).edges()[0][2] == 0.9
+        s = score_from([("a", "b", 0.3)])
+        sv = score_from([("a", "b", 0.9)])
+        assert build_weighted_graph(edges, ["a", "b"], s, sv, alpha=1.0).edges()[0][2] == 0.3
+        assert build_weighted_graph(edges, ["a", "b"], s, sv, alpha=0.0).edges()[0][2] == 0.9
 
-    def test_alpha_half_with_equal_matrices_reproduces_s(self):
+    def test_alpha_half_with_equal_scores_reproduces_s(self):
         rng = random.Random(67)
         nodes = [f"n{i}" for i in range(5)]
-        s = SymmetricMatrix(nodes, nodes, lambda u, v: rng.random())
-        sv = matrix_from(nodes, [(u, v, s.get(u, v)) for i, u in enumerate(nodes) for v in nodes[i + 1 :]])
+        s = score_from([(u, v, rng.random()) for i, u in enumerate(nodes) for v in nodes[i + 1:]])
         edges = EdgeList.from_pairs([("n0", "n1"), ("n2", "n3"), ("n1", "n4")])
-        g = build_weighted_graph(edges, s, sv)
+        g = build_weighted_graph(edges, nodes, s, s)
         for u, v, w in g.edges():
-            assert w == pytest.approx(s.get(u, v), abs=1e-15)
+            assert w == pytest.approx(s(u, v), abs=1e-15)
+
+    def test_scores_each_edge_once_smaller_id_first(self):
+        calls = {"s": [], "sv": []}
+
+        def recorder(name):
+            return lambda u, v: calls[name].append((u, v)) or 0.5
+
+        edges = EdgeList.from_pairs([("c", "a"), ("b", "a"), ("b", "c")])
+        build_weighted_graph(edges, ["a", "b", "c", "d"], recorder("s"), recorder("sv"))
+        assert calls == {"s": [("a", "b"), ("a", "c"), ("b", "c")],
+                         "sv": [("a", "b"), ("a", "c"), ("b", "c")]}
 
     def test_alpha_out_of_range(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [])
+        s = score_from([])
         with pytest.raises(ParameterError):
-            build_weighted_graph(edges, s, s, alpha=1.5)
-
-    def test_node_order_mismatch(self):
-        edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [])
-        sv = matrix_from(["b", "a"], [])
-        with pytest.raises(GraphError, match="node order"):
-            build_weighted_graph(edges, s, sv)
+            build_weighted_graph(edges, ["a", "b"], s, s, alpha=1.5)
 
     def test_unknown_endpoint(self):
         edges = EdgeList.from_pairs([("a", "z")])
-        s = matrix_from(["a", "b"], [])
+        s = score_from([])
         with pytest.raises(GraphError, match="unknown"):
-            build_weighted_graph(edges, s, s)
+            build_weighted_graph(edges, ["a", "b"], s, s)
 
     def test_isolated_nodes_retained(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b", "c"], [("a", "b", 1.0)])
-        g = build_weighted_graph(edges, s, s)
+        s = score_from([("a", "b", 1.0)])
+        g = build_weighted_graph(edges, ["a", "b", "c"], s, s)
         assert g.nodes == ("a", "b", "c")
         assert g.strength("c") == 0.0
 
     def test_endpoints_share_the_node_objects(self):
         nodes = ["alice", "bob", "carol"]
         edges = EdgeList.from_pairs([(fresh("alice"), fresh("bob")), (fresh("carol"), fresh("bob"))])
-        s = matrix_from(nodes, [("alice", "bob", 0.5), ("bob", "carol", 0.25)])
-        assert_endpoints_shared(build_weighted_graph(edges, s, s))
+        s = score_from([("alice", "bob", 0.5), ("bob", "carol", 0.25)])
+        assert_endpoints_shared(build_weighted_graph(edges, nodes, s, s))
 
     def test_zero_weight_edges_retained(self):
         edges = EdgeList.from_pairs([("a", "b")])
-        s = matrix_from(["a", "b"], [])
-        g = build_weighted_graph(edges, s, s)
+        s = score_from([])
+        g = build_weighted_graph(edges, ["a", "b"], s, s)
         assert g.edges() == (("a", "b", 0.0),)
         assert g.total_weight == 0.0
 
@@ -312,6 +313,6 @@ class TestWeightedGraph:
         exact.write_csv(path, precision=3)
         assert WeightedGraph.read_csv(path).edges() == snapped.edges()
         assert [w for _, _, w in WeightedGraph.read_csv(path, precision=1).edges()] == [0.3, 0.5]
-        s = matrix_from(["a", "b"], [("a", "b", 1 / 3)])
-        g = build_weighted_graph(EdgeList.from_pairs([("a", "b")]), s, s, precision=2)
+        s = score_from([("a", "b", 1 / 3)])
+        g = build_weighted_graph(EdgeList.from_pairs([("a", "b")]), ["a", "b"], s, s, precision=2)
         assert g.edges() == (("a", "b", 0.33),)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from comtext import cli, pipeline
+from comtext.corpus import load_edges
 from comtext.errors import ParameterError
 from comtext.fixtures import RECOVERY_SPEC, generate, write_karate
 from comtext.graph import WeightedGraph
@@ -106,7 +107,8 @@ class TestRun:
 
     def test_graph_reload_skips_text_stages(self, inputs):
         first = run(config_for(inputs, "one"))
-        config = config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv")
+        config = config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv",
+                            edges=None, corpus=None, lexicon=None)
         second = run(config)
         assert second.graph.edges() == first.graph.edges()
         assert second.partitions[2].assignment == first.partitions[2].assignment
@@ -242,8 +244,41 @@ class TestCallCounts:
     def test_graph_reload_builds_one_graph(self, inputs, calls):
         first = run(config_for(inputs, "one"))
         calls.clear()
-        run(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv"))
+        run(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv",
+                       edges=None, corpus=None, lexicon=None))
         assert calls == {"graph": 1}
+
+    @pytest.fixture
+    def scored(self, monkeypatch) -> Counter:
+        """Similarity and bias values scored, counted through the score functions."""
+        counts: Counter = Counter()
+
+        def counting(name, make_score):
+            def make(*args):
+                score = make_score(*args)
+
+                def counted(u, v):
+                    counts[name] += 1
+                    return score(u, v)
+                return counted
+            return make
+
+        for name in ("similarity", "bias"):
+            attr = f"{name}_score"
+            monkeypatch.setattr(pipeline, attr, counting(name, getattr(pipeline, attr)))
+        return counts
+
+    def test_run_without_export_scores_each_edge_once(self, inputs, calls, scored):
+        run(config_for(inputs, export_matrices=False))
+        edges = len(load_edges(inputs["edges"]).edges)
+        assert edges < 6  # fewer than the four users' pairs, so all-pairs scoring would show
+        assert scored == {"similarity": edges, "bias": edges}
+        assert calls == {"load_corpus": 1, "graph": 1}
+
+    def test_structural_run_scores_no_pair(self, inputs, calls, scored):
+        run(config_for(inputs, mode="structural", export_matrices=False))
+        assert scored == {}
+        assert calls == {"load_corpus": 1, "graph": 1}
 
     def test_compare_graph_reload_reads_once(self, inputs, calls, monkeypatch):
         first = run(config_for(inputs, "one"))
@@ -255,7 +290,8 @@ class TestCallCounts:
 
         monkeypatch.setattr(WeightedGraph, "read_csv", classmethod(counted_read_csv))
         calls.clear()
-        compare(config_for(inputs, "cmp", graph_path=first.out_dir / "graph.csv"))
+        compare(config_for(inputs, "cmp", graph_path=first.out_dir / "graph.csv",
+                           edges=None, corpus=None, lexicon=None))
         assert calls == {"read_csv": 1, "graph": 2}
 
 
@@ -315,6 +351,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: stage graph: ") and "overflows" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--edges", "--corpus", "--lexicon"])
+    def test_graph_reload_rejects_text_inputs(self, tmp_path, capsys, flag):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("a,b,1.0\nb,c,1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--graph", str(graph), flag, str(tmp_path / "missing"),
+                         "--k", "2", "--out", str(out)])
+        assert code == 1
+        assert "a graph reload takes no edges, corpus or lexicon file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_total_weight_fails_at_metrics(self, tmp_path, capsys):
+        # Identical texts give every term idf 0, so every similarity is 0;
+        # no lexicon match leaves every user neutral, so every bias is 0.
+        (tmp_path / "corpus.jsonl").write_text(
+            "".join(f'{{"user_id": "{u}", "text": "same words"}}\n' for u in "abc"),
+            encoding="utf-8")
+        (tmp_path / "edges.csv").write_text("a,b\nb,c\n", encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text("great\t1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--corpus", str(tmp_path / "corpus.jsonl"),
+                         "--edges", str(tmp_path / "edges.csv"),
+                         "--lexicon", str(tmp_path / "lexicon.tsv"),
+                         "--k", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: stage metrics: modularity is undefined for zero total weight\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bias_matrix.csv", "graph.csv", "similarity_matrix.csv"]
+        assert (out / "graph.csv").read_text() == "a,b,0.000000\nb,c,0.000000\n"
 
     def test_score_rejects_node_in_two_communities(self, tmp_path, capsys):
         graph = tmp_path / "graph.csv"

@@ -12,11 +12,17 @@ from comtext.sentiment import (
     SentimentLexicon,
     SentimentVector,
     bias_matrix,
+    bias_score,
     bias_value,
     compose,
     load_lexicon,
     score_text,
 )
+
+
+def corpus_bias(corpus, lexicon):
+    """Sentiment bias of all pairs of users of ``corpus``."""
+    return bias_matrix(corpus.users, bias_score(corpus, lexicon))
 
 
 def random_sentiment(rng):
@@ -58,7 +64,7 @@ class TestLexicon:
         lexicon = load_lexicon(path)
         assert lexicon.scores == {"good": 0.8}
         corpus = build_corpus([Document("u1", "Good day"), Document("u2", "good night")])
-        assert bias_matrix(corpus, lexicon).get("u1", "u2") == pytest.approx(1.0)
+        assert corpus_bias(corpus, lexicon).get("u1", "u2") == pytest.approx(1.0)
 
     def test_terms_equal_after_lowercasing_are_duplicates(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -194,21 +200,21 @@ class TestBiasMatrix:
     def test_identical_strong_positive(self):
         lexicon = SentimentLexicon({"great": 1.0})
         corpus = self._corpus(["great stuff", "great times"])
-        assert bias_matrix(corpus, lexicon).get("u0", "u1") == pytest.approx(
+        assert corpus_bias(corpus, lexicon).get("u0", "u1") == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_opposite_polarities_cancel(self):
         lexicon = SentimentLexicon({"great": 1.0, "awful": -1.0})
         corpus = self._corpus(["great", "awful"])
-        assert bias_matrix(corpus, lexicon).get("u0", "u1") == pytest.approx(
+        assert corpus_bias(corpus, lexicon).get("u0", "u1") == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_both_neutral(self):
         lexicon = SentimentLexicon({"great": 1.0})
         corpus = self._corpus(["bland words", "more words"])
-        assert bias_matrix(corpus, lexicon).get("u0", "u1") == 0.0
+        assert corpus_bias(corpus, lexicon).get("u0", "u1") == 0.0
 
     def test_diagonal_and_range(self):
         rng = random.Random(61)
@@ -219,7 +225,7 @@ class TestBiasMatrix:
             " ".join(f"w{rng.randint(0, 12)}" for _ in range(rng.randint(0, 10)))
             for _ in range(6)
         ]
-        matrix = bias_matrix(self._corpus(texts), lexicon)
+        matrix = corpus_bias(self._corpus(texts), lexicon)
         for u in matrix.nodes:
             assert matrix.get(u, u) == 0.0
             for v in matrix.nodes:

@@ -8,15 +8,20 @@ import pytest
 from comtext.corpus import Document, build_corpus, ensure_users
 from comtext.similarity import (
     SymmetricMatrix,
-    _packed_cosine,
     cosine_similarity,
     inverse_document_frequency,
     similarity_matrix,
+    similarity_score,
     term_frequency,
     tfidf_vector,
     user_vectors,
 )
 from helpers import dense_similarity_oracle, random_corpus
+
+
+def corpus_matrix(corpus):
+    """Content similarity of all pairs of users of ``corpus``."""
+    return similarity_matrix(corpus.users, similarity_score(corpus))
 
 
 def random_sparse_vector(rng, min_terms=1, max_terms=8):
@@ -117,7 +122,7 @@ class TestSimilarityMatrix:
         rng = random.Random(43)
         for _ in range(25):
             corpus = random_corpus(rng)
-            matrix = similarity_matrix(corpus)
+            matrix = corpus_matrix(corpus)
             oracle = dense_similarity_oracle(corpus)
             for i, u in enumerate(corpus.users):
                 for j, v in enumerate(corpus.users):
@@ -129,17 +134,17 @@ class TestSimilarityMatrix:
         corpus = build_corpus(
             [Document("u1", "a b"), Document("u2", "a b"), Document("u3", "c")]
         )
-        matrix = similarity_matrix(corpus)
+        matrix = corpus_matrix(corpus)
         assert matrix.get("u1", "u2") == pytest.approx(1.0, abs=1e-12)
 
     def test_two_identical_documents_degenerate_to_zero(self):
         # With only two identical documents every term has idf 0, both
         # vectors are empty, and the entry is 0 by the zero-norm rule.
         corpus = build_corpus([Document("u1", "a b"), Document("u2", "a b")])
-        assert similarity_matrix(corpus).get("u1", "u2") == 0.0
+        assert corpus_matrix(corpus).get("u1", "u2") == 0.0
 
     def test_single_user(self):
-        matrix = similarity_matrix(build_corpus([Document("u1", "a")]))
+        matrix = corpus_matrix(build_corpus([Document("u1", "a")]))
         assert matrix.n == 1
         assert matrix.get("u1", "u1") == 0.0
 
@@ -147,7 +152,7 @@ class TestSimilarityMatrix:
         corpus = build_corpus(
             [Document("u1", ""), Document("u2", "a b"), Document("u3", "a c")]
         )
-        matrix = similarity_matrix(corpus)
+        matrix = corpus_matrix(corpus)
         assert matrix.get("u1", "u2") == 0.0
         assert matrix.get("u1", "u3") == 0.0
 
@@ -193,7 +198,7 @@ class TestPackedVectors:
                 assert len(packed[u]) == len(dicts[u])
                 assert [corpus.vocabulary[r] for r in packed[u].terms] == list(dicts[u])
                 assert list(packed[u].weights) == list(dicts[u].values())
-            matrix = similarity_matrix(corpus)
+            matrix = corpus_matrix(corpus)
             for u, v in combinations(corpus.users, 2):
                 expected = cosine_similarity(dicts[u], dicts[v])
                 assert matrix.get(u, v) == expected, (u, v)
@@ -206,13 +211,12 @@ class TestPackedVectors:
         rng = random.Random(137)
         corpus = next(c for c in oracle_corpora() if len(c.users) >= 30)
         idf = inverse_document_frequency(corpus)
-        dicts = [tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users]
-        packed = list(user_vectors(corpus).values())
-        cosine = _packed_cosine()
-        pairs = [(i, j) for i in range(len(packed)) for j in range(len(packed))]
+        dicts = {u: tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users}
+        s = similarity_score(corpus)
+        pairs = [(u, v) for u in corpus.users for v in corpus.users]
         rng.shuffle(pairs)
-        for i, j in pairs:
-            assert cosine(packed[i], packed[j]) == cosine_similarity(dicts[i], dicts[j])
+        for u, v in pairs:
+            assert s(u, v) == cosine_similarity(dicts[u], dicts[v])
 
     def test_matrix_peak_bytes_per_vector_term(self):
         """Vectors packed into two arrays, 12 B/term plus a small object per
@@ -225,7 +229,7 @@ class TestPackedVectors:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            similarity_matrix(corpus)
+            corpus_matrix(corpus)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -233,9 +237,10 @@ class TestPackedVectors:
 
 
 def lookup_matrix(nodes, values):
-    """Matrix over ``nodes`` whose features are node indices and whose
-    ``score`` looks ``(i, j)`` up in ``values`` (0 when absent)."""
-    return SymmetricMatrix(nodes, range(len(nodes)), lambda i, j: values.get((i, j), 0.0))
+    """Matrix over ``nodes`` whose ``score`` looks the pair's node indices
+    ``(i, j)`` up in ``values`` (0 when absent)."""
+    index = {u: i for i, u in enumerate(nodes)}
+    return SymmetricMatrix(nodes, lambda u, v: values.get((index[u], index[v]), 0.0))
 
 
 def reference_csv(matrix, precision):
@@ -261,15 +266,16 @@ class TestSymmetricMatrix:
     def test_score_called_once_per_pair_row_major(self):
         calls = []
 
-        def score(i, j):
-            calls.append((i, j))
+        def score(u, v):
+            calls.append((u, v))
             return 0.5
 
         for n in range(7):
             calls.clear()
-            SymmetricMatrix([f"n{i}" for i in range(n)], range(n), score)
+            nodes = [f"n{i}" for i in range(n)]
+            SymmetricMatrix(nodes, score)
             assert len(calls) == n * (n - 1) // 2
-            assert calls == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert calls == [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
 
     def test_range_enforced(self):
         # Values are checked, not clamped: 1 + 1e-12 is out of range too.
@@ -287,10 +293,6 @@ class TestSymmetricMatrix:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             lookup_matrix(["a", "a"], {})
-
-    def test_one_feature_per_node(self):
-        with pytest.raises(ValueError, match="one feature per node"):
-            SymmetricMatrix(["a", "b"], [0], lambda i, j: 0.0)
 
     def test_write_csv(self, tmp_path):
         matrix = lookup_matrix(["a", "b"], {(0, 1): 0.123456789})
@@ -313,7 +315,7 @@ class TestSymmetricMatrix:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            matrix = SymmetricMatrix(nodes, range(n), lambda i, j: (i + j) / (2 * n))
+            matrix = SymmetricMatrix(nodes, lambda u, v: (int(u[1:]) + int(v[1:])) / (2 * n))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
