@@ -4,24 +4,32 @@ The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
 oracle is the string-keyed form of center selection and expansion, which
-reads the graph only through ``strength`` and ``neighbors``, and the
-export oracle weights every pair from the dict forms of tf-idf, cosine and
-sentiment.  They share no code path with the implementations they check.
+reads the graph only through ``strength`` and ``neighbors``.  The
+whole-pipeline oracle, :func:`reference_run`, chains the long forms: every
+pair scored from the dict forms of tf-idf, cosine and sentiment, an
+adjacency-dict graph, the string-keyed detection and the pair-sum
+modularity.  They share no code path with the implementations they check
+beyond the tokenizer.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import random
 from collections import Counter, deque
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from comtext.corpus import Corpus, Document, build_corpus, tokenize
 from comtext.detect import Partition
+from comtext.errors import UndefinedModularityError
 from comtext.graph import WeightedGraph
-from comtext.sentiment import SentimentLexicon, bias_value, compose, score_text
+from comtext.pipeline import RunConfig
+from comtext.sentiment import NEUTRAL, SentimentVector, bias_value, compose
 from comtext.similarity import cosine_similarity, tfidf_vector
 
 
@@ -198,26 +206,71 @@ def reference_expand_communities(g: WeightedGraph, centers: list[str]) -> Partit
     return Partition({u: assignment[u] for u in sorted(assignment)}, m, len(centers))
 
 
-def reference_exports(docs: list[tuple[str, str]], edges: list[tuple[str, str]],
-                      lexicon: dict[str, float], alpha: float,
-                      precision: int) -> dict[str, str]:
-    """The text of ``graph.csv``, ``similarity_matrix.csv`` and
-    ``bias_matrix.csv`` that a weighted ``run`` writes for these inputs.
+class ReferenceGraph:
+    """Adjacency-dict graph with only the reads the reference detection and
+    modularity make: ``nodes``, ``strength``, ``neighbors`` and ``edges``."""
 
-    ``docs`` are ``(user, text)`` corpus lines in file order.  Every pair is
-    scored with the dict forms, smaller id on the left; graph weights are
-    snapped to ``precision`` decimals before they are written.
+    def __init__(self, nodes: list[str], weighted_edges: list[tuple[str, str, float]]):
+        self.nodes = list(nodes)
+        self.adjacency: dict[str, dict[str, float]] = {u: {} for u in nodes}
+        for u, v, w in weighted_edges:
+            self.adjacency[u][v] = self.adjacency[v][u] = w
+
+    def strength(self, u: str) -> float:
+        return math.fsum(self.adjacency[u].values())
+
+    def neighbors(self, u: str) -> tuple[tuple[str, float], ...]:
+        return tuple(sorted(self.adjacency[u].items()))
+
+    def edges(self) -> tuple[tuple[str, str, float], ...]:
+        return tuple(sorted((u, v, w) for u in self.nodes
+                            for v, w in self.adjacency[u].items() if u < v))
+
+
+def reference_polar(tokens, scores: dict[str, float]) -> SentimentVector:
+    """The polar vector of ``tokens``: mean lexicon score of the matched
+    occurrences, clamped to [-1, 1]; neutral when nothing matches or the
+    scores cancel."""
+    matched = [scores[t] for t in tokens if t in scores]
+    polarity = min(1.0, max(-1.0, sum(matched) / len(matched))) if matched else 0.0
+    if polarity == 0.0:
+        return NEUTRAL
+    return SentimentVector(abs(polarity), (1.0 - polarity) * math.pi / 2)
+
+
+def _lines(path) -> list[str]:
+    return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+
+
+def reference_run(config: RunConfig) -> None:
+    """Write the output tree that ``run(config)`` writes, the long way round.
+
+    Every pair of users is scored with the dict forms (tf-idf, cosine, the
+    dataclass sentiment path), the graph is an adjacency dict, detection is
+    the string-keyed reference and modularity the pair sum.  Inputs must be
+    well formed and every ``k`` at most the node count.  Raises
+    ``UndefinedModularityError`` where ``run`` fails at its metrics stage,
+    after writing the same files.
     """
-    canonical = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    edges = sorted({(min(a, b), max(a, b)) for a, b in
+                    (line.split(",") for line in _lines(config.edges)) if a != b})
     tokens: dict[str, list[str]] = {}
-    for user, text in docs:
-        tokens.setdefault(user, []).extend(tokenize(text))
-    linked = {u for edge in canonical for u in edge}
-    nodes = sorted(linked | set(tokens))
+    for line in _lines(config.corpus) if config.corpus is not None else ():
+        doc = json.loads(line)
+        tokens.setdefault(doc["user_id"], []).extend(tokenize(doc["text"], config.tokenizer()))
+    scores = {}
+    for line in _lines(config.lexicon) if config.lexicon is not None else ():
+        if not line.startswith("#"):
+            term, score = line.split("\t")
+            scores[term.strip().lower()] = float(score)
+
+    nodes = sorted({u for edge in edges for u in edge} | set(tokens))
     df = Counter(t for u in nodes for t in set(tokens.get(u, ())))
     idf = {t: math.log(len(nodes) / d) for t, d in df.items()}
     vectors = {u: tfidf_vector(tokens.get(u, ()), idf) for u in nodes}
-    polar = {u: score_text(tokens.get(u, ()), SentimentLexicon(lexicon)) for u in nodes}
+    polar = {u: reference_polar(tokens.get(u, ()), scores) for u in nodes}
 
     def s(u: str, v: str) -> float:
         return cosine_similarity(vectors[u], vectors[v])
@@ -226,18 +279,59 @@ def reference_exports(docs: list[tuple[str, str]], edges: list[tuple[str, str]],
         return bias_value(compose(polar[u], polar[v]))
 
     def fixed(x: float) -> str:
-        return f"{x:.{precision}f}"
+        return f"{x:.{config.precision}f}"
 
-    def matrix(score) -> str:
-        rows = ["node," + ",".join(nodes) + "\n"]
-        for u in nodes:
-            cells = (0.0 if u == v else score(min(u, v), max(u, v)) for v in nodes)
-            rows.append(u + "," + ",".join(map(fixed, cells)) + "\n")
-        return "".join(rows)
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
 
-    graph = [f"{u},,\n" for u in nodes if u not in linked]
-    for u, v in canonical:
-        weight = alpha * s(u, v) + (1.0 - alpha) * sv(u, v)
-        graph.append(f"{u},{v},{fixed(float(fixed(weight)))}\n")
-    return {"graph.csv": "".join(graph), "similarity_matrix.csv": matrix(s),
-            "bias_matrix.csv": matrix(sv)}
+    if config.export_matrices and config.corpus is not None:
+        scored = [("similarity", s)] + ([("bias", sv)] if config.lexicon is not None else [])
+        for name, score in scored:
+            rows = ["node," + ",".join(nodes) + "\n"]
+            for u in nodes:
+                cells = (0.0 if u == v else score(min(u, v), max(u, v)) for v in nodes)
+                rows.append(u + "," + ",".join(map(fixed, cells)) + "\n")
+            write(f"{name}_matrix.csv", "".join(rows))
+
+    if config.mode == "weighted":
+        a = config.alpha
+        weighted = [(u, v, float(fixed(a * s(u, v) + (1.0 - a) * sv(u, v)))) for u, v in edges]
+    else:
+        weighted = [(u, v, 1.0) for u, v in edges]
+    g = ReferenceGraph(nodes, weighted)
+    linked = {u for edge in edges for u in edge}
+    write("graph.csv", "".join([f"{u},,\n" for u in nodes if u not in linked]
+                               + [f"{u},{v},{fixed(w)}\n" for u, v, w in weighted]))
+
+    total = math.fsum(w for _, _, w in weighted)
+    summary = ["k,modularity\n"]
+    for k in config.k_values:
+        p = reference_expand_communities(g, reference_select_centers(g, k))
+        if total <= 0.0:
+            raise UndefinedModularityError("zero total weight")
+        q = pairsum_modularity(g, p)
+        members = p.communities()
+        write(f"partition_k{k}.txt", f"k_requested={k}\nm={p.m}\nmodularity={q!r}\n"
+              + "".join(f"{c}:" + ",".join(group) + "\n" for c, group in enumerate(members)))
+        report = {"modularity": q, "total_weight": total, "communities": [
+            {"index": c, "size": len(group),
+             "intra_weight": math.fsum(w for u, v, w in weighted
+                                       if p.assignment[u] == p.assignment[v] == c),
+             "degree_sum": math.fsum(g.strength(u) for u in group)}
+            for c, group in enumerate(members)]}
+        write(f"quality_k{k}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        summary.append(f"{k},{q!r}\n")
+    write("summary.csv", "".join(summary))
+
+
+def reference_compare(config: RunConfig) -> None:
+    """Write the output tree that ``compare(config)`` writes: a weighted and a
+    structural :func:`reference_run`, then their modularity side by side."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for mode in ("weighted", "structural"):
+        reference_run(replace(config, mode=mode, out_dir=out / mode))
+    summaries = [_lines(out / mode / "summary.csv")[1:] for mode in ("weighted", "structural")]
+    rows = "".join(f"{w},{st.split(',')[1]}\n" for w, st in zip(*summaries))
+    (out / "compare.csv").write_text("k,modularity_weighted,modularity_structural\n" + rows,
+                                     encoding="utf-8", newline="\n")

@@ -1,9 +1,12 @@
-"""Oracle for the exported edge weights and attribute matrices.
+"""Whole-tree oracle for ``run`` and ``compare``.
 
-A weighted ``run`` must write ``graph.csv`` (and, with export on, both
-matrix CSVs) byte for byte as :func:`helpers.reference_exports` builds
-them from the dict forms ``tfidf_vector``, ``cosine_similarity``,
-``score_text``, ``compose`` and ``bias_value``.
+On small random inputs, ``run`` (weighted and structural) and ``compare``
+must write the tree that :func:`helpers.reference_run` and
+:func:`helpers.reference_compare` build the long way round.  File names,
+``graph.csv``, both matrix CSVs and partition member lines must match byte
+for byte.  Modularity, which the pair-sum oracle sums in a different order,
+must match within 1e-12 in ``summary.csv``, ``compare.csv``, the partition
+header and ``quality_k*.json``.
 """
 
 import json
@@ -13,71 +16,159 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from comtext.pipeline import RunConfig, StageError, run
-from helpers import reference_exports
+from comtext.errors import UndefinedModularityError
+from comtext.pipeline import RunConfig, StageError, compare, run
+from helpers import reference_compare, reference_run
 
 # Derandomized, so every run of the suite checks the same examples.
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+TOLERANCE = 1e-12
 
 IDS = ["a", "b", "c", "d", "e", "f"]
 # "meh" scores 0 when it is in the lexicon; "!" alone tokenizes to nothing.
 WORDS = ["good", "bad", "meh", "cat", "dog", "fish", "!"]
 LEXICON_TERMS = ["good", "bad", "meh", "dog"]
 SCORES = [-1.0, -0.5, 0.0, 0.25, 1.0]
-MATRICES = ("similarity_matrix.csv", "bias_matrix.csv")
+# What each command is given: weighted runs and compare need every text input.
+COMMANDS = ["weighted", "compare", "structural", "structural-corpus", "structural-edges"]
 
-texts = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+texts = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
 corpora = st.lists(st.tuples(st.sampled_from(IDS), texts), min_size=1, max_size=8)
-edge_lists = st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=10)
-lexicons = st.dictionaries(st.sampled_from(LEXICON_TERMS), st.sampled_from(SCORES))
+# At least one edge that is not a self-loop.
+edge_lists = st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=10).filter(
+    lambda edges: any(a != b for a, b in edges))
+lexicons = st.dictionaries(st.sampled_from(LEXICON_TERMS), st.sampled_from(SCORES), min_size=1)
+k_lists = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)
 
 
-def run_exports(docs, edges, lexicon, alpha, precision, export) -> dict[str, bytes]:
-    """Run on these inputs; the bytes of each graph or matrix CSV it wrote.
+def write_inputs(root: Path, docs, edges, lexicon) -> None:
+    (root / "corpus.jsonl").write_text(
+        "".join(json.dumps({"user_id": u, "text": t}) + "\n" for u, t in docs),
+        encoding="utf-8")
+    (root / "edges.csv").write_text("".join(f"{a},{b}\n" for a, b in edges), encoding="utf-8")
+    (root / "lexicon.tsv").write_text(
+        "".join(f"{term}\t{score!r}\n" for term, score in lexicon.items()), encoding="utf-8")
 
-    Inputs whose fused weights are all zero fail at the metrics stage after
-    the exports are written.
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def modularity_cut(name: str, data: bytes) -> tuple[list[str], list[float]]:
+    """The file's lines with each modularity value cut out, and those values."""
+    lines = data.decode("utf-8").splitlines()
+    values = []
+    for i, line in enumerate(lines):
+        if name.endswith(".csv") and i > 0:
+            k, *qs = line.split(",")
+            lines[i], values = k, values + [float(q) for q in qs]
+        elif line.startswith("modularity="):
+            lines[i] = "modularity="
+            values.append(float(line[len("modularity="):]))
+    return lines, values
+
+
+def assert_close(got, want, where: str) -> None:
+    """Equal JSON values, floats within the tolerance."""
+    if isinstance(got, float) or isinstance(want, float):
+        assert abs(got - want) <= TOLERANCE, (where, got, want)
+    elif isinstance(got, dict):
+        assert sorted(got) == sorted(want), where
+        for key in got:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(got, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_close(a, b, f"{where}[{i}]")
+    else:
+        assert got == want, (where, got, want)
+
+
+def assert_same_tree(got: dict[str, bytes], want: dict[str, bytes]) -> None:
+    assert sorted(got) == sorted(want)
+    for name in got:
+        base = name.rsplit("/", 1)[-1]
+        if base.startswith("quality_k"):
+            assert_close(json.loads(got[name]), json.loads(want[name]), name)
+        elif base.startswith("partition_k") or base in ("summary.csv", "compare.csv"):
+            (lines, values), (ref_lines, ref_values) = (modularity_cut(name, got[name]),
+                                                         modularity_cut(name, want[name]))
+            assert lines == ref_lines, name
+            assert len(values) == len(ref_values), name
+            assert all(abs(a - b) <= TOLERANCE for a, b in zip(values, ref_values)), name
+        else:
+            assert got[name] == want[name], name
+
+
+def written(entry, config, failure) -> tuple[bool, dict[str, bytes]]:
+    """Whether ``entry(config)`` failed at the metrics stage, and its tree."""
+    try:
+        entry(config)
+    except failure as exc:
+        assert getattr(exc, "stage", "metrics") == "metrics", exc
+        return True, tree(config.out_dir)
+    return False, tree(config.out_dir)
+
+
+def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values):
+    """The shipped and the reference outcome for these inputs.
+
+    Inputs whose weights are all zero fail at the metrics stage, after the
+    graph and matrix exports are written, in both pipelines.
     """
+    text = command in ("weighted", "compare", "structural")
+    with_corpus = command != "structural-edges"
+    nodes = {u for a, b in edges if a != b for u in (a, b)}
+    nodes |= {u for u, _ in docs} if with_corpus else set()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "corpus.jsonl").write_text(
-            "".join(json.dumps({"user_id": u, "text": t}) + "\n" for u, t in docs),
-            encoding="utf-8")
-        (root / "edges.csv").write_text("".join(f"{a},{b}\n" for a, b in edges),
-                                        encoding="utf-8")
-        (root / "lexicon.tsv").write_text(
-            "".join(f"{term}\t{score!r}\n" for term, score in lexicon.items()),
-            encoding="utf-8")
-        config = RunConfig(edges=root / "edges.csv", corpus=root / "corpus.jsonl",
-                           lexicon=root / "lexicon.tsv", out_dir=root / "out",
-                           k_values=(1,), alpha=alpha, precision=precision,
-                           export_matrices=export)
-        try:
-            run(config)
-        except StageError as exc:
-            assert exc.stage == "metrics", exc
-        return {name: (root / "out" / name).read_bytes()
-                for name in ("graph.csv", *MATRICES) if (root / "out" / name).exists()}
+        write_inputs(root, docs, edges, lexicon)
+
+        def config(out: str) -> RunConfig:
+            return RunConfig(
+                edges=root / "edges.csv", corpus=root / "corpus.jsonl" if with_corpus else None,
+                lexicon=root / "lexicon.tsv" if text else None, out_dir=root / out,
+                k_values=tuple(k for k in k_values if k <= len(nodes)) or (1,),
+                mode="structural" if command.startswith("structural") else "weighted",
+                alpha=alpha, precision=precision, export_matrices=export)
+
+        if command == "compare":
+            return (written(compare, config("out"), StageError),
+                    written(reference_compare, config("ref"), UndefinedModularityError))
+        return (written(run, config("out"), StageError),
+                written(reference_run, config("ref"), UndefinedModularityError))
 
 
 @PROPERTY
-@given(corpora, edge_lists, lexicons, st.sampled_from([0.0, 0.5, 1.0]),
-       st.sampled_from([6, 17]), st.booleans())
+@given(st.sampled_from(COMMANDS), corpora, edge_lists, lexicons,
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([6, 17]), st.booleans(), k_lists)
 # Empty and unmatched texts, a zero lexicon score, an endpoint ("z") with no
 # text and a writer ("e") with no edge.
-@example([("a", ""), ("b", "meh cat"), ("c", "good dog"), ("e", "bad")],
-         [("a", "b"), ("b", "c"), ("c", "z")], {"good": 1.0, "meh": 0.0}, 0.5, 6, True)
-@example([("a", "!"), ("b", "cat"), ("c", "bad bad good")],
-         [("a", "c"), ("b", "c"), ("z", "b")], {"good": 0.25, "bad": -1.0}, 0.0, 6, True)
-@example([("a", "dog"), ("b", "fish dog"), ("d", "good")],
-         [("a", "b"), ("d", "z")], {"dog": -0.5}, 1.0, 17, True)
+@example("weighted", [("a", ""), ("b", "meh cat"), ("c", "good dog"), ("e", "bad")],
+         [("a", "b"), ("b", "c"), ("c", "z")], {"good": 1.0, "meh": 0.0}, 0.5, 6, True, [2])
+@example("compare", [("a", "!"), ("b", "cat"), ("c", "bad bad good")],
+         [("a", "c"), ("b", "c"), ("z", "b")], {"good": 0.25, "bad": -1.0}, 0.0, 6, True, [1, 3])
+@example("weighted", [("a", "dog"), ("b", "fish dog"), ("d", "good")],
+         [("a", "b"), ("d", "z")], {"dog": -0.5}, 1.0, 17, True, [1])
 # Identical texts: every term is in every document, so every similarity is 0.
-@example([("a", "good cat"), ("b", "good cat"), ("c", "good cat")],
-         [("a", "b"), ("b", "c")], {"good": 1.0}, 0.5, 6, True)
-@example([("a", "cat dog"), ("b", "cat dog"), ("c", "cat dog")],
-         [("a", "b"), ("b", "c")], {}, 1.0, 6, True)
-def test_run_exports_match_the_dict_reference(docs, edges, lexicon, alpha, precision, export):
-    written = run_exports(docs, edges, lexicon, alpha, precision, export)
-    expected = reference_exports(docs, edges, lexicon, alpha, precision)
-    names = ("graph.csv", *MATRICES) if export else ("graph.csv",)
-    assert written == {name: expected[name].encode("utf-8") for name in names}
+@example("weighted", [("a", "good cat"), ("b", "good cat"), ("c", "good cat")],
+         [("a", "b"), ("b", "c")], {"good": 1.0}, 0.5, 6, True, [1])
+@example("weighted", [("a", "cat dog"), ("b", "cat dog"), ("c", "cat dog")],
+         [("a", "b"), ("b", "c")], {}, 1.0, 6, True, [1])
+# Two triangles joined by one edge: ties in strength, and k > 1 rotates.
+@example("structural-edges", [("a", "")],
+         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("d", "f")],
+         {}, 0.5, 6, False, [1, 2, 3])
+# Users sharing three or more weighted terms, where the order of the dot
+# product's sum shows at 17 decimals.
+@example("compare", [("a", "good bad cat dog fish fish"), ("b", "good good bad cat dog fish"),
+                     ("c", "bad cat dog dog meh"), ("d", "good cat meh"), ("e", "fish")],
+         [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")],
+         {"good": 1.0, "bad": -0.5, "dog": 0.25}, 0.5, 17, True, [1, 2])
+def test_run_exports_match_the_dict_reference(command, docs, edges, lexicon, alpha, precision,
+                                              export, k_values):
+    (failed, got), (ref_failed, want) = run_both(command, docs, edges, lexicon, alpha,
+                                                 precision, export, k_values)
+    assert failed == ref_failed
+    assert_same_tree(got, want)
