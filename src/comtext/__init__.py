@@ -1,10 +1,11 @@
 """Community detection on social graphs with text-derived edge weights.
 
-Two attribute signals are computed per user pair from the users' posted
-text: content similarity (cosine of tf-idf vectors) and sentiment bias
-(combined polar sentiment vectors).  Their average weights the structural
-edges of the interaction graph, and communities are detected by seeded
-expansion from high-strength centers, scored with weighted modularity.
+Two attribute signals are taken for each structural edge of the
+interaction graph from its endpoints' posted text: content similarity
+(cosine of tf-idf vectors) and sentiment bias (combined polar sentiment
+vectors).  Their alpha-weighted sum weights the edge, and communities are
+detected by seeded expansion from high-strength centers, scored with
+weighted modularity.
 """
 
 from .corpus import (
@@ -24,26 +25,13 @@ from .fixtures import SyntheticSpec, default_spec, generate, karate_edge_list, k
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, modularity, nmi, quality_report
 from .pipeline import CompareResult, RunConfig, RunResult, StageError, compare, run
-from .sentiment import (
-    CompositeSentiment,
-    SentimentLexicon,
-    SentimentVector,
-    bias_matrix,
-    bias_score,
-    bias_value,
-    compose,
-    load_lexicon,
-    score_text,
-)
+from .sentiment import SentimentLexicon, bias_matrix, bias_score, load_lexicon, score_text
 from .similarity import (
     PackedVector,
     SymmetricMatrix,
-    cosine_similarity,
     inverse_document_frequency,
     similarity_matrix,
     similarity_score,
-    term_frequency,
-    tfidf_vector,
     user_vectors,
 )
 

@@ -26,7 +26,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", help="reload a previously exported graph CSV")
     parser.add_argument("--k", help="comma-separated center counts, e.g. 2,3,4")
     parser.add_argument("--alpha", type=float, help="content-similarity weight share")
-    parser.add_argument("--mode", choices=("weighted", "structural"))
+    parser.add_argument("--mode", choices=("weighted", "structural"),
+                        help="run only; compare runs both")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--precision", type=int, help="decimal places in exports")
     parser.add_argument("--pretokenized", action="store_true", default=None,
@@ -95,7 +96,8 @@ _RUN_FIELDS = {
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """Flag value, else config-file value, else the ``RunConfig`` default."""
+    """Flag value, else config-file value, else the ``RunConfig`` default.
+    ``compare`` runs both modes, so it takes a mode from neither."""
     file_values: dict = {}
     if args.config is not None:
         try:
@@ -107,6 +109,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - set(_RUN_FIELDS)
         if unknown:
             raise ParseError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+    if args.command == "compare" and (args.mode is not None or "mode" in file_values):
+        raise ParameterError("compare runs both modes: it takes no --mode or 'mode' key")
     fields = {}
     for key, (name, convert) in _RUN_FIELDS.items():
         value = getattr(args, key)

@@ -109,7 +109,9 @@ def _stage(name: str, *errors: type[Exception]):
 
 
 def _features(config: RunConfig) -> _Features:
-    """Load and weight the text inputs, or reload the graph, once."""
+    """Load and weight the text inputs, or reload the graph, once.  Every
+    input file given is read and checked, also where the mode needs none of
+    its contents."""
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
             return _Features(graph=WeightedGraph.read_csv(config.graph_path,
@@ -125,12 +127,12 @@ def _features(config: RunConfig) -> _Features:
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
     nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
-    if corp is None:
-        return _Features(edge_list, nodes)
-    corp = ensure_users(corp, nodes)
-    scored = config.mode == "weighted" or config.export_matrices
-    s = similarity_score(corp) if scored else None
-    sv = None
+    # Pairs of users are scored from their text, for the weighted graph or the export.
+    scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
+    s = sv = None
+    if scored:
+        corp = ensure_users(corp, nodes)
+        s = similarity_score(corp)
     if config.lexicon is not None:
         with _stage("sentiment", ValueError, OSError):
             lexicon = load_lexicon(config.lexicon)
@@ -143,7 +145,7 @@ def _features(config: RunConfig) -> _Features:
         graph = build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
                                      precision=config.precision)
     matrices = []
-    if config.export_matrices:
+    if config.export_matrices and scored:
         matrices.append(("similarity", similarity_matrix(nodes, s)))
         if sv is not None:
             matrices.append(("bias", bias_matrix(nodes, sv)))

@@ -1,11 +1,12 @@
-"""Lexicon-based sentiment: polar vectors, pairwise composition, bias values.
+"""Lexicon-based sentiment: polar vectors and their pairwise bias values.
 
-Each user's text is scored into a polar vector (rho, theta): rho in [0, 1]
-is the emotional intensity, theta in [0, pi] encodes polarity as an angle
-(fully positive -> 0, neutral -> pi/2, fully negative -> pi).  Two users'
-vectors are added in Cartesian coordinates; the normalized magnitude of the
-sum and the angular alignment of the pair multiply into the sentiment bias
-value, a scalar in [0, 1] on the same scale as content similarity.
+Each user's text is scored into a polar vector, the tuple (rho, theta):
+rho in [0, 1] is the emotional intensity, theta in [0, pi] encodes
+polarity as an angle (fully positive -> 0, neutral -> pi/2, fully
+negative -> pi).  Two users' vectors are added in Cartesian coordinates;
+the normalized magnitude of the sum and the angular alignment of the pair
+multiply into the sentiment bias value, a scalar in [0, 1] on the same
+scale as content similarity.
 """
 
 from __future__ import annotations
@@ -58,41 +59,12 @@ def load_lexicon(path) -> SentimentLexicon:
     return SentimentLexicon(scores)
 
 
-@dataclass(frozen=True)
-class SentimentVector:
-    """Polar sentiment state: intensity ``rho`` and polarity angle ``theta``."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho out of [0, 1]: {self.rho!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta out of [0, pi]: {self.theta!r}")
-        if self.rho == 0.0 and self.theta != NEUTRAL_ANGLE:
-            raise ValueError("zero-intensity vectors must use the neutral angle pi/2")
+NEUTRAL = (0.0, NEUTRAL_ANGLE)
 
 
-NEUTRAL = SentimentVector(0.0, NEUTRAL_ANGLE)
-
-
-@dataclass(frozen=True)
-class CompositeSentiment:
-    """Pairwise combination: normalized magnitude and alignment weight."""
-
-    rho_n: float
-    omega_n: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho_n <= 1.0:
-            raise ValueError(f"rho_n out of [0, 1]: {self.rho_n!r}")
-        if not 0.0 <= self.omega_n <= 1.0:
-            raise ValueError(f"omega_n out of [0, 1]: {self.omega_n!r}")
-
-
-def score_text(tokens: Sequence[str], lexicon: SentimentLexicon) -> SentimentVector:
-    """Polarity = mean lexicon score over matched token occurrences.
+def score_text(tokens: Sequence[str], lexicon: SentimentLexicon) -> tuple[float, float]:
+    """Polar vector ``(rho, theta)``; polarity = mean lexicon score over
+    matched token occurrences.
 
     No matches (or exact cancellation) yields the neutral vector.
     """
@@ -103,37 +75,33 @@ def score_text(tokens: Sequence[str], lexicon: SentimentLexicon) -> SentimentVec
     rho = abs(polarity)
     if rho == 0.0:
         return NEUTRAL
-    return SentimentVector(rho, (1.0 - polarity) * math.pi / 2)
+    return rho, (1.0 - polarity) * math.pi / 2
 
 
-def compose(e_i: SentimentVector, e_j: SentimentVector) -> CompositeSentiment:
-    """Add the two vectors in Cartesian coordinates.
+def _bias(e_i: tuple[float, float], e_j: tuple[float, float]) -> float:
+    """Bias value of two polar vectors: rho_n * omega_n.
 
-    rho_n is the magnitude of the sum over the sum of magnitudes (0 when
-    both inputs are neutral), so it lands in [0, 1] by the triangle
-    inequality; omega_n = (1 + cos(theta_i - theta_j)) / 2 rewards angular
-    alignment.
+    The vectors are added in Cartesian coordinates.  rho_n is the magnitude
+    of the sum over the sum of magnitudes (0 when both are neutral), so it
+    lands in [0, 1] by the triangle inequality; omega_n =
+    (1 + cos(theta_i - theta_j)) / 2 rewards angular alignment.
     """
-    total = e_i.rho + e_j.rho
+    (rho_i, theta_i), (rho_j, theta_j) = e_i, e_j
+    total = rho_i + rho_j
     if total > 0.0:
-        x = e_i.rho * math.cos(e_i.theta) + e_j.rho * math.cos(e_j.theta)
-        y = e_i.rho * math.sin(e_i.theta) + e_j.rho * math.sin(e_j.theta)
+        x = rho_i * math.cos(theta_i) + rho_j * math.cos(theta_j)
+        y = rho_i * math.sin(theta_i) + rho_j * math.sin(theta_j)
         rho_n = min(1.0, math.hypot(x, y) / total)
     else:
         rho_n = 0.0
-    omega_n = min(1.0, max(0.0, (1.0 + math.cos(e_i.theta - e_j.theta)) / 2.0))
-    return CompositeSentiment(rho_n, omega_n)
-
-
-def bias_value(c: CompositeSentiment) -> float:
-    """Sentiment bias value: the product of the two composite components."""
-    return c.rho_n * c.omega_n
+    omega_n = min(1.0, max(0.0, (1.0 + math.cos(theta_i - theta_j)) / 2.0))
+    return rho_n * omega_n
 
 
 def bias_score(corpus: Corpus, lexicon: SentimentLexicon) -> Callable[[str, str], float]:
     """``sv(u, v)``: the bias value of two users' polar vectors, each scored once."""
     polar = {u: score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users}
-    return lambda u, v: bias_value(compose(polar[u], polar[v]))
+    return lambda u, v: _bias(polar[u], polar[v])
 
 
 def bias_matrix(nodes: Sequence[str], sv: Callable[[str, str], float]) -> SymmetricMatrix:

@@ -1,13 +1,12 @@
 """Content similarity: tf-idf term vectors, their pairwise cosine, and the
 :class:`SymmetricMatrix` that holds it (and the sentiment bias values).
 
-Term vectors are sparse maps (term -> weight, zeros omitted); each user's
-vector is packed once into :class:`PackedVector` arrays over vocabulary
-ranks, and scores bit-identically.  The log in
-the inverse document frequency is natural; any fixed base rescales every
-idf uniformly and cancels in the cosine, so the choice is unobservable in
-the similarity values.  Terms present in every document get idf 0 and drop
-out of the vectors: they carry no discriminative signal.
+Each user's tf-idf vector is packed once, straight from the token counts,
+into :class:`PackedVector` arrays over vocabulary ranks, zeros omitted.
+The log in the inverse document frequency is natural; any fixed base
+rescales every idf uniformly and cancels in the cosine, so the choice is
+unobservable in the similarity values.  Terms present in every document
+get idf 0 and drop out of the vectors: they carry no discriminative signal.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, starmap
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .corpus import Corpus
-
-# Sparse tf-idf vector: term -> positive weight.
-TermVector = dict[str, float]
 
 
 class SymmetricMatrix:
@@ -77,53 +73,10 @@ class SymmetricMatrix:
                 fh.write(u + "," + ",".join(f"{x:.{precision}f}" for x in row) + "\n")
 
 
-def term_frequency(tokens: Sequence[str]) -> dict[str, float]:
-    """Per-term share of the token sequence; values sum to 1.
-
-    The empty sequence maps to the empty dict (treated as the zero vector
-    by callers) rather than raising.
-    """
-    if not tokens:
-        return {}
-    total = len(tokens)
-    counts = Counter(tokens)
-    return {t: counts[t] / total for t in sorted(counts)}
-
-
 def inverse_document_frequency(corpus: Corpus) -> dict[str, float]:
     """ln(corpus size / document frequency) for every vocabulary term."""
     n_docs = corpus.n_documents
     return {t: math.log(n_docs / corpus.doc_frequency[t]) for t in corpus.vocabulary}
-
-
-def tfidf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> TermVector:
-    """Sparse tf * idf vector; zero-product entries are omitted.
-
-    ``idf`` must cover every term in ``tokens``.
-    """
-    vector: TermVector = {}
-    for term, tf in term_frequency(tokens).items():
-        weight = tf * idf[term]
-        if weight > 0.0:
-            vector[term] = weight
-    return vector
-
-
-def cosine_similarity(v1: TermVector, v2: TermVector) -> float:
-    """Cosine of two sparse non-negative vectors, in [0, 1].
-
-    Zero-norm inputs (empty vectors) are defined as similarity 0.
-    """
-    if not v1 or not v2:
-        return 0.0
-    if len(v2) < len(v1):
-        v1, v2 = v2, v1
-    dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
-    if dot == 0.0:
-        return 0.0
-    norm1 = math.sqrt(sum(w * w for w in v1.values()))
-    norm2 = math.sqrt(sum(w * w for w in v2.values()))
-    return min(1.0, max(0.0, dot / (norm1 * norm2)))
 
 
 class PackedVector:
@@ -131,38 +84,49 @@ class PackedVector:
 
     ``terms`` holds the vocabulary ranks of its terms in ascending order,
     ``weights`` their weights at the same positions, and ``norm`` its
-    Euclidean norm, computed as :func:`cosine_similarity` computes it.
-    ``len()`` is the term count.
+    Euclidean norm.  ``len()`` is the term count.
     """
 
     __slots__ = ("terms", "weights", "norm")
 
-    def __init__(self, vector: TermVector, vocabulary: Sequence[str]):
-        # tfidf_vector emits terms in ascending order, and the vocabulary is
-        # sorted, so the ranks ascend too.
-        self.terms = array("i", [bisect_left(vocabulary, t) for t in vector])
-        self.weights = array("d", list(vector.values()))  # from a list: no spare capacity
-        self.norm = math.sqrt(sum(w * w for w in vector.values()))
+    def __init__(self, terms: list[int], weights: list[float]):
+        self.terms = array("i", terms)
+        self.weights = array("d", weights)  # from a list: no spare capacity
+        self.norm = math.sqrt(sum(w * w for w in weights))
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
 def user_vectors(corpus: Corpus) -> dict[str, PackedVector]:
-    """One packed tf-idf vector per user, keyed in user order."""
+    """One packed tf-idf vector per user, keyed in user order.
+
+    A term's weight is its share of the user's tokens times its idf, and
+    terms whose weight is 0 are left out.
+    """
     idf = inverse_document_frequency(corpus)
-    return {u: PackedVector(tfidf_vector(corpus.docs_by_user[u], idf), corpus.vocabulary)
-            for u in corpus.users}
+    vectors = {}
+    for u in corpus.users:
+        tokens = corpus.docs_by_user[u]
+        counts = Counter(tokens)
+        terms, weights = [], []
+        for t in sorted(counts):
+            weight = counts[t] / len(tokens) * idf[t]
+            if weight > 0.0:
+                terms.append(bisect_left(corpus.vocabulary, t))
+                weights.append(weight)
+        vectors[u] = PackedVector(terms, weights)
+    return vectors
 
 
 def similarity_score(corpus: Corpus) -> Callable[[str, str], float]:
-    """``s(u, v)``: :func:`cosine_similarity` of two users' tf-idf vectors, bit
-    for bit, with each user's vector packed once.
+    """``s(u, v)``: the cosine of two users' tf-idf vectors in [0, 1], with
+    each user's vector packed once; 0 when either vector is empty.
 
     The left user's vector is expanded into one rank -> weight dict, rebuilt
     only when the left user changes (once per left user, in edge or row
-    order).  The dot product sums the same products of the common terms, in
-    the same ascending order, as the dict version.
+    order).  The dot product sums the products of the common terms in
+    ascending rank order.
     """
     vectors = user_vectors(corpus)
     left, row = None, {}

@@ -1,5 +1,12 @@
 """Shared builders and independent oracles for the test suite.
 
+The reference forms of the text scores live here: dict tf-idf
+(``term_frequency``, ``tfidf_vector``), dict cosine
+(``cosine_similarity``) and the validating dataclass sentiment path
+(``SentimentVector``, ``compose``, ``CompositeSentiment``,
+``bias_value``).  The package ships one form of each, checked
+against these with ``==``.
+
 The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
@@ -9,7 +16,7 @@ whole-pipeline oracle, :func:`reference_run`, chains the long forms: every
 pair scored from the dict forms of tf-idf, cosine and sentiment, an
 adjacency-dict graph, the string-keyed detection and the pair-sum
 modularity.  They share no code path with the implementations they check
-beyond the tokenizer.
+beyond the tokenizer and the ``Partition`` container.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import json
 import math
 import random
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +37,110 @@ from comtext.detect import Partition
 from comtext.errors import UndefinedModularityError
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig
-from comtext.sentiment import NEUTRAL, SentimentVector, bias_value, compose
-from comtext.similarity import cosine_similarity, tfidf_vector
+from comtext.sentiment import NEUTRAL_ANGLE
+
+# Sparse tf-idf vector: term -> positive weight.
+TermVector = dict[str, float]
+
+
+def term_frequency(tokens: Sequence[str]) -> dict[str, float]:
+    """Per-term share of the token sequence; values sum to 1.
+
+    The empty sequence maps to the empty dict (treated as the zero vector
+    by callers) rather than raising.
+    """
+    if not tokens:
+        return {}
+    total = len(tokens)
+    counts = Counter(tokens)
+    return {t: counts[t] / total for t in sorted(counts)}
+
+
+def tfidf_vector(tokens: Sequence[str], idf: Mapping[str, float]) -> TermVector:
+    """Sparse tf * idf vector; zero-product entries are omitted.
+
+    ``idf`` must cover every term in ``tokens``.
+    """
+    vector: TermVector = {}
+    for term, tf in term_frequency(tokens).items():
+        weight = tf * idf[term]
+        if weight > 0.0:
+            vector[term] = weight
+    return vector
+
+
+def cosine_similarity(v1: TermVector, v2: TermVector) -> float:
+    """Cosine of two sparse non-negative vectors, in [0, 1].
+
+    Zero-norm inputs (empty vectors) are defined as similarity 0.
+    """
+    if not v1 or not v2:
+        return 0.0
+    if len(v2) < len(v1):
+        v1, v2 = v2, v1
+    dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
+    if dot == 0.0:
+        return 0.0
+    norm1 = math.sqrt(sum(w * w for w in v1.values()))
+    norm2 = math.sqrt(sum(w * w for w in v2.values()))
+    return min(1.0, max(0.0, dot / (norm1 * norm2)))
+
+
+@dataclass(frozen=True)
+class SentimentVector:
+    """Polar sentiment state: intensity ``rho`` and polarity angle ``theta``."""
+
+    rho: float
+    theta: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho out of [0, 1]: {self.rho!r}")
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError(f"theta out of [0, pi]: {self.theta!r}")
+        if self.rho == 0.0 and self.theta != NEUTRAL_ANGLE:
+            raise ValueError("zero-intensity vectors must use the neutral angle pi/2")
+
+
+NEUTRAL = SentimentVector(0.0, NEUTRAL_ANGLE)
+
+
+@dataclass(frozen=True)
+class CompositeSentiment:
+    """Pairwise combination: normalized magnitude and alignment weight."""
+
+    rho_n: float
+    omega_n: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.rho_n <= 1.0:
+            raise ValueError(f"rho_n out of [0, 1]: {self.rho_n!r}")
+        if not 0.0 <= self.omega_n <= 1.0:
+            raise ValueError(f"omega_n out of [0, 1]: {self.omega_n!r}")
+
+
+def compose(e_i: SentimentVector, e_j: SentimentVector) -> CompositeSentiment:
+    """Add the two vectors in Cartesian coordinates.
+
+    rho_n is the magnitude of the sum over the sum of magnitudes (0 when
+    both inputs are neutral), so it lands in [0, 1] by the triangle
+    inequality; omega_n = (1 + cos(theta_i - theta_j)) / 2 rewards angular
+    alignment.
+    """
+    total = e_i.rho + e_j.rho
+    if total > 0.0:
+        x = e_i.rho * math.cos(e_i.theta) + e_j.rho * math.cos(e_j.theta)
+        y = e_i.rho * math.sin(e_i.theta) + e_j.rho * math.sin(e_j.theta)
+        rho_n = min(1.0, math.hypot(x, y) / total)
+    else:
+        rho_n = 0.0
+    omega_n = min(1.0, max(0.0, (1.0 + math.cos(e_i.theta - e_j.theta)) / 2.0))
+    return CompositeSentiment(rho_n, omega_n)
+
+
+def bias_value(c: CompositeSentiment) -> float:
+    """Sentiment bias value: the product of the two composite components."""
+    return c.rho_n * c.omega_n
 
 
 def random_weighted_graph(rng: random.Random, max_nodes: int = 12) -> WeightedGraph:
@@ -242,8 +352,9 @@ def _lines(path) -> list[str]:
     return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
-def reference_run(config: RunConfig) -> None:
-    """Write the output tree that ``run(config)`` writes, the long way round.
+def reference_run(config: RunConfig) -> list[tuple[int, float]]:
+    """Write the output tree that ``run(config)`` writes, the long way round;
+    return its ``(k, modularity)`` rows.
 
     Every pair of users is scored with the dict forms (tf-idf, cosine, the
     dataclass sentiment path), the graph is an adjacency dict, detection is
@@ -287,11 +398,11 @@ def reference_run(config: RunConfig) -> None:
     if config.export_matrices and config.corpus is not None:
         scored = [("similarity", s)] + ([("bias", sv)] if config.lexicon is not None else [])
         for name, score in scored:
-            rows = ["node," + ",".join(nodes) + "\n"]
+            lines = ["node," + ",".join(nodes) + "\n"]
             for u in nodes:
                 cells = (0.0 if u == v else score(min(u, v), max(u, v)) for v in nodes)
-                rows.append(u + "," + ",".join(map(fixed, cells)) + "\n")
-            write(f"{name}_matrix.csv", "".join(rows))
+                lines.append(u + "," + ",".join(map(fixed, cells)) + "\n")
+            write(f"{name}_matrix.csv", "".join(lines))
 
     if config.mode == "weighted":
         a = config.alpha
@@ -304,7 +415,7 @@ def reference_run(config: RunConfig) -> None:
                                + [f"{u},{v},{fixed(w)}\n" for u, v, w in weighted]))
 
     total = math.fsum(w for _, _, w in weighted)
-    summary = ["k,modularity\n"]
+    rows = []
     for k in config.k_values:
         p = reference_expand_communities(g, reference_select_centers(g, k))
         if total <= 0.0:
@@ -320,8 +431,9 @@ def reference_run(config: RunConfig) -> None:
              "degree_sum": math.fsum(g.strength(u) for u in group)}
             for c, group in enumerate(members)]}
         write(f"quality_k{k}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-        summary.append(f"{k},{q!r}\n")
-    write("summary.csv", "".join(summary))
+        rows.append((k, q))
+    write("summary.csv", "k,modularity\n" + "".join(f"{k},{q!r}\n" for k, q in rows))
+    return rows
 
 
 def reference_compare(config: RunConfig) -> None:
@@ -329,9 +441,8 @@ def reference_compare(config: RunConfig) -> None:
     structural :func:`reference_run`, then their modularity side by side."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for mode in ("weighted", "structural"):
-        reference_run(replace(config, mode=mode, out_dir=out / mode))
-    summaries = [_lines(out / mode / "summary.csv")[1:] for mode in ("weighted", "structural")]
-    rows = "".join(f"{w},{st.split(',')[1]}\n" for w, st in zip(*summaries))
+    weighted, structural = (reference_run(replace(config, mode=mode, out_dir=out / mode))
+                            for mode in ("weighted", "structural"))
+    rows = "".join(f"{k},{qw!r},{qs!r}\n" for (k, qw), (_, qs) in zip(weighted, structural))
     (out / "compare.csv").write_text("k,modularity_weighted,modularity_structural\n" + rows,
                                      encoding="utf-8", newline="\n")

@@ -25,13 +25,16 @@ from comtext.fixtures import (
 from comtext.graph import WeightedGraph, structural_graph
 from comtext.metrics import modularity, nmi
 from comtext.pipeline import RunConfig, compare, run
-from comtext.sentiment import SentimentVector, bias_value, compose
-from comtext.similarity import cosine_similarity, term_frequency
 from helpers import (
+    SentimentVector,
+    bias_value,
+    compose,
+    cosine_similarity,
     pairsum_modularity,
     random_partition,
     random_weighted_graph,
     scaled,
+    term_frequency,
 )
 
 # detect(k=2) on the bundled karate graph, frozen as the regression anchor.

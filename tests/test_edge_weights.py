@@ -61,8 +61,8 @@ def modularity_cut(name: str, data: bytes) -> tuple[list[str], list[float]]:
     values = []
     for i, line in enumerate(lines):
         if name.endswith(".csv") and i > 0:
-            k, *qs = line.split(",")
-            lines[i], values = k, values + [float(q) for q in qs]
+            lines[i], *qs = line.split(",")
+            values.extend(map(float, qs))
         elif line.startswith("modularity="):
             lines[i] = "modularity="
             values.append(float(line[len("modularity="):]))

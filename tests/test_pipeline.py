@@ -363,6 +363,35 @@ class TestCli:
         assert "a graph reload takes no edges, corpus or lexicon file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["missing", "good\tmany\n"])
+    def test_lexicon_checked_without_corpus(self, inputs, capsys, text):
+        lexicon = inputs["tmp"] / "missing.tsv"
+        if text != "missing":
+            lexicon.write_text(text, encoding="utf-8")
+        code = cli.main(["run", "--mode", "structural", "--edges", str(inputs["edges"]),
+                         "--lexicon", str(lexicon), "--k", "2",
+                         "--out", str(inputs["tmp"] / "out")])
+        assert code == 1
+        assert "error: stage sentiment: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["weighted", "structural"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_compare_rejects_a_mode(self, inputs, capsys, mode, source):
+        out = inputs["tmp"] / "cmp"
+        if source == "flag":
+            extra = ["--mode", mode]
+        else:
+            config_path = inputs["tmp"] / "config.json"
+            config_path.write_text(json.dumps({"mode": mode}), encoding="utf-8")
+            extra = ["--config", str(config_path)]
+        code = cli.main(["compare", *self._base_args(inputs, "cmp"), "--k", "2", *extra])
+        assert code == 1
+        assert "compare runs both modes" in capsys.readouterr().err
+        assert not out.exists()
+        # run still takes the mode.
+        code = cli.main(["run", *self._base_args(inputs, "run"), "--k", "2", *extra])
+        assert code == 0
+
     def test_zero_total_weight_fails_at_metrics(self, tmp_path, capsys):
         # Identical texts give every term idf 0, so every similarity is 0;
         # no lexicon match leaves every user neutral, so every bias is 0.

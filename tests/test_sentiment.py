@@ -6,18 +6,15 @@ import pytest
 from comtext.corpus import Document, build_corpus
 from comtext.errors import ParseError
 from comtext.sentiment import (
-    NEUTRAL,
     NEUTRAL_ANGLE,
-    CompositeSentiment,
     SentimentLexicon,
-    SentimentVector,
+    _bias,
     bias_matrix,
     bias_score,
-    bias_value,
-    compose,
     load_lexicon,
     score_text,
 )
+from helpers import NEUTRAL, CompositeSentiment, SentimentVector, bias_value, compose
 
 
 def corpus_bias(corpus, lexicon):
@@ -86,40 +83,29 @@ class TestLexicon:
 class TestScoreText:
     def test_no_matches_is_neutral(self):
         lexicon = SentimentLexicon({"good": 1.0})
-        assert score_text(["meh", "whatever"], lexicon) == NEUTRAL
+        assert score_text(["meh", "whatever"], lexicon) == (0.0, NEUTRAL_ANGLE)
 
     def test_fully_positive(self):
         lexicon = SentimentLexicon({"good": 1.0})
-        vec = score_text(["good", "good"], lexicon)
-        assert vec.rho == 1.0
-        assert vec.theta == 0.0
+        rho, theta = score_text(["good", "good"], lexicon)
+        assert rho == 1.0
+        assert theta == 0.0
 
     def test_cancellation_is_neutral(self):
         lexicon = SentimentLexicon({"good": 1.0, "bad": -1.0})
-        assert score_text(["good", "bad"], lexicon) == NEUTRAL
+        assert score_text(["good", "bad"], lexicon) == (0.0, NEUTRAL_ANGLE)
 
     def test_mean_over_matched_occurrences(self):
         lexicon = SentimentLexicon({"good": 1.0, "meh": 0.5})
-        vec = score_text(["good", "meh", "noise"], lexicon)
-        assert vec.rho == pytest.approx(0.75, abs=1e-12)
-        assert vec.theta == pytest.approx((1 - 0.75) * math.pi / 2, abs=1e-12)
+        rho, theta = score_text(["good", "meh", "noise"], lexicon)
+        assert rho == pytest.approx(0.75, abs=1e-12)
+        assert theta == pytest.approx((1 - 0.75) * math.pi / 2, abs=1e-12)
 
     def test_fully_negative(self):
         lexicon = SentimentLexicon({"bad": -1.0})
-        vec = score_text(["bad"], lexicon)
-        assert vec.rho == 1.0
-        assert vec.theta == pytest.approx(math.pi, abs=1e-12)
-
-
-class TestSentimentVector:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SentimentVector(1.5, 0.0)
-        with pytest.raises(ValueError):
-            SentimentVector(0.5, -0.1)
-        with pytest.raises(ValueError):
-            SentimentVector(0.0, 0.0)  # neutral must sit at pi/2
-        assert NEUTRAL.theta == NEUTRAL_ANGLE
+        rho, theta = score_text(["bad"], lexicon)
+        assert rho == 1.0
+        assert theta == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestCompose:
@@ -191,6 +177,30 @@ class TestBiasValue:
         assert values[0] == pytest.approx(1.0, abs=1e-12)
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestShippedComposition:
+    def test_bit_identical_to_dataclass_path(self):
+        """The composition bias_score ships equals the reference forms' with
+        ==, on seeded vectors with neutral, opposite and identical pairs."""
+        rng = random.Random(67)
+        vectors = [random_sentiment(rng) for _ in range(1000)]
+        pairs = list(zip(vectors, vectors[1:]))
+        pairs += [(a, a) for a in vectors[:100]]
+        pairs += [(a, SentimentVector(a.rho, math.pi - a.theta)) for a in vectors[:100]]
+        pairs += [(NEUTRAL, a) for a in vectors[:50]] + [(NEUTRAL, NEUTRAL)]
+        pairs += [(SentimentVector(1.0, 0.0), SentimentVector(1.0, math.pi))]
+        for a, b in pairs:
+            assert _bias((a.rho, a.theta), (b.rho, b.theta)) == bias_value(compose(a, b)), (a, b)
+
+    def test_score_text_meets_the_dataclass_checks(self):
+        """The vectors score_text returns pass the checks SentimentVector makes."""
+        rng = random.Random(71)
+        lexicon = SentimentLexicon({f"w{i}": rng.choice([-1.0, -0.3, 0.0, 0.5, 1.0])
+                                    for i in range(8)})
+        for _ in range(500):
+            tokens = [f"w{rng.randint(0, 11)}" for _ in range(rng.randint(0, 6))]
+            SentimentVector(*score_text(tokens, lexicon))
 
 
 class TestBiasMatrix:

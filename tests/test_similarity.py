@@ -8,15 +8,18 @@ import pytest
 from comtext.corpus import Document, build_corpus, ensure_users
 from comtext.similarity import (
     SymmetricMatrix,
-    cosine_similarity,
     inverse_document_frequency,
     similarity_matrix,
     similarity_score,
-    term_frequency,
-    tfidf_vector,
     user_vectors,
 )
-from helpers import dense_similarity_oracle, random_corpus
+from helpers import (
+    cosine_similarity,
+    dense_similarity_oracle,
+    random_corpus,
+    term_frequency,
+    tfidf_vector,
+)
 
 
 def corpus_matrix(corpus):
@@ -198,6 +201,8 @@ class TestPackedVectors:
                 assert len(packed[u]) == len(dicts[u])
                 assert [corpus.vocabulary[r] for r in packed[u].terms] == list(dicts[u])
                 assert list(packed[u].weights) == list(dicts[u].values())
+                # The norm cosine_similarity computes, bit for bit.
+                assert packed[u].norm == math.sqrt(sum(w * w for w in dicts[u].values()))
             matrix = corpus_matrix(corpus)
             for u, v in combinations(corpus.users, 2):
                 expected = cosine_similarity(dicts[u], dicts[v])
