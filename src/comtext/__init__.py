@@ -12,7 +12,6 @@ from .corpus import (
     Corpus,
     Document,
     EdgeList,
-    TokenizerConfig,
     build_corpus,
     ensure_users,
     load_corpus,

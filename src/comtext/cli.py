@@ -30,10 +30,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="run only; compare runs both")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--precision", type=int, help="decimal places in exports")
-    parser.add_argument("--pretokenized", action="store_true", default=None,
-                        help="treat corpus text as already segmented")
     parser.add_argument("--token-delim", dest="token_delim",
-                        help="delimiter for pre-segmented text (default space)")
+                        help="corpus text is already segmented: split it on this string")
     parser.add_argument("--no-matrices", dest="no_matrices", action="store_true",
                         default=None, help="skip matrix CSV exports")
 
@@ -90,7 +88,6 @@ _RUN_FIELDS = {
     "out": ("out_dir", lambda value: Path(_text(value))),
     "precision": ("precision", _int),
     "token_delim": ("token_delim", _text),
-    "pretokenized": ("pretokenized", _switch),
     "no_matrices": ("export_matrices", lambda value: not _switch(value)),
 }
 

@@ -3,7 +3,9 @@
 A corpus file is JSON-lines: one object per line with string fields
 ``user_id`` and ``text``.  Multiple lines for the same user are merged into a
 single token sequence, because every network node carries exactly one text
-vector downstream.  An edge file is two-column CSV (``id_a,id_b``, no header).
+vector downstream.  :func:`tokenize` splits each text by one Unicode rule,
+or on a ``token_delim`` when an external segmenter has already split it.
+An edge file is two-column CSV (``id_a,id_b``, no header).
 All input files share :func:`read_lines` and the node-id rule :func:`node_id`.
 """
 
@@ -59,50 +61,20 @@ def node_id(raw: str, where: str | Where) -> str:
     return node
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """How raw text is turned into tokens.
+def tokenize(text: str, token_delim: str | None = None) -> list[str]:
+    """Lowercase ``text`` and split it into tokens; empty tokens are dropped.
 
-    With ``pretokenized=True`` the text is taken as already segmented
-    (e.g. by an external Chinese segmenter) and is only split on
-    ``token_delim``; otherwise a Unicode-aware splitter is used.
+    With no ``token_delim``, letters, combining marks and numbers form
+    tokens and every other character (whitespace, punctuation, symbols,
+    controls) separates them; this is idempotent on its own output joined
+    by single spaces.  A ``token_delim`` means the text is already
+    segmented (e.g. by an external Chinese segmenter): it is only split on
+    that string.
     """
-
-    pretokenized: bool = False
-    token_delim: str = " "
-
-    def __post_init__(self):
-        if not self.token_delim:
-            raise ValueError("token_delim must be a non-empty string")
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def _is_token_char(ch: str) -> bool:
-    # Letters, combining marks and numbers form tokens; everything else
-    # (whitespace, punctuation, symbols, controls) separates them.
-    return unicodedata.category(ch)[0] in "LMN"
-
-
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Lowercase and split ``text`` into tokens; empty tokens are dropped.
-
-    Idempotent on its own output joined by single spaces.
-    """
-    if config.pretokenized:
-        return [t.lower() for t in text.split(config.token_delim) if t]
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if _is_token_char(ch):
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    if token_delim is not None:
+        return [t.lower() for t in text.split(token_delim) if t]
+    return "".join(ch if unicodedata.category(ch)[0] in "LMN" else " "
+                   for ch in text.lower()).split()
 
 
 @dataclass(frozen=True)
@@ -131,16 +103,14 @@ class Corpus:
         return len(self.users)
 
 
-def build_corpus(
-    documents: Iterable[Document], config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> Corpus:
+def build_corpus(documents: Iterable[Document], token_delim: str | None = None) -> Corpus:
     """Merge documents per user (in input order) and build the vocabulary."""
     merged: dict[str, list[str]] = {}
     terms: dict[str, str] = {}  # one object per distinct term, shared by every occurrence
     for index, doc in enumerate(documents, start=1):
         user = node_id(doc.user_id, f"document {index}")
         merged.setdefault(user, []).extend(
-            terms.setdefault(t, t) for t in tokenize(doc.text, config))
+            terms.setdefault(t, t) for t in tokenize(doc.text, token_delim))
     users = tuple(sorted(merged))
     docs = {u: tuple(merged.pop(u)) for u in users}  # each list freed once it is a tuple
     freq: dict[str, int] = {}
@@ -151,14 +121,14 @@ def build_corpus(
     return Corpus(users, docs, vocabulary, {t: freq[t] for t in vocabulary})
 
 
-def load_corpus(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Corpus:
+def load_corpus(path, token_delim: str | None = None) -> Corpus:
     """Read a JSON-lines corpus file.
 
     Raises ParseError for malformed lines (naming the line number) and for
     an empty file.  Each line is tokenized, and its text dropped, before the
     next line is read.
     """
-    corpus = build_corpus(_read_documents(path), config)
+    corpus = build_corpus(_read_documents(path), token_delim)
     if not corpus.users:
         raise ParseError(f"{path}: empty corpus file")
     return corpus

@@ -8,8 +8,12 @@ for the matrix export.  Identical inputs give byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
-exactly.  A failing stage raises ``StageError`` naming it: edges, corpus,
-sentiment, graph, detect or metrics.
+exactly.  Corpus text is split by the Unicode rule of
+:func:`~comtext.corpus.tokenize`, or on ``RunConfig.token_delim`` when it is
+already segmented.  ``RunConfig`` rejects inconsistent parameters, such as
+an empty delimiter or one without a corpus, with a ``ParameterError``
+before anything is written.  A failing stage raises ``StageError`` naming
+it: edges, corpus, sentiment, graph, detect or metrics.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import EdgeList, TokenizerConfig, ensure_users, load_corpus, load_edges
+from .corpus import EdgeList, ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
@@ -47,8 +51,7 @@ class RunConfig:
     alpha: float = 0.5
     mode: str = "weighted"
     precision: int = 6
-    pretokenized: bool = False
-    token_delim: str = " "
+    token_delim: str | None = None
     graph_path: Path | None = None
     export_matrices: bool = True
 
@@ -68,9 +71,10 @@ class RunConfig:
             raise ParameterError("alpha must be in [0, 1]")
         if self.precision < 1:
             raise ParameterError("precision must be at least 1")
-
-    def tokenizer(self) -> TokenizerConfig:
-        return TokenizerConfig(self.pretokenized, self.token_delim)
+        if self.token_delim == "":
+            raise ParameterError("the token delimiter must be a non-empty string")
+        if self.token_delim is not None and self.corpus is None:
+            raise ParameterError("a token delimiter splits corpus text: it needs a corpus file")
 
 
 @dataclass
@@ -122,7 +126,7 @@ def _features(config: RunConfig) -> _Features:
     corp = None
     if config.corpus is not None:
         with _stage("corpus", ValueError, OSError):
-            corp = load_corpus(config.corpus, config.tokenizer())
+            corp = load_corpus(config.corpus, config.token_delim)
     elif config.mode == "weighted":
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite.
 
-The reference forms of the text scores live here: dict tf-idf
+The reference forms of the tokenizer and the text scores live here: the
+character loop (``reference_tokenize``), dict tf-idf
 (``term_frequency``, ``tfidf_vector``), dict cosine
 (``cosine_similarity``) and the validating dataclass sentiment path
 (``SentimentVector``, ``compose``, ``CompositeSentiment``,
@@ -12,11 +13,11 @@ sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
 oracle is the string-keyed form of center selection and expansion, which
 reads the graph only through ``strength`` and ``neighbors``.  The
-whole-pipeline oracle, :func:`reference_run`, chains the long forms: every
-pair scored from the dict forms of tf-idf, cosine and sentiment, an
-adjacency-dict graph, the string-keyed detection and the pair-sum
-modularity.  They share no code path with the implementations they check
-beyond the tokenizer and the ``Partition`` container.
+whole-pipeline oracle, :func:`reference_run`, chains the long forms: the
+character-loop tokenizer, every pair scored from the dict forms of tf-idf,
+cosine and sentiment, an adjacency-dict graph, the string-keyed detection
+and the pair-sum modularity.  They share no code path with the
+implementations they check beyond the ``Partition`` container.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import heapq
 import json
 import math
 import random
+import unicodedata
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from comtext.corpus import Corpus, Document, build_corpus, tokenize
+from comtext.corpus import Corpus, Document, build_corpus
 from comtext.detect import Partition
 from comtext.errors import UndefinedModularityError
 from comtext.graph import WeightedGraph
@@ -348,6 +350,24 @@ def reference_polar(tokens, scores: dict[str, float]) -> SentimentVector:
     return SentimentVector(abs(polarity), (1.0 - polarity) * math.pi / 2)
 
 
+def reference_tokenize(text: str, token_delim: str | None = None) -> list[str]:
+    """The tokenizer the long way round: one character at a time, a token
+    ending at each character that is not a letter, mark or number."""
+    if token_delim is not None:
+        return [t.lower() for t in text.split(token_delim) if t]
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in text.lower():
+        if unicodedata.category(ch)[0] in "LMN":
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
 def _lines(path) -> list[str]:
     return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
@@ -356,9 +376,11 @@ def reference_run(config: RunConfig) -> list[tuple[int, float]]:
     """Write the output tree that ``run(config)`` writes, the long way round;
     return its ``(k, modularity)`` rows.
 
-    Every pair of users is scored with the dict forms (tf-idf, cosine, the
-    dataclass sentiment path), the graph is an adjacency dict, detection is
-    the string-keyed reference and modularity the pair sum.  Inputs must be
+    Texts are split by :func:`reference_tokenize` under the config's
+    ``token_delim``.  Every pair of users is scored with the dict forms
+    (tf-idf, cosine, the dataclass sentiment path), the graph is an
+    adjacency dict, detection is the string-keyed reference and modularity
+    the pair sum.  Inputs must be
     well formed and every ``k`` at most the node count.  Raises
     ``UndefinedModularityError`` where ``run`` fails at its metrics stage,
     after writing the same files.
@@ -370,7 +392,8 @@ def reference_run(config: RunConfig) -> list[tuple[int, float]]:
     tokens: dict[str, list[str]] = {}
     for line in _lines(config.corpus) if config.corpus is not None else ():
         doc = json.loads(line)
-        tokens.setdefault(doc["user_id"], []).extend(tokenize(doc["text"], config.tokenizer()))
+        tokens.setdefault(doc["user_id"], []).extend(
+            reference_tokenize(doc["text"], config.token_delim))
     scores = {}
     for line in _lines(config.lexicon) if config.lexicon is not None else ():
         if not line.startswith("#"):

@@ -2,11 +2,12 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from comtext.corpus import (
     Document,
     EdgeList,
-    TokenizerConfig,
     build_corpus,
     ensure_users,
     load_corpus,
@@ -15,6 +16,12 @@ from comtext.corpus import (
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
+from helpers import reference_tokenize
+
+# Characters at the edges of the rule: combining marks, CJK, digits and
+# other numbers, astral letters, "İ" (whose lowercase gains a combining
+# dot), final-sigma casing, and separators that are punctuation or spaces.
+RULE_EDGES = "a\u0301\u20dd你好7\u0663²½Ⅻ\U0001d400\U00010400İΣ_\u00a0\u3000\u2028-! \t"
 
 
 class TestTokenize:
@@ -35,16 +42,14 @@ class TestTokenize:
         assert tokenize("top10 lists") == ["top10", "lists"]
 
     def test_pretokenized(self):
-        config = TokenizerConfig(pretokenized=True, token_delim="|")
-        assert tokenize("Foo|bar||baz", config) == ["foo", "bar", "baz"]
+        assert tokenize("Foo|bar||baz", "|") == ["foo", "bar", "baz"]
 
     def test_pretokenized_keeps_punctuation(self):
-        config = TokenizerConfig(pretokenized=True)
-        assert tokenize("a,b c", config) == ["a,b", "c"]
+        assert tokenize("a,b c", " ") == ["a,b", "c"]
 
     def test_empty_delim_rejected(self):
         with pytest.raises(ValueError):
-            TokenizerConfig(token_delim="")
+            tokenize("a b", "")
 
     def test_idempotent_on_own_output(self):
         rng = random.Random(101)
@@ -53,6 +58,21 @@ class TestTokenize:
             text = " ".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(st.text(st.sampled_from(RULE_EDGES) | st.characters(exclude_categories=("Cs",))),
+           st.sampled_from([None, "|", " ", "\u3000", "ab"]))
+    @example(RULE_EDGES, None)
+    @example("ΣΑΣ İstanbul x²+½", None)
+    def test_matches_the_reference(self, text, token_delim):
+        assert tokenize(text, token_delim) == reference_tokenize(text, token_delim)
+
+    @pytest.mark.parametrize("plane", range(17))
+    def test_matches_the_reference_at_every_code_point(self, plane):
+        """Each code point of the plane between two letters, in one string."""
+        text = "".join(f"x{chr(c)}y" for c in range(plane << 16, (plane + 1) << 16)
+                       if not 0xD800 <= c < 0xE000)
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestLoadCorpus:

@@ -6,7 +6,8 @@ must write the tree that :func:`helpers.reference_run` and
 ``graph.csv``, both matrix CSVs and partition member lines must match byte
 for byte.  Modularity, which the pair-sum oracle sums in a different order,
 must match within 1e-12 in ``summary.csv``, ``compare.csv``, the partition
-header and ``quality_k*.json``.
+header and ``quality_k*.json``.  Texts are tokenized by the Unicode rule or
+split on a ``|`` delimiter, against the reference's character loop.
 """
 
 import json
@@ -32,7 +33,9 @@ SCORES = [-1.0, -0.5, 0.0, 0.25, 1.0]
 # What each command is given: weighted runs and compare need every text input.
 COMMANDS = ["weighted", "compare", "structural", "structural-corpus", "structural-edges"]
 
-texts = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+# Words joined by a space or by the delimiter, so that each tokenizer sees both.
+texts = st.tuples(st.lists(st.sampled_from(WORDS), max_size=8), st.sampled_from(" |")).map(
+    lambda words_sep: words_sep[1].join(words_sep[0]))
 corpora = st.lists(st.tuples(st.sampled_from(IDS), texts), min_size=1, max_size=8)
 # At least one edge that is not a self-loop.
 edge_lists = st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=10).filter(
@@ -111,7 +114,7 @@ def written(entry, config, failure) -> tuple[bool, dict[str, bytes]]:
     return False, tree(config.out_dir)
 
 
-def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values):
+def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values, token_delim):
     """The shipped and the reference outcome for these inputs.
 
     Inputs whose weights are all zero fail at the metrics stage, after the
@@ -131,7 +134,8 @@ def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values):
                 lexicon=root / "lexicon.tsv" if text else None, out_dir=root / out,
                 k_values=tuple(k for k in k_values if k <= len(nodes)) or (1,),
                 mode="structural" if command.startswith("structural") else "weighted",
-                alpha=alpha, precision=precision, export_matrices=export)
+                alpha=alpha, precision=precision, export_matrices=export,
+                token_delim=token_delim if with_corpus else None)
 
         if command == "compare":
             return (written(compare, config("out"), StageError),
@@ -142,33 +146,49 @@ def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values):
 
 @PROPERTY
 @given(st.sampled_from(COMMANDS), corpora, edge_lists, lexicons,
-       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([6, 17]), st.booleans(), k_lists)
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([6, 17]), st.booleans(), k_lists,
+       st.sampled_from([None, "|"]))
 # Empty and unmatched texts, a zero lexicon score, an endpoint ("z") with no
 # text and a writer ("e") with no edge.
 @example("weighted", [("a", ""), ("b", "meh cat"), ("c", "good dog"), ("e", "bad")],
-         [("a", "b"), ("b", "c"), ("c", "z")], {"good": 1.0, "meh": 0.0}, 0.5, 6, True, [2])
+         [("a", "b"), ("b", "c"), ("c", "z")], {"good": 1.0, "meh": 0.0}, 0.5, 6, True, [2],
+         None)
 @example("compare", [("a", "!"), ("b", "cat"), ("c", "bad bad good")],
-         [("a", "c"), ("b", "c"), ("z", "b")], {"good": 0.25, "bad": -1.0}, 0.0, 6, True, [1, 3])
+         [("a", "c"), ("b", "c"), ("z", "b")], {"good": 0.25, "bad": -1.0}, 0.0, 6, True, [1, 3],
+         None)
 @example("weighted", [("a", "dog"), ("b", "fish dog"), ("d", "good")],
-         [("a", "b"), ("d", "z")], {"dog": -0.5}, 1.0, 17, True, [1])
+         [("a", "b"), ("d", "z")], {"dog": -0.5}, 1.0, 17, True, [1], None)
 # Identical texts: every term is in every document, so every similarity is 0.
 @example("weighted", [("a", "good cat"), ("b", "good cat"), ("c", "good cat")],
-         [("a", "b"), ("b", "c")], {"good": 1.0}, 0.5, 6, True, [1])
+         [("a", "b"), ("b", "c")], {"good": 1.0}, 0.5, 6, True, [1], None)
 @example("weighted", [("a", "cat dog"), ("b", "cat dog"), ("c", "cat dog")],
-         [("a", "b"), ("b", "c")], {}, 1.0, 6, True, [1])
+         [("a", "b"), ("b", "c")], {}, 1.0, 6, True, [1], None)
 # Two triangles joined by one edge: ties in strength, and k > 1 rotates.
 @example("structural-edges", [("a", "")],
          [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("d", "f")],
-         {}, 0.5, 6, False, [1, 2, 3])
+         {}, 0.5, 6, False, [1, 2, 3], None)
 # Users sharing three or more weighted terms, where the order of the dot
 # product's sum shows at 17 decimals.
 @example("compare", [("a", "good bad cat dog fish fish"), ("b", "good good bad cat dog fish"),
                      ("c", "bad cat dog dog meh"), ("d", "good cat meh"), ("e", "fish")],
          [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")],
-         {"good": 1.0, "bad": -0.5, "dog": 0.25}, 0.5, 17, True, [1, 2])
+         {"good": 1.0, "bad": -0.5, "dog": 0.25}, 0.5, 17, True, [1, 2], None)
+# Pre-segmented text: "good dog" is one token and "|" splits, so "Cat" and
+# "cat!" differ while "good" matches the lexicon.
+@example("compare", [("a", "good dog|Cat|fish"), ("b", "good|cat!||fish"), ("c", "Good dog|cat"),
+                     ("d", "good")],
+         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")], {"good": 1.0, "good dog": -0.5},
+         0.5, 17, True, [1, 2], "|")
+# Mixed scripts under the Unicode rule: combining marks, CJK, Greek final
+# sigma, "İ" (lowercased with a combining dot), digits such as "²" and "½",
+# an astral letter, and separators U+00A0, U+3000 and U+2028.
+@example("weighted", [("a", "Cafe\u0301 你好\u3000ΣΟΦΟΣ x²"), ("b", "café_你好 σοφος\u00a0½"),
+                      ("c", "İstanbul\u2028\U0001d400 x²"), ("d", "i\u0307stanbul ΣΟΦΟΣ!")],
+         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")],
+         {"cafe\u0301": 1.0, "i\u0307stanbul": -0.5, "你好": 0.25}, 0.5, 17, True, [1, 2], None)
 def test_run_exports_match_the_dict_reference(command, docs, edges, lexicon, alpha, precision,
-                                              export, k_values):
+                                              export, k_values, token_delim):
     (failed, got), (ref_failed, want) = run_both(command, docs, edges, lexicon, alpha,
-                                                 precision, export, k_values)
+                                                 precision, export, k_values, token_delim)
     assert failed == ref_failed
     assert_same_tree(got, want)

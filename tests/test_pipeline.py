@@ -171,6 +171,10 @@ class TestStageErrors:
             config_for(inputs, alpha=2.0)
         with pytest.raises(ParameterError):
             RunConfig()
+        with pytest.raises(ParameterError, match="non-empty"):
+            config_for(inputs, token_delim="")
+        with pytest.raises(ParameterError, match="needs a corpus file"):
+            config_for(inputs, corpus=None, token_delim="|")
 
 
 class TestCompare:
@@ -374,6 +378,54 @@ class TestCli:
         assert code == 1
         assert "error: stage sentiment: " in capsys.readouterr().err
 
+    def test_token_delim_splits_segmented_text(self, tmp_path):
+        # With "|" as delimiter "new york" is one term, so u1 and u2 share
+        # none; the Unicode rule splits it, and they share "new" and "york".
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"user_id": u, "text": t}) + "\n"
+            for u, t in [("u1", "new york|pizza"), ("u2", "new|york"), ("u3", "bagel")]),
+            encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("u1,u2\nu2,u3\n", encoding="utf-8")
+        cells = {}
+        for name, extra in (("rule", []), ("delim", ["--token-delim", "|"])):
+            code = cli.main(["run", "--mode", "structural", "--corpus", str(corpus),
+                             "--edges", str(edges), "--k", "1", "--out", str(tmp_path / name),
+                             *extra])
+            assert code == 0
+            rows = (tmp_path / name / "similarity_matrix.csv").read_text().splitlines()
+            cells[name] = rows[1].split(",")[2]  # s(u1, u2)
+        assert float(cells["rule"]) > 0.0
+        assert cells["delim"] == "0.000000"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_token_delim_rejected(self, inputs, capsys, command):
+        out = inputs["tmp"] / "out"
+        if command == "run":  # structural, without a corpus
+            args = ["--mode", "structural", "--edges", str(inputs["edges"]), "--out", str(out)]
+        else:
+            args = self._base_args(inputs, "out")
+        code = cli.main([command, *args, "--k", "2", "--token-delim", ""])
+        assert code == 1
+        assert "the token delimiter must be a non-empty string" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["edges", "graph"])
+    def test_token_delim_needs_a_corpus(self, inputs, capsys, source):
+        if source == "graph":
+            graph = inputs["tmp"] / "graph.csv"
+            graph.write_text("a,b,1.0\n", encoding="utf-8")
+            args = ["--graph", str(graph)]
+        else:
+            args = ["--mode", "structural", "--edges", str(inputs["edges"])]
+        out = inputs["tmp"] / "out"
+        code = cli.main(["run", *args, "--k", "1", "--token-delim", "|", "--out", str(out)])
+        assert code == 1
+        assert "a token delimiter splits corpus text: it needs a corpus file" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["weighted", "structural"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_compare_rejects_a_mode(self, inputs, capsys, mode, source):
@@ -478,15 +530,16 @@ class TestCli:
 
     def test_config_file_unknown_key(self, inputs, capsys):
         config_path = inputs["tmp"] / "config.json"
-        config_path.write_text('{"bogus": 1}', encoding="utf-8")
-        code = cli.main(["run", "--config", str(config_path)])
-        assert code == 1
-        assert "unknown keys" in capsys.readouterr().err
+        # "pretokenized" is no key: a token_delim alone marks the text as segmented.
+        for text in ('{"bogus": 1}', '{"pretokenized": true}'):
+            config_path.write_text(text, encoding="utf-8")
+            code = cli.main(["run", "--config", str(config_path)])
+            assert code == 1
+            assert "unknown keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", [
         {"no_matrices": "false"},
-        {"pretokenized": "false"},
-        {"pretokenized": 1},
+        {"token_delim": 1},
         {"k": True},
         {"k": [2, True]},
         {"k": 2.0},
