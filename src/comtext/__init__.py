@@ -28,7 +28,6 @@ from .sentiment import SentimentLexicon, bias_matrix, bias_score, load_lexicon, 
 from .similarity import (
     PackedVector,
     SymmetricMatrix,
-    inverse_document_frequency,
     similarity_matrix,
     similarity_score,
     user_vectors,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import unicodedata
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -85,17 +86,22 @@ class Document:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Per-user merged token sequences plus the corpus vocabulary.
+    """Per-user merged token sequences over a sorted vocabulary.
 
     ``users`` is sorted (the determinism anchor for every matrix built on
-    top); ``doc_frequency[t]`` counts how many users' merged documents
-    contain term ``t``, so it is always >= 1 for vocabulary terms.
+    top).  ``vocabulary`` holds each distinct term once, in sorted order,
+    and a term's position there is its rank.  ``docs_by_user[u]`` is user
+    ``u``'s merged text as an ``array('i')`` of ranks in token order, 4
+    bytes per token, so ``len()`` is its token count and
+    ``vocabulary[r]`` turns a rank back into its term.
+    ``doc_frequency[r]``, an ``array('i')`` by rank, counts how many
+    users' merged documents contain term ``r``, so it is always >= 1.
     """
 
     users: tuple[str, ...]
-    docs_by_user: dict[str, tuple[str, ...]]
+    docs_by_user: dict[str, array]
     vocabulary: tuple[str, ...]
-    doc_frequency: dict[str, int]
+    doc_frequency: array
 
     @property
     def n_documents(self) -> int:
@@ -104,21 +110,31 @@ class Corpus:
 
 
 def build_corpus(documents: Iterable[Document], token_delim: str | None = None) -> Corpus:
-    """Merge documents per user (in input order) and build the vocabulary."""
-    merged: dict[str, list[str]] = {}
-    terms: dict[str, str] = {}  # one object per distinct term, shared by every occurrence
+    """Merge documents per user (in input order) and build the vocabulary.
+
+    Terms are numbered by first appearance as the documents stream in, so
+    each user's tokens are held as one growing ``array('i')``; once the
+    vocabulary is sorted, each array is remapped in place to ranks.
+    """
+    merged: dict[str, array] = {}
+    numbers: dict[str, int] = {}  # term -> order of first appearance; keeps one object per term
     for index, doc in enumerate(documents, start=1):
         user = node_id(doc.user_id, f"document {index}")
-        merged.setdefault(user, []).extend(
-            terms.setdefault(t, t) for t in tokenize(doc.text, token_delim))
+        merged.setdefault(user, array("i")).extend(
+            numbers.setdefault(t, len(numbers)) for t in tokenize(doc.text, token_delim))
+    vocabulary = tuple(sorted(numbers))
+    rank = array("i", bytes(4 * len(vocabulary)))  # first-appearance number -> rank
+    for r, term in enumerate(vocabulary):
+        rank[numbers[term]] = r
+    del numbers
+    freq = array("i", bytes(4 * len(vocabulary)))
+    for tokens in merged.values():
+        for i, number in enumerate(tokens):
+            tokens[i] = rank[number]
+        for r in set(tokens):
+            freq[r] += 1
     users = tuple(sorted(merged))
-    docs = {u: tuple(merged.pop(u)) for u in users}  # each list freed once it is a tuple
-    freq: dict[str, int] = {}
-    for u in users:
-        for term in set(docs[u]):
-            freq[term] = freq.get(term, 0) + 1
-    vocabulary = tuple(sorted(freq))
-    return Corpus(users, docs, vocabulary, {t: freq[t] for t in vocabulary})
+    return Corpus(users, {u: merged[u] for u in users}, vocabulary, freq)
 
 
 def load_corpus(path, token_delim: str | None = None) -> Corpus:
@@ -165,7 +181,7 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     if not missing:
         return corpus
     users = tuple(sorted(missing.union(corpus.users)))
-    docs = {u: corpus.docs_by_user.get(u, ()) for u in users}
+    docs = {u: array("i") if u in missing else corpus.docs_by_user[u] for u in users}
     return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 

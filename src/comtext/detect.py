@@ -28,6 +28,7 @@ comparisons, so rescaling all weights leaves the partition unchanged.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -207,27 +208,42 @@ def save_partition(p: Partition, path, modularity: float | None = None) -> None:
 
 
 def load_partition(path, text: str | None = None) -> tuple[Partition, float | None]:
-    """Read a partition file, or ``text`` named ``path`` in errors."""
+    """Read a partition file, or ``text`` named ``path`` in errors.
+
+    A modularity header must be finite and within [-1/2, 1], the range of
+    weighted modularity, and each community index may head one line only.
+    """
     header: dict[str, float] = {}
     assignment: dict[str, int] = {}
+    indices: set[int] = set()
     for where, line in read_lines(path, text):
         key, _, value = line.partition("=")
         if key in ("k_requested", "m", "modularity"):
             if key in header:
                 raise ParseError(f"{where}: repeated {key} header line")
             try:
-                header[key] = float(value) if key == "modularity" else int(value)
+                number = float(value) if key == "modularity" else int(value)
             except ValueError:
                 raise ParseError(f"{where}: {key} is not a number") from None
+            if key == "modularity":
+                if not math.isfinite(number):
+                    raise ParseError(f"{where}: modularity is not finite")
+                if not -0.5 <= number <= 1.0:
+                    raise ParseError(f"{where}: modularity {number!r} is outside [-0.5, 1]")
+            header[key] = number
             continue
         index, _, members = line.partition(":")
         if not index.isdecimal():
             raise ParseError(f"{where}: expected 'index:member,member,...'")
+        community = int(index)
+        if community in indices:
+            raise ParseError(f"{where}: community index {community} is repeated")
+        indices.add(community)
         for member in members.split(","):
             node = node_id(member, where)
             if node in assignment:
                 raise ParseError(f"{where}: node {node!r} is listed in two communities")
-            assignment[node] = int(index)
+            assignment[node] = community
     if "k_requested" not in header or "m" not in header:
         raise ParseError(f"{path}: missing the k_requested or m header line")
     try:

@@ -3,8 +3,13 @@
 ``run`` drives one mode (weighted or structural) and writes every artifact
 into the output directory; ``compare`` builds the front half (or reloads the
 graph) once and hands it to both modes, then tabulates modularity side by
-side.  Only the structural edges are scored, and every pair of users only
-for the matrix export.  Identical inputs give byte-identical output trees.
+side.  The front half reads the edges and the corpus, scores each user's
+polar vector and drops the lexicon, then packs each user's tf-idf vector
+and frees that user's tokens.  Only the structural edges are scored, and
+every pair of users only for the matrix export: each matrix is built just
+before it is written and dropped after, and ``compare``'s structural side
+copies the weighted side's matrix files.  Identical inputs give
+byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
@@ -18,9 +23,11 @@ it: edges, corpus, sentiment, graph, detect or metrics.
 
 from __future__ import annotations
 
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .corpus import EdgeList, ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
@@ -95,12 +102,13 @@ class CompareResult:
 
 @dataclass(frozen=True)
 class _Features:
-    """Front half shared by every mode: text edges, nodes, weighted graph, exports."""
+    """Front half shared by every mode: text edges, nodes, weighted graph,
+    and a builder for each export matrix."""
 
     edges: EdgeList | None = None
     nodes: list[str] = field(default_factory=list)
     graph: WeightedGraph | None = None
-    matrices: list[tuple[str, SymmetricMatrix]] = field(default_factory=list)
+    matrices: list[tuple[str, Callable[[], SymmetricMatrix]]] = field(default_factory=list)
 
 
 @contextmanager
@@ -133,26 +141,29 @@ def _features(config: RunConfig) -> _Features:
     nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
     # Pairs of users are scored from their text, for the weighted graph or the export.
     scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
-    s = sv = None
     if scored:
         corp = ensure_users(corp, nodes)
-        s = similarity_score(corp)
+    s = sv = None
     if config.lexicon is not None:
         with _stage("sentiment", ValueError, OSError):
             lexicon = load_lexicon(config.lexicon)
         sv = bias_score(corp, lexicon) if scored else None
+        del lexicon  # the polar vectors keep what they need
     elif config.mode == "weighted":
         raise StageError("sentiment", "weighted mode requires a lexicon file (--lexicon)")
-    del corp  # the scores keep what they need: free the tokens before the pairwise work
+    if scored:
+        # Each user's ranks are freed once packed: tokens and vectors never all coexist.
+        s = similarity_score(corp, consume=True)
+    del corp
     graph = None
     if config.mode == "weighted":
         graph = build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
                                      precision=config.precision)
     matrices = []
     if config.export_matrices and scored:
-        matrices.append(("similarity", similarity_matrix(nodes, s)))
+        matrices.append(("similarity", lambda: similarity_matrix(nodes, s)))
         if sv is not None:
-            matrices.append(("bias", bias_matrix(nodes, sv)))
+            matrices.append(("bias", lambda: bias_matrix(nodes, sv)))
     return _Features(edge_list, nodes, graph, matrices)
 
 
@@ -167,14 +178,24 @@ def _graph(config: RunConfig, features: _Features) -> WeightedGraph:
     return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()), graph.nodes)
 
 
-def _run_mode(config: RunConfig, features: _Features) -> RunResult:
-    """Back half of a run: graph, exports, detection and scores for each k."""
+def _run_mode(config: RunConfig, features: _Features,
+              matrices_from: Path | None = None) -> RunResult:
+    """Back half of a run: graph, exports, detection and scores for each k.
+
+    Each export matrix is built just before it is written and dropped right
+    after, so at most one triangle is alive; with ``matrices_from``, the
+    matrix files written there are copied instead.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = _graph(config, features)
 
-    for name, matrix in features.matrices:
-        matrix.write_csv(out / f"{name}_matrix.csv", config.precision)
+    for name, build in features.matrices:
+        path = out / f"{name}_matrix.csv"
+        if matrices_from is None:
+            build().write_csv(path, config.precision)
+        else:
+            shutil.copyfile(matrices_from / path.name, path)
     graph.write_csv(out / "graph.csv", config.precision)
 
     partitions: dict[int, Partition] = {}
@@ -211,8 +232,8 @@ def compare(config: RunConfig) -> CompareResult:
     weighted_config = replace(config, mode="weighted", out_dir=out / "weighted")
     features = _features(weighted_config)
     weighted = _run_mode(weighted_config, features)
-    structural = _run_mode(
-        replace(config, mode="structural", out_dir=out / "structural"), features)
+    structural = _run_mode(replace(config, mode="structural", out_dir=out / "structural"),
+                           features, matrices_from=weighted_config.out_dir)
     rows = [
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)

@@ -62,13 +62,15 @@ def load_lexicon(path) -> SentimentLexicon:
 NEUTRAL = (0.0, NEUTRAL_ANGLE)
 
 
-def score_text(tokens: Sequence[str], lexicon: SentimentLexicon) -> tuple[float, float]:
-    """Polar vector ``(rho, theta)``; polarity = mean lexicon score over
-    matched token occurrences.
+def score_text(ranks: Sequence[int], scores: Sequence[float | None]) -> tuple[float, float]:
+    """Polar vector ``(rho, theta)`` of a user's rank array; polarity = mean
+    lexicon score over matched token occurrences.
 
-    No matches (or exact cancellation) yields the neutral vector.
+    ``scores[r]`` is the lexicon score of the term of rank ``r``, or None
+    when the lexicon does not score it.  No matches (or exact cancellation)
+    yields the neutral vector.
     """
-    matched = [lexicon.scores[t] for t in tokens if t in lexicon.scores]
+    matched = [x for x in map(scores.__getitem__, ranks) if x is not None]
     if not matched:
         return NEUTRAL
     polarity = min(1.0, max(-1.0, sum(matched) / len(matched)))
@@ -99,8 +101,10 @@ def _bias(e_i: tuple[float, float], e_j: tuple[float, float]) -> float:
 
 
 def bias_score(corpus: Corpus, lexicon: SentimentLexicon) -> Callable[[str, str], float]:
-    """``sv(u, v)``: the bias value of two users' polar vectors, each scored once."""
-    polar = {u: score_text(corpus.docs_by_user[u], lexicon) for u in corpus.users}
+    """``sv(u, v)``: the bias value of two users' polar vectors, each scored
+    once, through a table of the lexicon's score for each vocabulary rank."""
+    scores = [lexicon.scores.get(t) for t in corpus.vocabulary]
+    polar = {u: score_text(corpus.docs_by_user[u], scores) for u in corpus.users}
     return lambda u, v: _bias(polar[u], polar[v])
 
 

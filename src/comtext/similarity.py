@@ -1,19 +1,20 @@
 """Content similarity: tf-idf term vectors, their pairwise cosine, and the
-:class:`SymmetricMatrix` that holds it (and the sentiment bias values).
+:class:`SymmetricMatrix` that scores every pair of users for export (the
+sentiment bias values use it too).
 
-Each user's tf-idf vector is packed once, straight from the token counts,
-into :class:`PackedVector` arrays over vocabulary ranks, zeros omitted.
-The log in the inverse document frequency is natural; any fixed base
-rescales every idf uniformly and cancels in the cosine, so the choice is
-unobservable in the similarity values.  Terms present in every document
-get idf 0 and drop out of the vectors: they carry no discriminative signal.
+Each user's tf-idf vector is packed once, straight from the counts of the
+user's rank array, into :class:`PackedVector` arrays over vocabulary
+ranks, zeros omitted.  The log in the inverse document frequency is
+natural; any fixed base rescales every idf uniformly and cancels in the
+cosine, so the choice is unobservable in the similarity values.  Terms
+present in every document get idf 0 and drop out of the vectors: they
+carry no discriminative signal.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, starmap
 from typing import Callable, Sequence
@@ -73,12 +74,6 @@ class SymmetricMatrix:
                 fh.write(u + "," + ",".join(f"{x:.{precision}f}" for x in row) + "\n")
 
 
-def inverse_document_frequency(corpus: Corpus) -> dict[str, float]:
-    """ln(corpus size / document frequency) for every vocabulary term."""
-    n_docs = corpus.n_documents
-    return {t: math.log(n_docs / corpus.doc_frequency[t]) for t in corpus.vocabulary}
-
-
 class PackedVector:
     """A tf-idf vector packed for scoring, 12 bytes per term.
 
@@ -98,37 +93,43 @@ class PackedVector:
         return len(self.terms)
 
 
-def user_vectors(corpus: Corpus) -> dict[str, PackedVector]:
+def user_vectors(corpus: Corpus, *, consume: bool = False) -> dict[str, PackedVector]:
     """One packed tf-idf vector per user, keyed in user order.
 
-    A term's weight is its share of the user's tokens times its idf, and
-    terms whose weight is 0 are left out.
+    A term's weight is its share of the user's tokens times its idf,
+    ln(corpus size / document frequency), and terms whose weight is 0 are
+    left out.  The corpus is left as it is unless ``consume`` is true: then
+    each user's rank array is removed from ``corpus.docs_by_user`` as soon
+    as its vector is packed, so the tokens and the vectors never all exist
+    at once, and the corpus is left with no documents.
     """
-    idf = inverse_document_frequency(corpus)
+    n_docs, freq, docs = corpus.n_documents, corpus.doc_frequency, corpus.docs_by_user
     vectors = {}
     for u in corpus.users:
-        tokens = corpus.docs_by_user[u]
-        counts = Counter(tokens)
+        ranks = docs.pop(u) if consume else docs[u]
+        counts = Counter(ranks)
         terms, weights = [], []
-        for t in sorted(counts):
-            weight = counts[t] / len(tokens) * idf[t]
+        for r in sorted(counts):
+            weight = counts[r] / len(ranks) * math.log(n_docs / freq[r])
             if weight > 0.0:
-                terms.append(bisect_left(corpus.vocabulary, t))
+                terms.append(r)
                 weights.append(weight)
         vectors[u] = PackedVector(terms, weights)
     return vectors
 
 
-def similarity_score(corpus: Corpus) -> Callable[[str, str], float]:
+def similarity_score(corpus: Corpus, *, consume: bool = False) -> Callable[[str, str], float]:
     """``s(u, v)``: the cosine of two users' tf-idf vectors in [0, 1], with
     each user's vector packed once; 0 when either vector is empty.
+    ``consume`` is passed to :func:`user_vectors`: when true, the corpus's
+    documents are removed as they are packed.
 
     The left user's vector is expanded into one rank -> weight dict, rebuilt
     only when the left user changes (once per left user, in edge or row
     order).  The dot product sums the products of the common terms in
     ascending rank order.
     """
-    vectors = user_vectors(corpus)
+    vectors = user_vectors(corpus, consume=consume)
     left, row = None, {}
 
     def s(u: str, v: str) -> float:

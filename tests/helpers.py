@@ -2,7 +2,8 @@
 
 The reference forms of the tokenizer and the text scores live here: the
 character loop (``reference_tokenize``), dict tf-idf
-(``term_frequency``, ``tfidf_vector``), dict cosine
+(``inverse_document_frequency``, ``term_frequency``, ``tfidf_vector``),
+dict cosine
 (``cosine_similarity``) and the validating dataclass sentiment path
 (``SentimentVector``, ``compose``, ``CompositeSentiment``,
 ``bias_value``).  The package ships one form of each, checked
@@ -43,6 +44,17 @@ from comtext.sentiment import NEUTRAL_ANGLE
 
 # Sparse tf-idf vector: term -> positive weight.
 TermVector = dict[str, float]
+
+
+def user_terms(corpus: Corpus, user: str) -> tuple[str, ...]:
+    """``user``'s tokens as terms: the corpus's ranks mapped through its vocabulary."""
+    return tuple(corpus.vocabulary[r] for r in corpus.docs_by_user[user])
+
+
+def inverse_document_frequency(corpus: Corpus) -> dict[str, float]:
+    """ln(corpus size / document frequency) for every vocabulary term."""
+    n_docs = corpus.n_documents
+    return {t: math.log(n_docs / df) for t, df in zip(corpus.vocabulary, corpus.doc_frequency)}
 
 
 def term_frequency(tokens: Sequence[str]) -> dict[str, float]:
@@ -233,12 +245,13 @@ def dense_similarity_oracle(corpus: Corpus) -> np.ndarray:
     """Cosine matrix from dense full-vocabulary tf-idf arrays."""
     vocab = list(corpus.vocabulary)
     index = {t: i for i, t in enumerate(vocab)}
+    doc_frequency = dict(zip(vocab, corpus.doc_frequency))
     idf = np.array(
-        [np.log(corpus.n_documents / corpus.doc_frequency[t]) for t in vocab]
+        [np.log(corpus.n_documents / doc_frequency[t]) for t in vocab]
     )
     vectors = []
     for u in corpus.users:
-        tokens = corpus.docs_by_user[u]
+        tokens = user_terms(corpus, u)
         counts = np.zeros(len(vocab))
         for t in tokens:
             counts[index[t]] += 1.0

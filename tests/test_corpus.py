@@ -16,7 +16,7 @@ from comtext.corpus import (
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
-from helpers import reference_tokenize
+from helpers import reference_tokenize, user_terms
 
 # Characters at the edges of the rule: combining marks, CJK, digits and
 # other numbers, astral letters, "İ" (whose lowercase gains a combining
@@ -87,7 +87,7 @@ class TestLoadCorpus:
             ['{"user_id": "u1", "text": "a b"}', '{"user_id": "u1", "text": "b c"}'],
         )
         corpus = load_corpus(path)
-        assert corpus.docs_by_user["u1"] == ("a", "b", "b", "c")
+        assert user_terms(corpus, "u1") == ("a", "b", "b", "c")
 
     def test_users_sorted(self, tmp_path):
         path = self._write(
@@ -130,7 +130,8 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert corpus.users == ("u1", "u2")
-        assert corpus.docs_by_user == {"u1": ("c", "d", "a", "b"), "u2": ("x", "y")}
+        assert {u: user_terms(corpus, u) for u in corpus.docs_by_user} == {
+            "u1": ("c", "d", "a", "b"), "u2": ("x", "y")}
 
     def test_bad_line_after_good_ones_names_its_line(self, tmp_path):
         path = self._write(
@@ -141,22 +142,34 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match=r"corpus\.jsonl: line 4: invalid JSON"):
             load_corpus(path)
 
-    def test_load_peak_bytes_per_token(self, tmp_path):
-        """Lines are tokenized as they are read and each user's token list is
-        freed once it is a tuple; reading every document first and keeping
-        the lists beside the tuples peaks at about 30 B/token."""
+    def _load_traced(self, tmp_path):
+        """A 400-user, 120,000-token corpus loaded under tracemalloc: the
+        corpus, its token count, and the bytes at the peak and at the end."""
         path = generate(default_spec(10, 40, rng_seed=3, tokens_per_user=300),
                         tmp_path).corpus_path
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             corpus = load_corpus(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         tokens = sum(map(len, corpus.docs_by_user.values()))
         assert tokens == 400 * 300
+        return corpus, tokens, peak, retained
+
+    def test_load_peak_bytes_per_token(self, tmp_path):
+        """Lines are tokenized as they are read, straight into each user's
+        rank array; reading every document first and keeping the lists
+        beside the token tuples peaked at about 30 B/token."""
+        _, tokens, peak, _ = self._load_traced(tmp_path)
         assert peak / tokens < 16
+
+    def test_load_retained_bytes_per_token(self, tmp_path):
+        """A token is one 4-byte rank; as one 8-byte reference to its term
+        in a tuple, the corpus kept about 8.7 B/token."""
+        _, tokens, _, retained = self._load_traced(tmp_path)
+        assert retained / tokens < 6
 
     def test_empty_user_id(self, tmp_path):
         path = self._write(tmp_path, ['{"user_id": "", "text": "a"}'])
@@ -178,12 +191,12 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert corpus.vocabulary == ("a", "b", "c")
-        assert corpus.doc_frequency == {"a": 1, "b": 2, "c": 1}
-        assert all(df >= 1 for df in corpus.doc_frequency.values())
+        assert dict(zip(corpus.vocabulary, corpus.doc_frequency)) == {"a": 1, "b": 2, "c": 1}
+        assert all(df >= 1 for df in corpus.doc_frequency)
 
     def test_one_object_per_term(self):
         corpus = build_corpus([Document("u1", "shared words"), Document("u2", "more shared")])
-        first, second = corpus.docs_by_user["u1"][0], corpus.docs_by_user["u2"][1]
+        first, second = user_terms(corpus, "u1")[0], user_terms(corpus, "u2")[1]
         assert first == second == "shared"
         assert first is second
 
@@ -198,7 +211,7 @@ class TestLoadCorpus:
         corpus = build_corpus([Document("u2", "a b")])
         extended = ensure_users(corpus, ["u1", "u2", "u3"])
         assert extended.users == ("u1", "u2", "u3")
-        assert extended.docs_by_user["u1"] == ()
+        assert user_terms(extended, "u1") == ()
         assert list(extended.docs_by_user) == list(extended.users)
         assert extended.docs_by_user["u2"] is corpus.docs_by_user["u2"]
         # empty documents change no term statistic, so both are shared

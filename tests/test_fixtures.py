@@ -16,6 +16,7 @@ from comtext.fixtures import (
 )
 from comtext.graph import structural_graph
 from comtext.sentiment import load_lexicon
+from helpers import user_terms
 
 
 class TestKarate:
@@ -111,5 +112,5 @@ class TestGenerate:
         for u in corpus.users:
             group = fx.truth.assignment[u]
             vocab = set(spec.vocab_per_group[group])
-            assert set(corpus.docs_by_user[u]) <= vocab
+            assert set(user_terms(corpus, u)) <= vocab
             assert len(corpus.docs_by_user[u]) == spec.tokens_per_user

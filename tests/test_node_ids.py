@@ -161,6 +161,16 @@ class TestPartitionReader:
         ("k_requested=1\n\nm=1\nmodularity=high\n0:a\n",
          "<partition>: line 4: modularity is not a number"),
         ("k_requested=1\n0:a\n", "<partition>: missing the k_requested or m header"),
+        ("k_requested=1\nm=1\nmodularity=nan\n0:a\n",
+         "<partition>: line 3: modularity is not finite"),
+        ("k_requested=1\nm=1\nmodularity=-inf\n0:a\n",
+         "<partition>: line 3: modularity is not finite"),
+        ("k_requested=1\nm=1\nmodularity=7\n0:a\n",
+         r"<partition>: line 3: modularity 7.0 is outside \[-0.5, 1\]"),
+        ("k_requested=1\nm=1\nmodularity=-0.5000001\n0:a\n",
+         r"<partition>: line 3: modularity -0.5000001 is outside \[-0.5, 1\]"),
+        ("k_requested=1\nm=1\n0:a\n0:b\n", "<partition>: line 4: community index 0 is repeated"),
+        ("k_requested=1\nm=1\n0:a\n00:b\n", "<partition>: line 4: community index 0 is repeated"),
     ])
     def test_errors_name_the_line(self, text, message):
         with pytest.raises(ParseError, match=message):
@@ -168,7 +178,7 @@ class TestPartitionReader:
 
     def test_load_names_the_file(self, tmp_path):
         path = tmp_path / "partition.txt"
-        path.write_text("k_requested=1\nm=1\n0:a\n0:b\n1:a\n", encoding="utf-8")
+        path.write_text("k_requested=2\nm=2\n0:a\n\n1:b,a\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"{path}: line 5: node 'a' is listed"):
             load_partition(path)
 

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,9 +9,10 @@ import pytest
 from comtext import cli, pipeline
 from comtext.corpus import load_edges
 from comtext.errors import ParameterError
-from comtext.fixtures import RECOVERY_SPEC, generate, write_karate
+from comtext.fixtures import RECOVERY_SPEC, default_spec, generate, write_karate
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
+from comtext.similarity import SymmetricMatrix
 
 
 @pytest.fixture
@@ -258,8 +261,8 @@ class TestCallCounts:
         counts: Counter = Counter()
 
         def counting(name, make_score):
-            def make(*args):
-                score = make_score(*args)
+            def make(*args, **kwargs):
+                score = make_score(*args, **kwargs)
 
                 def counted(u, v):
                     counts[name] += 1
@@ -297,6 +300,45 @@ class TestCallCounts:
         compare(config_for(inputs, "cmp", graph_path=first.out_dir / "graph.csv",
                            edges=None, corpus=None, lexicon=None))
         assert calls == {"read_csv": 1, "graph": 2}
+
+    def test_compare_formats_each_matrix_once(self, inputs, monkeypatch):
+        """The structural side copies the weighted side's matrix files."""
+        written = []
+        write_csv = SymmetricMatrix.write_csv
+
+        def counted(matrix, path, *args, **kwargs):
+            written.append(Path(path).relative_to(inputs["tmp"] / "cmp").as_posix())
+            return write_csv(matrix, path, *args, **kwargs)
+
+        monkeypatch.setattr(SymmetricMatrix, "write_csv", counted)
+        compare(config_for(inputs, "cmp"))
+        assert written == ["weighted/similarity_matrix.csv", "weighted/bias_matrix.csv"]
+        for name in ("similarity_matrix.csv", "bias_matrix.csv"):
+            structural = (inputs["tmp"] / "cmp" / "structural" / name).read_bytes()
+            assert structural == (inputs["tmp"] / "cmp" / "weighted" / name).read_bytes()
+
+
+class TestFrontHalfMemory:
+    def test_peak_bytes_per_token(self, tmp_path):
+        """The front half scores the polar vectors first, then packs each
+        user's tf-idf vector and frees that user's 4-byte ranks as it goes.
+        Holding every token as an 8-byte term reference, beside an idf dict
+        and all the vectors, peaked at about 34 B/token here (matrices off)."""
+        groups = 6
+        spec = replace(default_spec(groups, 20, rng_seed=5, tokens_per_user=300),
+                       vocab_per_group=tuple(tuple(f"g{g}w{t}" for t in range(400))
+                                             for g in range(groups)))
+        fx = generate(spec, tmp_path)
+        config = RunConfig(edges=fx.edges_path, corpus=fx.corpus_path, lexicon=fx.lexicon_path,
+                           out_dir=tmp_path / "out", export_matrices=False)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pipeline._features(config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / (groups * 20 * 300) < 26
 
 
 class TestCli:

@@ -17,6 +17,14 @@ from comtext.sentiment import (
 from helpers import NEUTRAL, CompositeSentiment, SentimentVector, bias_value, compose
 
 
+def polar(tokens, lexicon):
+    """``score_text`` on ``tokens`` given as terms: their ranks in the sorted
+    set of terms, and the lexicon's score table over that set."""
+    vocabulary = sorted(set(tokens))
+    return score_text([vocabulary.index(t) for t in tokens],
+                      [lexicon.scores.get(t) for t in vocabulary])
+
+
 def corpus_bias(corpus, lexicon):
     """Sentiment bias of all pairs of users of ``corpus``."""
     return bias_matrix(corpus.users, bias_score(corpus, lexicon))
@@ -83,27 +91,27 @@ class TestLexicon:
 class TestScoreText:
     def test_no_matches_is_neutral(self):
         lexicon = SentimentLexicon({"good": 1.0})
-        assert score_text(["meh", "whatever"], lexicon) == (0.0, NEUTRAL_ANGLE)
+        assert polar(["meh", "whatever"], lexicon) == (0.0, NEUTRAL_ANGLE)
 
     def test_fully_positive(self):
         lexicon = SentimentLexicon({"good": 1.0})
-        rho, theta = score_text(["good", "good"], lexicon)
+        rho, theta = polar(["good", "good"], lexicon)
         assert rho == 1.0
         assert theta == 0.0
 
     def test_cancellation_is_neutral(self):
         lexicon = SentimentLexicon({"good": 1.0, "bad": -1.0})
-        assert score_text(["good", "bad"], lexicon) == (0.0, NEUTRAL_ANGLE)
+        assert polar(["good", "bad"], lexicon) == (0.0, NEUTRAL_ANGLE)
 
     def test_mean_over_matched_occurrences(self):
         lexicon = SentimentLexicon({"good": 1.0, "meh": 0.5})
-        rho, theta = score_text(["good", "meh", "noise"], lexicon)
+        rho, theta = polar(["good", "meh", "noise"], lexicon)
         assert rho == pytest.approx(0.75, abs=1e-12)
         assert theta == pytest.approx((1 - 0.75) * math.pi / 2, abs=1e-12)
 
     def test_fully_negative(self):
         lexicon = SentimentLexicon({"bad": -1.0})
-        rho, theta = score_text(["bad"], lexicon)
+        rho, theta = polar(["bad"], lexicon)
         assert rho == 1.0
         assert theta == pytest.approx(math.pi, abs=1e-12)
 
@@ -200,7 +208,7 @@ class TestShippedComposition:
                                     for i in range(8)})
         for _ in range(500):
             tokens = [f"w{rng.randint(0, 11)}" for _ in range(rng.randint(0, 6))]
-            SentimentVector(*score_text(tokens, lexicon))
+            SentimentVector(*polar(tokens, lexicon))
 
 
 class TestBiasMatrix:

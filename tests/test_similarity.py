@@ -8,7 +8,6 @@ import pytest
 from comtext.corpus import Document, build_corpus, ensure_users
 from comtext.similarity import (
     SymmetricMatrix,
-    inverse_document_frequency,
     similarity_matrix,
     similarity_score,
     user_vectors,
@@ -16,9 +15,11 @@ from comtext.similarity import (
 from helpers import (
     cosine_similarity,
     dense_similarity_oracle,
+    inverse_document_frequency,
     random_corpus,
     term_frequency,
     tfidf_vector,
+    user_terms,
 )
 
 
@@ -194,7 +195,7 @@ class TestPackedVectors:
         positive = 0
         for corpus in oracle_corpora():
             idf = inverse_document_frequency(corpus)
-            dicts = {u: tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users}
+            dicts = {u: tfidf_vector(user_terms(corpus, u), idf) for u in corpus.users}
             packed = user_vectors(corpus)
             assert list(packed) == list(corpus.users)
             for u in corpus.users:
@@ -210,13 +211,28 @@ class TestPackedVectors:
                 positive += expected > 0.0
         assert positive > 1000
 
+    def test_only_consume_empties_the_corpus(self):
+        """A corpus the caller still holds keeps its documents; with
+        ``consume`` each user's ranks are removed as the vector is packed,
+        and the vectors are the same."""
+        corpus = next(c for c in oracle_corpora() if len(c.users) >= 30)
+        docs = {u: list(ranks) for u, ranks in corpus.docs_by_user.items()}
+        vectors = user_vectors(corpus)
+        similarity_score(corpus)
+        assert {u: list(ranks) for u, ranks in corpus.docs_by_user.items()} == docs
+        consumed = user_vectors(corpus, consume=True)
+        assert corpus.docs_by_user == {}
+        for u in corpus.users:
+            a, b = vectors[u], consumed[u]
+            assert (a.terms, a.weights, a.norm) == (b.terms, b.weights, b.norm)
+
     def test_scorer_correct_in_any_call_order(self):
         # The scorer caches the left operand's expansion by identity, so
         # alternating and repeated operands must not reuse a stale row.
         rng = random.Random(137)
         corpus = next(c for c in oracle_corpora() if len(c.users) >= 30)
         idf = inverse_document_frequency(corpus)
-        dicts = {u: tfidf_vector(corpus.docs_by_user[u], idf) for u in corpus.users}
+        dicts = {u: tfidf_vector(user_terms(corpus, u), idf) for u in corpus.users}
         s = similarity_score(corpus)
         pairs = [(u, v) for u in corpus.users for v in corpus.users]
         rng.shuffle(pairs)
