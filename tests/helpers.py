@@ -3,11 +3,10 @@
 The reference forms of the tokenizer and the text scores live here: the
 character loop (``reference_tokenize``), dict tf-idf
 (``inverse_document_frequency``, ``term_frequency``, ``tfidf_vector``),
-dict cosine
-(``cosine_similarity``) and the validating dataclass sentiment path
-(``SentimentVector``, ``compose``, ``CompositeSentiment``,
-``bias_value``).  The package ships one form of each, checked
-against these with ``==``.
+dict cosine (``cosine_similarity``) and the validating dataclass
+sentiment path (``SentimentVector``, ``compose``, ``CompositeSentiment``,
+``bias_value``).  The package ships one form of each, checked against
+these with ``==``.
 
 The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity

@@ -143,8 +143,8 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def _load_traced(self, tmp_path):
-        """A 400-user, 120,000-token corpus loaded under tracemalloc: the
-        corpus, its token count, and the bytes at the peak and at the end."""
+        """Load a 400-user, 120,000-token corpus under tracemalloc; return its
+        token count and the bytes at the peak and at the end."""
         path = generate(default_spec(10, 40, rng_seed=3, tokens_per_user=300),
                         tmp_path).corpus_path
         tracemalloc.start()
@@ -156,19 +156,19 @@ class TestLoadCorpus:
             tracemalloc.stop()
         tokens = sum(map(len, corpus.docs_by_user.values()))
         assert tokens == 400 * 300
-        return corpus, tokens, peak, retained
+        return tokens, peak, retained
 
     def test_load_peak_bytes_per_token(self, tmp_path):
         """Lines are tokenized as they are read, straight into each user's
         rank array; reading every document first and keeping the lists
         beside the token tuples peaked at about 30 B/token."""
-        _, tokens, peak, _ = self._load_traced(tmp_path)
+        tokens, peak, _ = self._load_traced(tmp_path)
         assert peak / tokens < 16
 
     def test_load_retained_bytes_per_token(self, tmp_path):
         """A token is one 4-byte rank; as one 8-byte reference to its term
         in a tuple, the corpus kept about 8.7 B/token."""
-        _, tokens, _, retained = self._load_traced(tmp_path)
+        tokens, _, retained = self._load_traced(tmp_path)
         assert retained / tokens < 6
 
     def test_empty_user_id(self, tmp_path):
