@@ -27,6 +27,7 @@ _TEXT_CASES = (
 _RELOAD_CASES = (
     ("reload", ["run", "--graph", "{graph}", "--precision", "2"]),
     ("compare-reload", ["compare", "--graph", "{graph}"]),
+    ("structural-reload", ["run", "--graph", "{graph}", "--mode", "structural", "--k", "2,3"]),
 )
 
 GOLDEN = {
@@ -42,6 +43,8 @@ GOLDEN = {
         "7900cd6758ee5bcd47f25e4710abb06de7d8560f1a08b6a360d20daec89118dd",
     "recovery/compare-reload":
         "1477a6ba5ae7eb1bb2bcbb51368032bfad3483e4da7e3e6af3a1b1f73d2cda95",
+    "recovery/structural-reload":
+        "269b39c5d69ce907628f6380a7c8e3048f15ab310ccb6bb71bec12878dfb6354",
     "trend/run":
         "0d154fa3d794e691541a08845ca811bd45b1524c5605740e0aaf49b01f0438c0",
     "trend/compare":
@@ -54,6 +57,8 @@ GOLDEN = {
         "5fb32854f5ae70d5921ed81e961e9c17defef6a2620e5b372aae69188f3eab6e",
     "trend/compare-reload":
         "1c1b064b74f77534e8fa9e243d327dea4573a57e2cd9f08c4ca72b2839ed80cd",
+    "trend/structural-reload":
+        "698163325d84fcd2dfa024107d98f01da0bad75fbd8723e7a308dc194a7cf3e2",
     "karate/structural":
         "d75771a7408c51d402f3a177ad0c97ae1e81bafb81ec83dfbecec74f8799f786",
 }
