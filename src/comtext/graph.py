@@ -165,19 +165,23 @@ class WeightedGraph:
             if len(fields) != 3:
                 raise ParseError(f"{where}: expected 'u,v,weight'")
             u = node_id(fields[0], where)
-            u = names.setdefault(u, len(names))
+            i = names.setdefault(u, len(names))
             if not fields[1].strip() and not fields[2].strip():
                 continue
             v = node_id(fields[1], where)
-            v = names.setdefault(v, len(names))
+            if v == u:
+                raise ParseError(f"{where}: self-loop at {u!r}")
+            j = names.setdefault(v, len(names))
             try:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"{where}: weight is not a number") from None
             if not math.isfinite(w):
                 raise ParseError(f"{where}: weight is not finite")
-            heads.append(u)
-            tails.append(v)
+            if w < 0.0:
+                raise ParseError(f"{where}: weight is negative")
+            heads.append(i)
+            tails.append(j)
             weights.append(w)
         ids = list(names)
         edges = ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights))

@@ -1,15 +1,21 @@
-"""End-to-end runs: ingest, per-user features, weighted graph, detection.
+"""End-to-end runs in two halves: a fused graph, then communities on it.
 
-``run`` drives one mode (weighted or structural) and writes every artifact
-into the output directory; ``compare`` builds the front half (or reloads the
-graph) once and hands it to both modes, then tabulates modularity side by
-side.  The front half reads the edges and the corpus, scores each user's
-polar vector and drops the lexicon, then packs each user's tf-idf vector
-and frees that user's tokens.  Only the structural edges are scored, and
-every pair of users only for the matrix export: each matrix is built just
-before it is written and dropped after, and ``compare``'s structural side
-copies the weighted side's matrix files.  Identical inputs give
-byte-identical output trees.
+The front half reads and checks the inputs and returns the mode's graph.
+It reads the edges and the corpus, scores each user's polar vector and
+drops the lexicon, then packs each user's tf-idf vector and frees that
+user's tokens.  With the vectors in hand it writes each export matrix, one
+triangle at a time, and fuses similarity and sentiment bias into the
+weights of the structural edges only; structural mode gives each edge
+weight 1 instead.  The vectors and the edge list are freed when it returns,
+before any detection.  A graph reload replaces all of this with one read
+of the graph CSV.  The back half writes the graph, then detects and scores
+communities for each k.
+
+``run`` chains the two halves for one mode.  ``compare`` runs the front
+half once under the weighted mode's input checks, gives the back half the
+weighted graph and then unit weights on its edges, copies the matrix files
+into the structural side and tabulates modularity side by side.  Identical
+inputs give byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
@@ -27,15 +33,14 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
-from .corpus import EdgeList, ensure_users, load_corpus, load_edges
+from .corpus import ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, quality_report
 from .sentiment import bias_matrix, bias_score, load_lexicon
-from .similarity import SymmetricMatrix, similarity_matrix, similarity_score
+from .similarity import similarity_matrix, similarity_score
 
 _MODES = ("weighted", "structural")
 
@@ -100,17 +105,6 @@ class CompareResult:
     rows: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Features:
-    """Front half shared by every mode: text edges, nodes, weighted graph,
-    and a builder for each export matrix."""
-
-    edges: EdgeList | None = None
-    nodes: list[str] = field(default_factory=list)
-    graph: WeightedGraph | None = None
-    matrices: list[tuple[str, Callable[[], SymmetricMatrix]]] = field(default_factory=list)
-
-
 @contextmanager
 def _stage(name: str, *errors: type[Exception]):
     """Re-raise any of ``errors`` as a :class:`StageError` naming ``name``."""
@@ -120,14 +114,21 @@ def _stage(name: str, *errors: type[Exception]):
         raise StageError(name, str(exc)) from exc
 
 
-def _features(config: RunConfig) -> _Features:
-    """Load and weight the text inputs, or reload the graph, once.  Every
-    input file given is read and checked, also where the mode needs none of
-    its contents."""
+def _unit_weights(graph: WeightedGraph) -> WeightedGraph:
+    """The structural graph on ``graph``'s edges: every weight 1."""
+    ids = graph.ids
+    return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()), graph.nodes)
+
+
+def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
+    """Read and check every input file given, also where the mode needs none
+    of its contents; write each export matrix into ``config.out_dir``; and
+    return the mode's graph with the matrix paths written.  The per-user
+    vectors and the edge list are dropped on return."""
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
-            return _Features(graph=WeightedGraph.read_csv(config.graph_path,
-                                                          precision=config.precision))
+            graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
+        return (graph if config.mode == "weighted" else _unit_weights(graph)), []
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
 
@@ -155,47 +156,28 @@ def _features(config: RunConfig) -> _Features:
         # Each user's ranks are freed once packed: tokens and vectors never all coexist.
         s = similarity_score(corp, consume=True)
     del corp
-    graph = None
-    if config.mode == "weighted":
-        graph = build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
-                                     precision=config.precision)
-    matrices = []
+
+    # Each matrix is built just before it is written and dropped right after,
+    # so at most one triangle is alive.
+    paths = []
     if config.export_matrices and scored:
-        matrices.append(("similarity", lambda: similarity_matrix(nodes, s)))
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        paths.append(out / "similarity_matrix.csv")
+        similarity_matrix(nodes, s).write_csv(paths[-1], config.precision)
         if sv is not None:
-            matrices.append(("bias", lambda: bias_matrix(nodes, sv)))
-    return _Features(edge_list, nodes, graph, matrices)
-
-
-def _graph(config: RunConfig, features: _Features) -> WeightedGraph:
-    """The mode's graph: the weighted one, or unit weights on its edges."""
-    graph = features.graph
+            paths.append(out / "bias_matrix.csv")
+            bias_matrix(nodes, sv).write_csv(paths[-1], config.precision)
     if config.mode == "weighted":
-        return graph
-    if features.edges is not None:
-        return structural_graph(features.edges, features.nodes)
-    ids = graph.ids
-    return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()), graph.nodes)
+        return build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
+                                    precision=config.precision), paths
+    return structural_graph(edge_list, nodes), paths
 
 
-def _run_mode(config: RunConfig, features: _Features,
-              matrices_from: Path | None = None) -> RunResult:
-    """Back half of a run: graph, exports, detection and scores for each k.
-
-    Each export matrix is built just before it is written and dropped right
-    after, so at most one triangle is alive; with ``matrices_from``, the
-    matrix files written there are copied instead.
-    """
+def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
+    """Write ``graph.csv``, then detect communities and score them for each k."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph = _graph(config, features)
-
-    for name, build in features.matrices:
-        path = out / f"{name}_matrix.csv"
-        if matrices_from is None:
-            build().write_csv(path, config.precision)
-        else:
-            shutil.copyfile(matrices_from / path.name, path)
     graph.write_csv(out / "graph.csv", config.precision)
 
     partitions: dict[int, Partition] = {}
@@ -221,19 +203,21 @@ def _run_mode(config: RunConfig, features: _Features,
 
 def run(config: RunConfig) -> RunResult:
     """Execute one full pipeline pass and write all artifacts."""
-    return _run_mode(config, _features(config))
+    return _back_half(config, _front_half(config)[0])
 
 
 def compare(config: RunConfig) -> CompareResult:
-    """Run weighted and structural modes side by side on features computed
-    once, under the weighted mode's input checks."""
+    """Run weighted and structural modes side by side on one front half,
+    under the weighted mode's input checks; the structural side gets unit
+    weights on the weighted graph's edges and copies of its matrix files."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     weighted_config = replace(config, mode="weighted", out_dir=out / "weighted")
-    features = _features(weighted_config)
-    weighted = _run_mode(weighted_config, features)
-    structural = _run_mode(replace(config, mode="structural", out_dir=out / "structural"),
-                           features, matrices_from=weighted_config.out_dir)
+    graph, matrices = _front_half(weighted_config)
+    weighted = _back_half(weighted_config, graph)
+    structural = _back_half(replace(config, mode="structural", out_dir=out / "structural"),
+                            _unit_weights(graph))
+    for path in matrices:
+        shutil.copyfile(path, structural.out_dir / path.name)
     rows = [
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)

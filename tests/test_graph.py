@@ -303,6 +303,12 @@ class TestWeightedGraph:
             path.write_text(f"a,b,1.0\nb,c,{weight}\n", encoding="utf-8")
             with pytest.raises(ParseError, match="line 2: weight is not finite"):
                 WeightedGraph.read_csv(path)
+        path.write_text("a,b,1.0\nb,c,-0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: weight is negative"):
+            WeightedGraph.read_csv(path)
+        path.write_text("a,b,1.0\nc,c,0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: self-loop at 'c'"):
+            WeightedGraph.read_csv(path)
 
     def test_precision_snaps_weights_to_export_grid(self, tmp_path):
         exact = WeightedGraph(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 from collections import Counter
@@ -8,11 +9,12 @@ import pytest
 
 from comtext import cli, pipeline
 from comtext.corpus import load_edges
+from comtext.detect import detect
 from comtext.errors import ParameterError
 from comtext.fixtures import RECOVERY_SPEC, default_spec, generate, write_karate
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
-from comtext.similarity import SymmetricMatrix
+from comtext.similarity import PackedVector, SymmetricMatrix
 
 
 @pytest.fixture
@@ -334,11 +336,25 @@ class TestFrontHalfMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pipeline._features(config)
+            pipeline._front_half(config)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak / (groups * 20 * 300) < 26
+
+    def test_no_vector_alive_during_detect(self, inputs, monkeypatch):
+        """The matrices are written and the vectors freed before detection."""
+        alive = []
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(isinstance(o, PackedVector) for o in gc.get_objects()))
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "detect", spy)
+        compare(config_for(inputs, "cmp", k_values=(2, 3)))
+        assert (inputs["tmp"] / "cmp" / "structural" / "similarity_matrix.csv").exists()
+        assert alive == [0, 0, 0, 0]
 
 
 class TestCli:
@@ -386,6 +402,24 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "stage graph" in err and "line 2" in err
+
+    @pytest.mark.parametrize("line, message", [("b,c,-0.5", "line 2: weight is negative"),
+                                               ("c,c,0.5", "line 2: self-loop at 'c'")])
+    def test_invalid_graph_edge_names_its_line(self, tmp_path, capsys, line, message):
+        graph = tmp_path / "graph.csv"
+        graph.write_text(f"a,b,1.0\n{line}\n", encoding="utf-8")
+        code = cli.main(["run", "--graph", str(graph), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: stage graph: {graph}: {message}\n"
+
+    def test_failed_compare_leaves_no_output(self, inputs, capsys):
+        out = inputs["tmp"] / "cmp_bad"
+        code = cli.main(["compare", "--edges", str(inputs["edges"]),
+                         "--corpus", str(inputs["corpus"]),
+                         "--lexicon", str(inputs["tmp"] / "missing.tsv"), "--out", str(out)])
+        assert code == 1
+        assert "error: stage sentiment: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("second", ["1e308", "1e307"])
     def test_overflowing_graph_weights_rejected(self, tmp_path, capsys, second):
