@@ -15,9 +15,9 @@ import io
 import json
 import unicodedata
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .errors import ParseError
 
 
@@ -78,14 +78,12 @@ def tokenize(text: str, token_delim: str | None = None) -> list[str]:
                    for ch in text.lower()).split()
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record, frozen=True):
     user_id: str
     text: str
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record, frozen=True):
     """Per-user merged token sequences over a sorted vocabulary.
 
     ``users`` is sorted (the determinism anchor for every matrix built on
@@ -185,8 +183,7 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 
-@dataclass(frozen=True)
-class EdgeList:
+class EdgeList(Record, frozen=True):
     """Canonical undirected edge set: min-id first, sorted, no self-loops."""
 
     edges: tuple[tuple[str, str], ...]

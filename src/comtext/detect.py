@@ -30,22 +30,21 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import Record
 from .corpus import node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
 from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record, frozen=True):
     """Node -> community assignment with contiguous indices 0..m-1."""
 
     assignment: dict[str, int]
     m: int
     k_requested: int
 
-    def __post_init__(self):
+    def _check(self):
         if set(self.assignment.values()) != set(range(self.m)):
             raise ValueError("community indices must be contiguous and all non-empty")
         if not 1 <= self.k_requested <= self.m:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .corpus import EdgeList
 from .detect import Partition, save_partition
 from .errors import ParameterError
@@ -79,8 +79,7 @@ def write_karate(out_dir) -> tuple[Path, Partition]:
 _POLARITY_PALETTE = (0.8, -0.8, 0.4, -0.4, 0.6, -0.6, 0.2, -0.2)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record, frozen=True):
     """Recipe for one planted fixture; identical specs generate identical bytes."""
 
     groups: int
@@ -92,7 +91,7 @@ class SyntheticSpec:
     rng_seed: int
     tokens_per_user: int = 30
 
-    def __post_init__(self):
+    def _check(self):
         if self.groups < 2 or self.nodes_per_group < 1:
             raise ParameterError("need at least 2 groups with at least 1 node each")
         if len(self.vocab_per_group) != self.groups:
@@ -141,8 +140,7 @@ def default_spec(
     )
 
 
-@dataclass(frozen=True)
-class GeneratedFixture:
+class GeneratedFixture(Record, frozen=True):
     corpus_path: Path
     edges_path: Path
     lexicon_path: Path

@@ -14,23 +14,21 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .detect import Partition
 from .errors import GraphError, UndefinedModularityError
 from .graph import WeightedGraph
 
 
-@dataclass(frozen=True)
-class CommunityStats:
+class CommunityStats(Record, frozen=True):
     index: int
     size: int
     intra_weight: float
     degree_sum: float
 
 
-@dataclass(frozen=True)
-class QualityReport:
+class QualityReport(Record, frozen=True):
     modularity: float
     total_weight: float
     per_community: tuple[CommunityStats, ...]

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ._record import Factory, Record
 from .corpus import ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
@@ -53,8 +53,7 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {message}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     edges: Path | None = None
     out_dir: Path = Path("out")
     corpus: Path | None = None
@@ -67,7 +66,7 @@ class RunConfig:
     graph_path: Path | None = None
     export_matrices: bool = True
 
-    def __post_init__(self):
+    def _check(self):
         if self.edges is None and self.graph_path is None:
             raise ParameterError("an edges file (or a graph reload path) is required")
         if self.graph_path is not None and (self.edges or self.corpus or self.lexicon):
@@ -89,20 +88,18 @@ class RunConfig:
             raise ParameterError("a token delimiter splits corpus text: it needs a corpus file")
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     graph: WeightedGraph
     partitions: dict[int, Partition]
     reports: dict[int, QualityReport]
-    summary_rows: list[tuple[int, float]] = field(default_factory=list)
+    summary_rows: list[tuple[int, float]] = Factory(list)
     out_dir: Path | None = None
 
 
-@dataclass
-class CompareResult:
+class CompareResult(Record):
     weighted: RunResult
     structural: RunResult
-    rows: list[tuple[int, float, float]] = field(default_factory=list)
+    rows: list[tuple[int, float, float]] = Factory(list)
 
 
 @contextmanager
@@ -211,10 +208,10 @@ def compare(config: RunConfig) -> CompareResult:
     under the weighted mode's input checks; the structural side gets unit
     weights on the weighted graph's edges and copies of its matrix files."""
     out = Path(config.out_dir)
-    weighted_config = replace(config, mode="weighted", out_dir=out / "weighted")
+    weighted_config = config.replace(mode="weighted", out_dir=out / "weighted")
     graph, matrices = _front_half(weighted_config)
     weighted = _back_half(weighted_config, graph)
-    structural = _back_half(replace(config, mode="structural", out_dir=out / "structural"),
+    structural = _back_half(config.replace(mode="structural", out_dir=out / "structural"),
                             _unit_weights(graph))
     for path in matrices:
         shutil.copyfile(path, structural.out_dir / path.name)

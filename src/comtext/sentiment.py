@@ -12,9 +12,9 @@ scale as content similarity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import Record
 from .corpus import Corpus, read_lines
 from .errors import ParseError
 from .similarity import SymmetricMatrix
@@ -22,13 +22,12 @@ from .similarity import SymmetricMatrix
 NEUTRAL_ANGLE = math.pi / 2
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
+class SentimentLexicon(Record, frozen=True):
     """Term -> score map with scores in [-1, 1]."""
 
     scores: dict[str, float]
 
-    def __post_init__(self):
+    def _check(self):
         for term, score in self.scores.items():
             if not term:
                 raise ValueError("lexicon terms must be non-empty")

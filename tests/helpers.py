@@ -28,7 +28,7 @@ import math
 import random
 import unicodedata
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -476,7 +476,7 @@ def reference_compare(config: RunConfig) -> None:
     structural :func:`reference_run`, then their modularity side by side."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weighted, structural = (reference_run(replace(config, mode=mode, out_dir=out / mode))
+    weighted, structural = (reference_run(config.replace(mode=mode, out_dir=out / mode))
                             for mode in ("weighted", "structural"))
     rows = "".join(f"{k},{qw!r},{qs!r}\n" for (k, qw), (_, qs) in zip(weighted, structural))
     (out / "compare.csv").write_text("k,modularity_weighted,modularity_structural\n" + rows,

@@ -2,7 +2,6 @@ import gc
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -327,9 +326,8 @@ class TestFrontHalfMemory:
         Holding every token as an 8-byte term reference, beside an idf dict
         and all the vectors, peaked at about 34 B/token here (matrices off)."""
         groups = 6
-        spec = replace(default_spec(groups, 20, rng_seed=5, tokens_per_user=300),
-                       vocab_per_group=tuple(tuple(f"g{g}w{t}" for t in range(400))
-                                             for g in range(groups)))
+        spec = default_spec(groups, 20, rng_seed=5, tokens_per_user=300).replace(
+            vocab_per_group=tuple(tuple(f"g{g}w{t}" for t in range(400)) for g in range(groups)))
         fx = generate(spec, tmp_path)
         config = RunConfig(edges=fx.edges_path, corpus=fx.corpus_path, lexicon=fx.lexicon_path,
                            out_dir=tmp_path / "out", export_matrices=False)

@@ -1,7 +1,11 @@
 """The record types' contract: construction, equality, hashing, immutability
 and the checks each record runs on its fields."""
 
-from dataclasses import replace
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,7 +145,7 @@ def test_construction_runs_the_check():
 class TestReplace:
     def test_changes_the_named_fields_only(self):
         config = RunConfig(edges=Path("e"), k_values=(2, 3))
-        changed = replace(config, mode="structural", out_dir=Path("s"))
+        changed = config.replace(mode="structural", out_dir=Path("s"))
         assert changed == RunConfig(edges=Path("e"), k_values=(2, 3), mode="structural",
                                     out_dir=Path("s"))
         assert config.mode == "weighted"
@@ -149,9 +153,32 @@ class TestReplace:
     def test_run_config_check_runs_again(self):
         config = RunConfig(edges=Path("e"))
         with pytest.raises(ParameterError, match=r"alpha must be in \[0, 1\]"):
-            replace(config, alpha=2.0)
+            config.replace(alpha=2.0)
 
     def test_synthetic_spec_check_runs_again(self):
         spec = default_spec()
         with pytest.raises(ParameterError, match="at least 2 groups"):
-            replace(spec, groups=1)
+            spec.replace(groups=1)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_and_pickle_round_trip(name):
+    make, _ = RECORDS[name]
+    record = make()
+    assert copy.copy(record) == record
+    if name not in MUTABLE:  # the results hold a graph, which compares by identity
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` loads ``inspect``, ``ast`` and ``dis`` and compiles each
+    record's methods with ``exec``: about 1 MB of every CLI process."""
+    probe = ("import sys; before = set(sys.modules); import comtext.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "comtext.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
