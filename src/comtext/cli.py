@@ -99,7 +99,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ParseError(f"config file {args.config}: expected a JSON object")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import unicodedata
 from array import array
 from typing import Iterable, Iterator
@@ -38,18 +39,29 @@ class Where:
         return str(self) == str(other)
 
 
+# The lone surrogates that ``surrogateescape`` decodes undecodable bytes to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def read_lines(path, text: str | None = None) -> Iterator[tuple[Where, str]]:
     """Yield ``(where, line)`` for each non-blank line of ``path``, stripped.
 
     Lines end only at LF, CR or CRLF; ``where`` names the line as
     ``path: line N``.  A file is read as UTF-8, and a byte-order mark at its
-    start is dropped.  ``text``, if given, is read instead of ``path``.
+    start is dropped.  A line that is not UTF-8 is a ParseError naming it.
+    ``text``, if given, is read instead of ``path``.
     """
-    with open(path, encoding="utf-8-sig") if text is None else io.StringIO(text, newline=None) as fh:
+    # Valid UTF-8 never decodes to a lone surrogate, so escaping the bad bytes
+    # keeps the file streaming and still finds the line that holds one.
+    with (open(path, encoding="utf-8-sig", errors="surrogateescape") if text is None
+          else io.StringIO(text, newline=None)) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:
-                yield Where(path, lineno), line
+                where = Where(path, lineno)
+                if not line.isascii() and _ESCAPED_BYTE.search(line):
+                    raise ParseError(f"{where}: not valid UTF-8")
+                yield where, line
 
 
 def node_id(raw: str, where: str | Where) -> str:

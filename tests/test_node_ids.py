@@ -1,10 +1,10 @@
 """One line policy and one node-id rule for every input file.
 
-Every reader drops a UTF-8 byte-order mark at the start of a file and
-splits lines only at LF, CR and CRLF, and every node id it reads is
-stripped, non-empty and free of ``,``, LF and CR, so an id that one file
-accepts names the same node in every other file and survives the CSV and
-partition exports.
+Every reader drops a UTF-8 byte-order mark at the start of a file, splits
+lines only at LF, CR and CRLF and names a line that is not UTF-8 in its
+error.  Every node id it reads is stripped, non-empty and free of ``,``,
+LF and CR, so an id that one file accepts names the same node in every
+other file and survives the CSV and partition exports.
 """
 
 import json
@@ -120,6 +120,60 @@ class TestByteOrderMark:
                          "--k", "1", "--out", str(out)]) == 0
         graph = (out / "graph.csv").read_text(encoding="utf-8")
         assert graph == "a,b,1.000000\nb,c,1.000000\n"
+
+
+# Reader and a valid i-th line, every line distinct and non-ASCII.
+READERS = {
+    "edges": (load_edges, lambda i: f"ä{i},b{i}"),
+    "corpus": (load_corpus, lambda i: json.dumps({"user_id": f"u{i}", "text": "café"},
+                                                 ensure_ascii=False)),
+    "lexicon": (load_lexicon, lambda i: f"wörd{i}\t0.5"),
+    "graph": (WeightedGraph.read_csv, lambda i: f"ä{i},b{i},1.0"),
+    "partition": (load_partition,
+                  lambda i: ("k_requested=1", "m=1")[i] if i < 2 else f"{i}:ä{i}"),
+}
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a ParseError naming the file and the line
+    that holds it; the file is still read as a stream, one line at a time."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("far", [False, True], ids=["line3", "past8KB"])
+    @pytest.mark.parametrize("kind", READERS)
+    def test_names_the_line(self, tmp_path, kind, far, newline):
+        read, line = READERS[kind]
+        good = [line(0), line(1)]
+        while far and sum(len(text.encode()) + len(newline) for text in good) <= 8192:
+            good.append(line(len(good)))
+        bad = line(len(good)).encode()
+        path = tmp_path / kind
+        path.write_bytes(b"".join(text.encode() + newline.encode() for text in good)
+                         + bad[:2] + b"\xff" + bad[2:] + newline.encode() + b"tail")
+        lineno = len(good) + 1
+        assert far == (lineno > 3)
+        with pytest.raises(ParseError) as raised:
+            read(path)
+        assert str(raised.value) == f"{path}: line {lineno}: not valid UTF-8"
+
+    @pytest.mark.parametrize("flag", ["--edges", "--graph"])
+    def test_run_names_the_stage_and_line(self, tmp_path, capsys, flag):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"a,b,1.0\nb,c,1.0\nc,d\xff,1.0\n" if flag == "--graph"
+                         else b"a,b\nb,c\nc,d\xff\n")
+        args = ["--mode", "structural", flag, str(path), "--k", "1", "--out", str(tmp_path / "o")]
+        assert cli.main(["run", *args]) == 1
+        stage = flag[2:]
+        assert capsys.readouterr().err == (
+            f"error: stage {stage}: {path}: line 3: not valid UTF-8\n")
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"edges": "caf\xe9.csv"}')  # Latin-1, not UTF-8
+        assert cli.main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: ")
+        assert "codec can't decode" in err
 
 
 class TestReaders:
