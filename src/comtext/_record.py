@@ -10,8 +10,8 @@ not hash.  :meth:`~Record.replace` builds a changed copy through the
 constructor, so the check runs again.
 
 ``dataclasses`` would generate the same methods, but importing it loads
-``inspect``, ``ast`` and ``dis``, and it compiles each class's methods with
-``exec``: about 1 MB of every CLI process.
+``inspect``, ``ast`` and ``dis`` and compiles each class's methods with
+``exec``, a cost every short-lived CLI process pays again.
 """
 
 from __future__ import annotations
@@ -26,12 +26,8 @@ class Factory:
         self.make = make
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
 def _hash(self):
@@ -45,7 +41,7 @@ class _RecordType(type):
         namespace["_fields"] = namespace["__slots__"] = fields
         cls = super().__new__(mcls, name, bases, namespace)
         if frozen:
-            cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+            cls.__setattr__ = cls.__delattr__ = _frozen
             cls.__hash__ = _hash
         return cls
 

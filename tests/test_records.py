@@ -173,7 +173,7 @@ def test_copy_and_pickle_round_trip(name):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """``dataclasses`` loads ``inspect``, ``ast`` and ``dis`` and compiles each
-    record's methods with ``exec``: about 1 MB of every CLI process."""
+    record's methods with ``exec``, which every CLI process would pay for."""
     probe = ("import sys; before = set(sys.modules); import comtext.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
