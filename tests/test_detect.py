@@ -13,7 +13,7 @@ from comtext.detect import (
     expand_communities,
     format_partition,
     load_partition,
-    parse_partition,
+    save_partition,
     select_centers,
 )
 from comtext.errors import GraphError, ParameterError, ParseError
@@ -323,6 +323,12 @@ class TestReferenceOracle:
                 assert heapify_calls
 
 
+def partition_file(tmp_path, text):
+    path = tmp_path / "partition.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestPartition:
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):
@@ -334,19 +340,22 @@ class TestPartition:
         p = Partition({"b": 1, "a": 0, "c": 0}, 2, 2)
         assert p.communities() == [["a", "c"], ["b"]]
 
-    def test_format_parse_round_trip(self):
+    def test_format_parse_round_trip(self, tmp_path):
         p = Partition({"a": 0, "b": 1, "c": 0}, 2, 2)
-        text = format_partition(p, 0.123456789123)
-        parsed, q = parse_partition(text)
+        path = tmp_path / "partition.txt"
+        save_partition(p, path, 0.123456789123)
+        assert path.read_text(encoding="utf-8") == format_partition(p, 0.123456789123)
+        parsed, q = load_partition(path)
         assert parsed == p
         assert q == 0.123456789123
-        parsed2, q2 = parse_partition(format_partition(p))
+        save_partition(p, path)
+        parsed2, q2 = load_partition(path)
         assert parsed2 == p
         assert q2 is None
 
-    def test_parse_requires_header(self):
+    def test_parse_requires_header(self, tmp_path):
         with pytest.raises(ValueError):
-            parse_partition("0:a,b\n")
+            load_partition(partition_file(tmp_path, "0:a,b\n"))
 
     @pytest.mark.parametrize("text", [
         "k_requested=1\nm=3\n0:a\n1:b\n",
@@ -358,10 +367,10 @@ class TestPartition:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
             load_partition(path)
 
-    def test_repeated_header_names_line(self):
+    def test_repeated_header_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 3: repeated m header"):
-            parse_partition("k_requested=1\nm=1\nm=2\n0:a\n1:b\n")
+            load_partition(partition_file(tmp_path, "k_requested=1\nm=1\nm=2\n0:a\n1:b\n"))
 
-    def test_parse_rejects_node_in_two_communities(self):
+    def test_parse_rejects_node_in_two_communities(self, tmp_path):
         with pytest.raises(ValueError, match="'b' is listed in two communities"):
-            parse_partition("k_requested=2\nm=2\n0:a,b\n1:b,c\n")
+            load_partition(partition_file(tmp_path, "k_requested=2\nm=2\n0:a,b\n1:b,c\n"))

@@ -202,15 +202,15 @@ class TestWeightedGraph:
             rng.shuffle(nodes)
             g = WeightedGraph(nodes, g.edges())
             assert g.nodes == tuple(nodes)
-            assert g.ids == tuple(sorted(nodes))
+            ids = sorted(nodes)
             assert len(g.offsets) == g.n + 1 and g.offsets[-1] == 2 * len(g.edges())
-            for i, u in enumerate(g.ids):
+            for i, u in enumerate(ids):
                 assert g.index_of(u) == i
                 start, end = g.offsets[i], g.offsets[i + 1]
                 row = zip(g.targets[start:end], g.weights[start:end])
-                assert [(g.ids[j], w) for j, w in row] == list(g.neighbors(u))
+                assert [(ids[j], w) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == g.strength(u) == math.fsum(w for _, w in g.neighbors(u))
-            assert [(g.ids[i], g.ids[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
+            assert [(ids[i], ids[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
             assert g.total_weight == math.fsum(w for _, _, w in g.edges())
 
     def test_retained_bytes_per_edge(self):

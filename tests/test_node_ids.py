@@ -8,6 +8,7 @@ other file and survives the CSV and partition exports.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 
 from comtext import cli
 from comtext.corpus import Document, build_corpus, load_corpus, load_edges, node_id, read_lines
-from comtext.detect import (
-    Partition, format_partition, load_partition, parse_partition, save_partition)
+from comtext.detect import Partition, load_partition, save_partition
 from comtext.errors import ParseError
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, run
@@ -74,8 +74,7 @@ class TestReadLines:
         path.write_bytes(text.encode("utf-8"))
         expected = [(f"{path}: line 1", "a\u2028b\x85c"), (f"{path}: line 3", "d"),
                     (f"{path}: line 4", "e")]
-        assert list(read_lines(path)) == expected
-        assert list(read_lines(path, text)) == expected
+        assert [(str(where), line) for where, line in read_lines(path)] == expected
 
 
 BOM = "\ufeff"
@@ -204,9 +203,10 @@ class TestReaders:
 
 class TestPartitionReader:
     @pytest.mark.parametrize("brk", UNICODE_BREAKS, ids=repr)
-    def test_round_trip_with_unicode_line_breaks(self, brk):
+    def test_round_trip_with_unicode_line_breaks(self, tmp_path, brk):
         p = Partition({f"a{brk}b": 0, "c": 1, f"d{brk}e": 1}, 2, 2)
-        assert parse_partition(format_partition(p, 0.5)) == (p, 0.5)
+        save_partition(p, tmp_path / "partition.txt", 0.5)
+        assert load_partition(tmp_path / "partition.txt") == (p, 0.5)
 
     @pytest.mark.parametrize("text, message", [
         ("k_requested=1\nm=1\nx:a\n", "<partition>: line 3: expected 'index:member"),
@@ -226,9 +226,12 @@ class TestPartitionReader:
         ("k_requested=1\nm=1\n0:a\n0:b\n", "<partition>: line 4: community index 0 is repeated"),
         ("k_requested=1\nm=1\n0:a\n00:b\n", "<partition>: line 4: community index 0 is repeated"),
     ])
-    def test_errors_name_the_line(self, text, message):
+    def test_errors_name_the_line(self, tmp_path, monkeypatch, text, message):
+        # A file named ``<partition>``, read by its relative path, is named so in errors.
+        monkeypatch.chdir(tmp_path)
+        Path("<partition>").write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=message):
-            parse_partition(text)
+            load_partition("<partition>")
 
     def test_load_names_the_file(self, tmp_path):
         path = tmp_path / "partition.txt"
@@ -236,8 +239,10 @@ class TestPartitionReader:
         with pytest.raises(ParseError, match=f"{path}: line 5: node 'a' is listed"):
             load_partition(path)
 
-    def test_members_are_stripped(self):
-        p, _ = parse_partition("k_requested=1\nm=1\n0:a, b\n")
+    def test_members_are_stripped(self, tmp_path):
+        path = tmp_path / "partition.txt"
+        path.write_text("k_requested=1\nm=1\n0:a, b\n", encoding="utf-8")
+        p, _ = load_partition(path)
         assert p.assignment == {"a": 0, "b": 0}
 
     def test_run_then_score_with_unicode_line_break_in_id(self, tmp_path, capsys):
@@ -282,7 +287,8 @@ class TestIdProperties:
     @given(st.lists(valid_ids, min_size=2, max_size=6, unique=True))
     def test_partition_round_trip(self, scratch, ids):
         p = Partition({u: i % 2 for i, u in enumerate(ids)}, 2, 2)
-        assert parse_partition(format_partition(p, -0.125)) == (p, -0.125)
         path = scratch / "partition.txt"
+        save_partition(p, path, -0.125)
+        assert load_partition(path) == (p, -0.125)
         save_partition(p, path)
         assert load_partition(path) == (p, None)

@@ -69,7 +69,7 @@ class TestLexicon:
         lexicon = load_lexicon(path)
         assert lexicon.scores == {"good": 0.8}
         corpus = build_corpus([Document("u1", "Good day"), Document("u2", "good night")])
-        assert corpus_bias(corpus, lexicon).get("u1", "u2") == pytest.approx(1.0)
+        assert bias_score(corpus, lexicon)("u1", "u2") == pytest.approx(1.0)
 
     def test_terms_equal_after_lowercasing_are_duplicates(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -218,23 +218,23 @@ class TestBiasMatrix:
     def test_identical_strong_positive(self):
         lexicon = SentimentLexicon({"great": 1.0})
         corpus = self._corpus(["great stuff", "great times"])
-        assert corpus_bias(corpus, lexicon).get("u0", "u1") == pytest.approx(
+        assert bias_score(corpus, lexicon)("u0", "u1") == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_opposite_polarities_cancel(self):
         lexicon = SentimentLexicon({"great": 1.0, "awful": -1.0})
         corpus = self._corpus(["great", "awful"])
-        assert corpus_bias(corpus, lexicon).get("u0", "u1") == pytest.approx(
+        assert bias_score(corpus, lexicon)("u0", "u1") == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_both_neutral(self):
         lexicon = SentimentLexicon({"great": 1.0})
         corpus = self._corpus(["bland words", "more words"])
-        assert corpus_bias(corpus, lexicon).get("u0", "u1") == 0.0
+        assert bias_score(corpus, lexicon)("u0", "u1") == 0.0
 
-    def test_diagonal_and_range(self):
+    def test_diagonal_and_range(self, tmp_path):
         rng = random.Random(61)
         lexicon = SentimentLexicon(
             {f"w{i}": rng.uniform(-1, 1) for i in range(10)}
@@ -243,8 +243,11 @@ class TestBiasMatrix:
             " ".join(f"w{rng.randint(0, 12)}" for _ in range(rng.randint(0, 10)))
             for _ in range(6)
         ]
-        matrix = corpus_bias(self._corpus(texts), lexicon)
-        for u in matrix.nodes:
-            assert matrix.get(u, u) == 0.0
-            for v in matrix.nodes:
-                assert 0.0 <= matrix.get(u, v) <= 1.0
+        path = tmp_path / "bias.csv"
+        corpus_bias(self._corpus(texts), lexicon).write_csv(path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 6
+        for i, row in enumerate(rows):
+            cells = row.split(",")[1:]
+            assert cells[i] == "0.000000"
+            assert all(0.0 <= float(x) <= 1.0 for x in cells)

@@ -126,39 +126,35 @@ class TestSimilarityMatrix:
         rng = random.Random(43)
         for _ in range(25):
             corpus = random_corpus(rng)
-            matrix = corpus_matrix(corpus)
+            s = similarity_score(corpus)
             oracle = dense_similarity_oracle(corpus)
-            for i, u in enumerate(corpus.users):
-                for j, v in enumerate(corpus.users):
-                    assert matrix.get(u, v) == pytest.approx(
-                        oracle[i, j], abs=1e-12
-                    )
+            for (i, u), (j, v) in combinations(enumerate(corpus.users), 2):
+                assert s(u, v) == pytest.approx(oracle[i, j], abs=1e-12)
 
     def test_identical_texts_with_distinguishing_third_user(self):
         corpus = build_corpus(
             [Document("u1", "a b"), Document("u2", "a b"), Document("u3", "c")]
         )
-        matrix = corpus_matrix(corpus)
-        assert matrix.get("u1", "u2") == pytest.approx(1.0, abs=1e-12)
+        assert similarity_score(corpus)("u1", "u2") == pytest.approx(1.0, abs=1e-12)
 
     def test_two_identical_documents_degenerate_to_zero(self):
         # With only two identical documents every term has idf 0, both
         # vectors are empty, and the entry is 0 by the zero-norm rule.
         corpus = build_corpus([Document("u1", "a b"), Document("u2", "a b")])
-        assert corpus_matrix(corpus).get("u1", "u2") == 0.0
+        assert similarity_score(corpus)("u1", "u2") == 0.0
 
-    def test_single_user(self):
+    def test_single_user(self, tmp_path):
         matrix = corpus_matrix(build_corpus([Document("u1", "a")]))
         assert matrix.n == 1
-        assert matrix.get("u1", "u1") == 0.0
+        assert csv_cells(matrix, tmp_path) == {("u1", "u1"): 0.0}
 
     def test_empty_text_user_is_zero_row(self):
         corpus = build_corpus(
             [Document("u1", ""), Document("u2", "a b"), Document("u3", "a c")]
         )
-        matrix = corpus_matrix(corpus)
-        assert matrix.get("u1", "u2") == 0.0
-        assert matrix.get("u1", "u3") == 0.0
+        s = similarity_score(corpus)
+        assert s("u1", "u2") == 0.0
+        assert s("u1", "u3") == 0.0
 
 
 def oracle_corpora():
@@ -204,10 +200,10 @@ class TestPackedVectors:
                 assert list(packed[u].weights) == list(dicts[u].values())
                 # The norm cosine_similarity computes, bit for bit.
                 assert packed[u].norm == math.sqrt(sum(w * w for w in dicts[u].values()))
-            matrix = corpus_matrix(corpus)
+            s = similarity_score(corpus)
             for u, v in combinations(corpus.users, 2):
                 expected = cosine_similarity(dicts[u], dicts[v])
-                assert matrix.get(u, v) == expected, (u, v)
+                assert s(u, v) == expected, (u, v)
                 positive += expected > 0.0
         assert positive > 1000
 
@@ -264,25 +260,40 @@ def lookup_matrix(nodes, values):
     return SymmetricMatrix(nodes, lambda u, v: values.get((index[u], index[v]), 0.0))
 
 
-def reference_csv(matrix, precision):
-    """The square CSV built cell by cell from ``get``."""
-    lines = ["node," + ",".join(matrix.nodes)]
-    for u in matrix.nodes:
-        lines.append(u + "," + ",".join(f"{matrix.get(u, v):.{precision}f}" for v in matrix.nodes))
+def reference_csv(nodes, values, precision):
+    """The square CSV of :func:`lookup_matrix`, built cell by cell."""
+    lines = ["node," + ",".join(nodes)]
+    for i, u in enumerate(nodes):
+        row = [values.get((min(i, j), max(i, j)), 0.0) if i != j else 0.0
+               for j in range(len(nodes))]
+        lines.append(u + "," + ",".join(f"{x:.{precision}f}" for x in row))
     return "\n".join(lines) + "\n"
 
 
-class TestSymmetricMatrix:
-    def test_get_symmetric(self):
-        matrix = lookup_matrix(["a", "b", "c"], {(0, 2): 0.25})
-        assert matrix.get("a", "c") == 0.25
-        assert matrix.get("c", "a") == 0.25
-        assert matrix.get("a", "b") == 0.0
+def csv_cells(matrix, tmp_path):
+    """``{(row, column): value}`` as read back from ``matrix.write_csv``."""
+    path = tmp_path / "cells.csv"
+    matrix.write_csv(path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")[1:]
+    cells = {}
+    for row in rows:
+        u, *values = row.split(",")
+        cells.update(((u, v), float(x)) for v, x in zip(columns, values))
+    return cells
 
-    def test_diagonal_fixed(self):
-        matrix = lookup_matrix(["a", "b"], {(0, 1): 1.0})
-        assert matrix.get("a", "a") == 0.0
-        assert matrix.get("b", "b") == 0.0
+
+class TestSymmetricMatrix:
+    def test_get_symmetric(self, tmp_path):
+        cells = csv_cells(lookup_matrix(["a", "b", "c"], {(0, 2): 0.25}), tmp_path)
+        assert cells["a", "c"] == 0.25
+        assert cells["c", "a"] == 0.25
+        assert cells["a", "b"] == 0.0
+
+    def test_diagonal_fixed(self, tmp_path):
+        cells = csv_cells(lookup_matrix(["a", "b"], {(0, 1): 1.0}), tmp_path)
+        assert cells["a", "a"] == 0.0
+        assert cells["b", "b"] == 0.0
 
     def test_score_called_once_per_pair_row_major(self):
         calls = []
@@ -325,10 +336,10 @@ class TestSymmetricMatrix:
     def test_write_csv_matches_get(self, tmp_path, n):
         rng = random.Random(n)
         values = {(i, j): rng.random() for i in range(n) for j in range(i + 1, n)}
-        matrix = lookup_matrix([f"u{i}" for i in range(n)], values)
+        nodes = [f"u{i}" for i in range(n)]
         path = tmp_path / "matrix.csv"
-        matrix.write_csv(path, precision=4)
-        assert path.read_text(encoding="utf-8") == reference_csv(matrix, 4)
+        lookup_matrix(nodes, values).write_csv(path, precision=4)
+        assert path.read_text(encoding="utf-8") == reference_csv(nodes, values, 4)
 
     def test_retained_bytes_per_pair(self):
         n = 300
