@@ -17,15 +17,6 @@ constructor, so the check runs again.
 from __future__ import annotations
 
 
-class Factory:
-    """A default made afresh for each record, such as ``Factory(list)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
@@ -59,8 +50,6 @@ class Record(metaclass=_RecordType):
                 value = kwargs.pop(field)
             elif field in cls._defaults:
                 value = cls._defaults[field]
-                if type(value) is Factory:
-                    value = value.make()
             else:
                 raise TypeError(f"{cls.__name__}() missing argument {field!r}")
             object.__setattr__(self, field, value)

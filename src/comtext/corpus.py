@@ -11,7 +11,6 @@ All input files share :func:`read_lines` and the node-id rule :func:`node_id`.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import unicodedata
@@ -24,7 +23,7 @@ from .errors import ParseError
 
 class Where:
     """The ``path: line N`` prefix of a ParseError, formatted only when an
-    error message (or a comparison with a string) asks for its text."""
+    error message asks for its text."""
 
     __slots__ = ("path", "lineno")
 
@@ -35,26 +34,21 @@ class Where:
     def __str__(self) -> str:
         return f"{self.path}: line {self.lineno}"
 
-    def __eq__(self, other) -> bool:
-        return str(self) == str(other)
-
 
 # The lone surrogates that ``surrogateescape`` decodes undecodable bytes to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def read_lines(path, text: str | None = None) -> Iterator[tuple[Where, str]]:
+def read_lines(path) -> Iterator[tuple[Where, str]]:
     """Yield ``(where, line)`` for each non-blank line of ``path``, stripped.
 
     Lines end only at LF, CR or CRLF; ``where`` names the line as
     ``path: line N``.  A file is read as UTF-8, and a byte-order mark at its
     start is dropped.  A line that is not UTF-8 is a ParseError naming it.
-    ``text``, if given, is read instead of ``path``.
     """
     # Valid UTF-8 never decodes to a lone surrogate, so escaping the bad bytes
     # keeps the file streaming and still finds the line that holds one.
-    with (open(path, encoding="utf-8-sig", errors="surrogateescape") if text is None
-          else io.StringIO(text, newline=None)) as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:

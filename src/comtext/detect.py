@@ -33,7 +33,7 @@ from collections import deque
 
 from ._record import Record
 from .corpus import node_id, read_lines
-from .errors import GraphError, ParameterError, ParseError
+from .errors import ParameterError, ParseError
 from .graph import WeightedGraph
 
 
@@ -81,7 +81,7 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
         taken[best] = 1
         for a in range(g.offsets[best], g.offsets[best + 1]):
             blocked[g.targets[a]] = 1
-    return [g.ids[i] for i in centers]
+    return [g.nodes[i] for i in centers]
 
 
 def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
@@ -90,12 +90,9 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         raise ParameterError("centers must be non-empty")
     if len(set(centers)) != len(centers):
         raise ParameterError("duplicate centers")
-    for c in centers:
-        if not g.has_node(c):
-            raise GraphError(f"unknown center {c!r}")
     seeds = [g.index_of(c) for c in centers]
 
-    offsets, targets, weights, ids = g.offsets, g.targets, g.weights, g.ids
+    offsets, targets, weights, nodes = g.offsets, g.targets, g.weights, g.nodes
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
@@ -127,7 +124,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         for a in range(offsets[node], offsets[node + 1]):
             v, w = targets[a], weights[a]
             if assignment[v] < 0 and w > 0.0:
-                u = ids[v]
+                u = nodes[v]
                 old = key_of.get(u)
                 if old is None:
                     as_float[0] = w
@@ -174,7 +171,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         if community < 0:
             assignment[i] = m
             m += 1
-    return Partition(dict(zip(g.ids, assignment)), m, len(centers))
+    return Partition(dict(zip(g.nodes, assignment)), m, len(centers))
 
 
 def detect(g: WeightedGraph, k: int) -> Partition:
@@ -196,18 +193,13 @@ def format_partition(p: Partition, modularity: float | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_partition(text: str) -> tuple[Partition, float | None]:
-    """Inverse of :func:`format_partition`."""
-    return load_partition("<partition>", text)
-
-
 def save_partition(p: Partition, path, modularity: float | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_partition(p, modularity))
 
 
-def load_partition(path, text: str | None = None) -> tuple[Partition, float | None]:
-    """Read a partition file, or ``text`` named ``path`` in errors.
+def load_partition(path) -> tuple[Partition, float | None]:
+    """Read a partition file written by :func:`save_partition`.
 
     A modularity header must be finite and within [-1/2, 1], the range of
     weighted modularity, and each community index may head one line only.
@@ -215,7 +207,7 @@ def load_partition(path, text: str | None = None) -> tuple[Partition, float | No
     header: dict[str, float] = {}
     assignment: dict[str, int] = {}
     indices: set[int] = set()
-    for where, line in read_lines(path, text):
+    for where, line in read_lines(path):
         key, _, value = line.partition("=")
         if key in ("k_requested", "m", "modularity"):
             if key in header:

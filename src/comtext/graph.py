@@ -30,31 +30,29 @@ def _finite_sum(values: Iterable[float], what: str) -> float:
 class WeightedGraph:
     """Immutable undirected weighted graph stored as compressed sparse rows.
 
-    A node's index is the rank of its id in sorted order, so comparing two
-    indices compares the ids.  ``ids[i]`` is the node with index ``i``; its
-    neighbors are ``targets[offsets[i]:offsets[i + 1]]``, sorted by index,
+    ``nodes`` holds the node ids sorted, and a node's index is its position
+    there, so comparing two indices compares the ids.  The neighbors of
+    ``nodes[i]`` are ``targets[offsets[i]:offsets[i + 1]]``, sorted by index,
     with the matching edge weights in the same slice of ``weights``.  Each
     edge appears once in each endpoint's slice.  ``strengths[i]`` is the
     node's weighted degree.  Every strength and twice the total weight must
-    be finite, or the constructor raises GraphError.  ``nodes`` keeps the
-    order the nodes were given in, and every id the graph hands out is the
-    object in ``nodes``.
+    be finite, or the constructor raises GraphError.  Every id the graph
+    hands out is the object in ``nodes``.
 
     ``precision`` snaps each weight to that many decimal places, the grid
     :meth:`write_csv` exports, so a reloaded export is bit-identical;
     ``None`` keeps weights exact.
     """
 
-    __slots__ = ("nodes", "ids", "offsets", "targets", "weights", "strengths", "total_weight")
+    __slots__ = ("nodes", "offsets", "targets", "weights", "strengths", "total_weight")
 
     def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
                  *, precision: int | None = None):
-        self.nodes = tuple(nodes)
-        self.ids = tuple(sorted(self.nodes))
-        index = {u: i for i, u in enumerate(self.ids)}
-        if len(index) != len(self.ids):
+        self.nodes = tuple(sorted(nodes))
+        index = {u: i for i, u in enumerate(self.nodes)}
+        n = len(self.nodes)
+        if len(index) != n:
             raise GraphError("duplicate node ids")
-        n = len(self.ids)
         heads, tails, edge_weights = array("i"), array("i"), array("d")
         degree = [0] * n
         for u, v, w in weighted_edges:
@@ -94,11 +92,11 @@ class WeightedGraph:
             row = array("i", map(targets.__getitem__, order))
             for a, b in pairwise(row):
                 if a == b:
-                    raise GraphError(f"duplicate edge {(self.ids[i], self.ids[a])!r}")
+                    raise GraphError(f"duplicate edge {(self.nodes[i], self.nodes[a])!r}")
             targets[start:end] = row
             weights[start:end] = array("d", map(weights.__getitem__, order))
         self.strengths = array("d", (_finite_sum(weights[offsets[i]:offsets[i + 1]],
-                                                 f"strength of {self.ids[i]!r}")
+                                                 f"strength of {self.nodes[i]!r}")
                                      for i in range(n)))
         self.total_weight = _finite_sum(edge_weights, "total weight")
         if not math.isfinite(2.0 * self.total_weight):
@@ -108,17 +106,9 @@ class WeightedGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def _find(self, node: str) -> int:
-        """Index of ``node``, or -1 if the graph does not have it."""
-        i = bisect_left(self.ids, node)
-        return i if i < len(self.ids) and self.ids[i] == node else -1
-
-    def has_node(self, node: str) -> bool:
-        return self._find(node) >= 0
-
     def index_of(self, node: str) -> int:
-        i = self._find(node)
-        if i < 0:
+        i = bisect_left(self.nodes, node)
+        if i == len(self.nodes) or self.nodes[i] != node:
             raise GraphError(f"unknown node {node!r}")
         return i
 
@@ -126,7 +116,7 @@ class WeightedGraph:
         """``(neighbor, weight)`` pairs, sorted by neighbor id."""
         i = self.index_of(node)
         start, end = self.offsets[i], self.offsets[i + 1]
-        return tuple(zip(map(self.ids.__getitem__, self.targets[start:end]),
+        return tuple(zip(map(self.nodes.__getitem__, self.targets[start:end]),
                          self.weights[start:end]))
 
     def strength(self, node: str) -> float:
@@ -136,28 +126,28 @@ class WeightedGraph:
     def edge_indices(self) -> Iterator[tuple[int, int, float]]:
         """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``, sorted."""
         offsets, targets, weights = self.offsets, self.targets, self.weights
-        for i in range(len(self.ids)):
+        for i in range(len(self.nodes)):
             end = offsets[i + 1]
             for a in range(bisect_right(targets, i, offsets[i], end), end):
                 yield i, targets[a], weights[a]
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """Canonical edge tuples (min id first, sorted)."""
-        ids = self.ids
-        return tuple((ids[i], ids[j], w) for i, j, w in self.edge_indices())
+        nodes = self.nodes
+        return tuple((nodes[i], nodes[j], w) for i, j, w in self.edge_indices())
 
     def write_csv(self, path, precision: int = 6) -> None:
         """``u,v,weight`` lines; isolated nodes appear as ``u,,`` so the
         node set round-trips through :func:`read_csv`."""
-        ids, offsets = self.ids, self.offsets
+        nodes, offsets = self.nodes, self.offsets
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{u},,\n" for i, u in enumerate(ids) if offsets[i] == offsets[i + 1])
-            fh.writelines(f"{ids[i]},{ids[j]},{w:.{precision}f}\n"
+            fh.writelines(f"{u},,\n" for i, u in enumerate(nodes) if offsets[i] == offsets[i + 1])
+            fh.writelines(f"{nodes[i]},{nodes[j]},{w:.{precision}f}\n"
                           for i, j, w in self.edge_indices())
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
-        """Load a graph written by :meth:`write_csv`; nodes come out sorted."""
+        """Load a graph written by :meth:`write_csv`."""
         names: dict[str, int] = {}  # each id, numbered in order of first appearance
         heads, tails, weights = array("i"), array("i"), array("d")
         for where, line in read_lines(path):
@@ -188,7 +178,7 @@ class WeightedGraph:
         # The generator alone now holds the parsed arrays, and frees them once
         # the constructor has drawn every edge, before it allocates the rows.
         del heads, tails, weights
-        return cls(sorted(ids), edges, precision=precision)
+        return cls(ids, edges, precision=precision)
 
 
 def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str, str], float],

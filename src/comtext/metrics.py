@@ -57,8 +57,8 @@ class QualityReport(Record, frozen=True):
 def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     """Per-community intra weight / strength sums plus the modularity score."""
     # Equal sizes and every graph node listed mean the same node set.
-    if len(p.assignment) != g.n or not all(u in p.assignment for u in g.ids):
-        nodes, listed = set(g.ids), set(p.assignment)
+    if len(p.assignment) != g.n or not all(u in p.assignment for u in g.nodes):
+        nodes, listed = set(g.nodes), set(p.assignment)
         named = [f"{what} {min(diff)!r}" for what, diff in
                  (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
         raise GraphError("partition does not cover exactly the graph's nodes: "
@@ -69,11 +69,10 @@ def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     intra = [0.0] * p.m
     degree_sum = [0.0] * p.m
     size = [0] * p.m
-    for node in g.nodes:
-        community = p.assignment[node]
+    community_of = [p.assignment[u] for u in g.nodes]
+    for community, strength in zip(community_of, g.strengths):
         size[community] += 1
-        degree_sum[community] += g.strength(node)
-    community_of = [p.assignment[u] for u in g.ids]
+        degree_sum[community] += strength
     for i, j, w in g.edge_indices():
         if community_of[i] == community_of[j]:
             intra[community_of[i]] += w

@@ -33,7 +33,7 @@ import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
-from ._record import Factory, Record
+from ._record import Record
 from .corpus import ensure_users, load_corpus, load_edges
 from .detect import Partition, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
@@ -92,14 +92,14 @@ class RunResult(Record):
     graph: WeightedGraph
     partitions: dict[int, Partition]
     reports: dict[int, QualityReport]
-    summary_rows: list[tuple[int, float]] = Factory(list)
-    out_dir: Path | None = None
+    summary_rows: list[tuple[int, float]]
+    out_dir: Path
 
 
 class CompareResult(Record):
     weighted: RunResult
     structural: RunResult
-    rows: list[tuple[int, float, float]] = Factory(list)
+    rows: list[tuple[int, float, float]]
 
 
 @contextmanager
@@ -113,8 +113,8 @@ def _stage(name: str, *errors: type[Exception]):
 
 def _unit_weights(graph: WeightedGraph) -> WeightedGraph:
     """The structural graph on ``graph``'s edges: every weight 1."""
-    ids = graph.ids
-    return structural_graph(((ids[i], ids[j]) for i, j, _ in graph.edge_indices()), graph.nodes)
+    nodes = graph.nodes
+    return structural_graph(((nodes[i], nodes[j]) for i, j, _ in graph.edge_indices()), nodes)
 
 
 def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:

@@ -27,16 +27,15 @@ class SymmetricMatrix:
 
     ``score(nodes[i], nodes[j])`` is called once for each pair ``i < j``, row
     by row, and must return a value in [0, 1] (``ValueError`` otherwise).
-    Only the upper triangle is stored, 8 bytes per pair; ``get`` is
-    symmetric by construction.
+    Only the upper triangle is stored, 8 bytes per pair; :meth:`write_csv`
+    writes the full square, symmetric by construction.
     """
 
-    __slots__ = ("nodes", "_index", "_values")
+    __slots__ = ("nodes", "_values")
 
     def __init__(self, nodes: Sequence[str], score: Callable[[str, str], float]):
         self.nodes = tuple(nodes)
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        if len(self._index) != len(self.nodes):
+        if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids")
         self._values = array("d", starmap(score, combinations(self.nodes, 2)))
         bad = next((x for x in self._values if not 0.0 <= x <= 1.0), None)
@@ -50,15 +49,6 @@ class SymmetricMatrix:
     def _base(self, i: int) -> int:
         """Entry ``(i, j)``, ``i < j``, is stored at ``_values[_base(i) + j]``."""
         return i * len(self.nodes) - i * (i + 3) // 2 - 1
-
-    def get(self, u: str, v: str) -> float:
-        try:
-            i, j = self._index[u], self._index[v]
-        except KeyError as exc:
-            raise KeyError(f"unknown node {exc.args[0]!r}") from None
-        if i > j:
-            i, j = j, i
-        return 0.0 if i == j else self._values[self._base(i) + j]
 
     def write_csv(self, path, precision: int = 6) -> None:
         """Full square matrix with row/column labels, fixed decimal places,

@@ -92,6 +92,9 @@ class TestBuildWeightedGraph:
         assert g.nodes == ("a", "b", "c")
         assert g.strength("c") == 0.0
 
+    def test_nodes_are_sorted(self):
+        assert WeightedGraph(["c", "a", "b"], []).nodes == ("a", "b", "c")
+
     def test_endpoints_share_the_node_objects(self):
         nodes = ["alice", "bob", "carol"]
         edges = EdgeList.from_pairs([(fresh("alice"), fresh("bob")), (fresh("carol"), fresh("bob"))])
@@ -201,16 +204,14 @@ class TestWeightedGraph:
             nodes = list(g.nodes)
             rng.shuffle(nodes)
             g = WeightedGraph(nodes, g.edges())
-            assert g.nodes == tuple(nodes)
-            ids = sorted(nodes)
             assert len(g.offsets) == g.n + 1 and g.offsets[-1] == 2 * len(g.edges())
-            for i, u in enumerate(ids):
+            for i, u in enumerate(g.nodes):
                 assert g.index_of(u) == i
                 start, end = g.offsets[i], g.offsets[i + 1]
                 row = zip(g.targets[start:end], g.weights[start:end])
-                assert [(ids[j], w) for j, w in row] == list(g.neighbors(u))
+                assert [(g.nodes[j], w) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == g.strength(u) == math.fsum(w for _, w in g.neighbors(u))
-            assert [(ids[i], ids[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
+            assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
             assert g.total_weight == math.fsum(w for _, _, w in g.edges())
 
     def test_retained_bytes_per_edge(self):

@@ -113,14 +113,6 @@ def test_positional_and_keyword_construction_with_defaults():
     assert EdgeList((("a", "b"),)).self_loops_dropped == 0
 
 
-def test_default_lists_are_not_shared():
-    first, second = RunResult(GRAPH, {}, {}), RunResult(GRAPH, {}, {})
-    assert first.summary_rows == [] and first.out_dir is None
-    first.summary_rows.append((2, 0.5))
-    assert second.summary_rows == []
-    assert CompareResult(first, second).rows == []
-
-
 @pytest.mark.parametrize("args, kwargs", [
     ((), {}),  # a required field missing
     (("u1",), {}),

@@ -315,13 +315,6 @@ class TestSymmetricMatrix:
             with pytest.raises(ValueError, match="out of \\[0, 1\\]"):
                 lookup_matrix(["a", "b", "c"], {(1, 2): value})
 
-    def test_unknown_node(self):
-        matrix = lookup_matrix(["a", "b"], {})
-        with pytest.raises(KeyError):
-            matrix.get("a", "z")
-        with pytest.raises(KeyError):
-            matrix.get("z", "z")
-
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             lookup_matrix(["a", "a"], {})
