@@ -63,7 +63,7 @@ NEUTRAL = (0.0, NEUTRAL_ANGLE)
 
 def score_text(ranks: Sequence[int], scores: Sequence[float | None]) -> tuple[float, float]:
     """Polar vector ``(rho, theta)`` of a user's rank array; polarity = mean
-    lexicon score over matched token occurrences.
+    lexicon score over matched token occurrences, summed with ``math.fsum``.
 
     ``scores[r]`` is the lexicon score of the term of rank ``r``, or None
     when the lexicon does not score it.  No matches (or exact cancellation)
@@ -72,7 +72,7 @@ def score_text(ranks: Sequence[int], scores: Sequence[float | None]) -> tuple[fl
     matched = [x for x in map(scores.__getitem__, ranks) if x is not None]
     if not matched:
         return NEUTRAL
-    polarity = min(1.0, max(-1.0, sum(matched) / len(matched)))
+    polarity = min(1.0, max(-1.0, math.fsum(matched) / len(matched)))
     rho = abs(polarity)
     if rho == 0.0:
         return NEUTRAL

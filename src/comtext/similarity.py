@@ -77,7 +77,7 @@ class PackedVector:
     def __init__(self, terms: list[int], weights: list[float]):
         self.terms = array("i", terms)
         self.weights = array("d", weights)  # from a list: no spare capacity
-        self.norm = math.sqrt(sum(w * w for w in weights))
+        self.norm = math.sqrt(math.fsum(w * w for w in weights))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -116,8 +116,8 @@ def similarity_score(corpus: Corpus, *, consume: bool = False) -> Callable[[str,
 
     The left user's vector is expanded into one rank -> weight dict, rebuilt
     only when the left user changes (once per left user, in edge or row
-    order).  The dot product sums the products of the common terms in
-    ascending rank order.
+    order).  The dot product, like each norm, is a ``math.fsum``: exactly
+    rounded, so it is the same float on every Python version.
     """
     vectors = user_vectors(corpus, consume=consume)
     left, row = None, {}
@@ -127,7 +127,7 @@ def similarity_score(corpus: Corpus, *, consume: bool = False) -> Callable[[str,
         a, b = vectors[u], vectors[v]
         if a is not left:
             left, row = a, dict(zip(a.terms, a.weights))
-        dot = sum(w * row[t] for t, w in zip(b.terms, b.weights) if t in row)
+        dot = math.fsum(w * row[t] for t, w in zip(b.terms, b.weights) if t in row)
         if dot == 0.0:
             return 0.0
         return min(1.0, max(0.0, dot / (a.norm * b.norm)))

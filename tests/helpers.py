@@ -91,11 +91,11 @@ def cosine_similarity(v1: TermVector, v2: TermVector) -> float:
         return 0.0
     if len(v2) < len(v1):
         v1, v2 = v2, v1
-    dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
+    dot = math.fsum(w * v2[t] for t, w in v1.items() if t in v2)
     if dot == 0.0:
         return 0.0
-    norm1 = math.sqrt(sum(w * w for w in v1.values()))
-    norm2 = math.sqrt(sum(w * w for w in v2.values()))
+    norm1 = math.sqrt(math.fsum(w * w for w in v1.values()))
+    norm2 = math.sqrt(math.fsum(w * w for w in v2.values()))
     return min(1.0, max(0.0, dot / (norm1 * norm2)))
 
 
@@ -356,7 +356,7 @@ def reference_polar(tokens, scores: dict[str, float]) -> SentimentVector:
     occurrences, clamped to [-1, 1]; neutral when nothing matches or the
     scores cancel."""
     matched = [scores[t] for t in tokens if t in scores]
-    polarity = min(1.0, max(-1.0, sum(matched) / len(matched))) if matched else 0.0
+    polarity = min(1.0, max(-1.0, math.fsum(matched) / len(matched))) if matched else 0.0
     if polarity == 0.0:
         return NEUTRAL
     return SentimentVector(abs(polarity), (1.0 - polarity) * math.pi / 2)

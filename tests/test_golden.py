@@ -24,6 +24,9 @@ _TEXT_CASES = (
     ("structural", ["run", "--mode", "structural", "--k", "3"]),
     ("precision", ["run", "--precision", "3", "--alpha", "0.3"]),
 )
+# Seventeen decimal places show every bit of each fused weight, so this digest
+# holds only where every sum rounds alike on every supported Python.
+_FULL_PRECISION = ("full-precision", ["run", "--precision", "17"])
 _RELOAD_CASES = (
     ("reload", ["run", "--graph", "{graph}", "--precision", "2"]),
     ("compare-reload", ["compare", "--graph", "{graph}"]),
@@ -51,6 +54,8 @@ GOLDEN = {
         "2750a5a93139eb3260099d5a5b4128403b201259117ec322cea9311e6c47eddd",
     "trend/structural":
         "58c31a73214ac2241a6cf16db08a9e58ac4ee35ee5e96b5a520337ad06adb428",
+    "trend/full-precision":
+        "0877cbc09d4fe2b1a64001f12a6bb29e8a13591398952cbb9094fbb88e7f200a",
     "trend/precision":
         "4ff4a65deb353d317c0f088b6962e3b26b1d9bc89f750bea382877c6a25fe71b",
     "trend/reload":
@@ -82,11 +87,12 @@ def _cli(argv: list[str], out: Path) -> str:
 def digests(tmp_path_factory) -> dict[str, str]:
     root = tmp_path_factory.mktemp("golden")
     found = {}
-    for name, spec in (("recovery", RECOVERY_SPEC), ("trend", TREND_SPEC)):
+    for name, spec, text_cases in (("recovery", RECOVERY_SPEC, _TEXT_CASES),
+                                   ("trend", TREND_SPEC, (*_TEXT_CASES, _FULL_PRECISION))):
         fixture = generate(spec, root / name / "inputs")
         inputs = ["--edges", str(fixture.edges_path), "--corpus", str(fixture.corpus_path),
                   "--lexicon", str(fixture.lexicon_path)]
-        for case, argv in _TEXT_CASES:
+        for case, argv in text_cases:
             found[f"{name}/{case}"] = _cli([*argv, *inputs], root / name / case)
         graph = str(root / name / "run" / "graph.csv")
         for case, argv in _RELOAD_CASES:

@@ -199,7 +199,7 @@ class TestPackedVectors:
                 assert [corpus.vocabulary[r] for r in packed[u].terms] == list(dicts[u])
                 assert list(packed[u].weights) == list(dicts[u].values())
                 # The norm cosine_similarity computes, bit for bit.
-                assert packed[u].norm == math.sqrt(sum(w * w for w in dicts[u].values()))
+                assert packed[u].norm == math.sqrt(math.fsum(w * w for w in dicts[u].values()))
             s = similarity_score(corpus)
             for u, v in combinations(corpus.users, 2):
                 expected = cosine_similarity(dicts[u], dicts[v])
