@@ -35,8 +35,10 @@ class Where:
         return f"{self.path}: line {self.lineno}"
 
 
-# The lone surrogates that ``surrogateescape`` decodes undecodable bytes to.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# Lone surrogates, which UTF-8 cannot encode.  Valid UTF-8 never decodes to
+# one, but ``surrogateescape`` decodes each undecodable byte to one, and a
+# JSON escape such as ``\ud800`` yields one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def read_lines(path) -> Iterator[tuple[Where, str]]:
@@ -53,18 +55,21 @@ def read_lines(path) -> Iterator[tuple[Where, str]]:
             line = raw.strip()
             if line:
                 where = Where(path, lineno)
-                if not line.isascii() and _ESCAPED_BYTE.search(line):
+                if not line.isascii() and _SURROGATE.search(line):
                     raise ParseError(f"{where}: not valid UTF-8")
                 yield where, line
 
 
 def node_id(raw: str, where: str | Where) -> str:
-    """The node id ``raw`` names: stripped, non-empty, no reserved character."""
+    """The node id ``raw`` names: stripped, non-empty, no reserved character
+    and no lone surrogate."""
     node = raw.strip()
     if not node:
         raise ParseError(f"{where}: empty node id")
     if "," in node or "\n" in node or "\r" in node:  # the exports' separators
         raise ParseError(f"{where}: node id {node!r} contains a reserved character")
+    if not node.isascii() and _SURROGATE.search(node):
+        raise ParseError(f"{where}: node id {node!r} holds a lone surrogate")
     return node
 
 

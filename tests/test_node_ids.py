@@ -175,6 +175,33 @@ class TestNotUtf8:
         assert "codec can't decode" in err
 
 
+class TestLoneSurrogate:
+    """UTF-8 cannot encode a lone surrogate, which a JSON escape such as
+    ``\\ud800`` yields, so a node id holding one is a ParseError naming its
+    line, before anything is written."""
+
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udbff", "\udc80", "\udfff"], ids=repr)
+    def test_node_id_rejects(self, surrogate):
+        with pytest.raises(ParseError, match="^f: line 3: node id .* holds a lone surrogate$"):
+            node_id(f"a{surrogate}", "f: line 3")
+
+    def test_surrogate_pair_is_one_character(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"user_id": "a\\ud83d\\ude00", "text": "good x"}\n', encoding="ascii")
+        assert load_corpus(corpus).users == ("a\U0001f600",)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_cli_names_the_line_and_writes_nothing(self, tmp_path, capsys, command):
+        corpus, edges, lexicon = write_inputs(tmp_path, ["a\ud800", "b"], ["b,c"])
+        assert corpus.read_bytes().isascii()  # json.dumps escapes the surrogate
+        out = tmp_path / "out"
+        assert cli.main([command, "--corpus", str(corpus), "--edges", str(edges),
+                         "--lexicon", str(lexicon), "--k", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage corpus: {corpus}: line 1: node id 'a\\ud800' holds a lone surrogate\n")
+        assert not out.exists()
+
+
 class TestReaders:
     def test_graph_csv_rejects_empty_target_id(self, tmp_path):
         path = tmp_path / "graph.csv"
