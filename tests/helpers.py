@@ -229,6 +229,18 @@ def pairsum_modularity(g: WeightedGraph, p: Partition) -> float:
     return acc / (2.0 * total)
 
 
+def matrix_csv_cells(matrix, path: Path) -> dict[tuple[str, str], float]:
+    """``{(row, column): value}`` as read back from ``matrix.write_csv(path)``."""
+    matrix.write_csv(path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")[1:]
+    cells = {}
+    for row in rows:
+        u, *values = row.split(",")
+        cells.update(((u, v), float(x)) for v, x in zip(columns, values))
+    return cells
+
+
 def random_corpus(rng: random.Random, max_users: int = 10) -> Corpus:
     n = rng.randint(1, max_users)
     alphabet = [f"t{i}" for i in range(12)]

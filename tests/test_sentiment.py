@@ -14,7 +14,14 @@ from comtext.sentiment import (
     load_lexicon,
     score_text,
 )
-from helpers import NEUTRAL, CompositeSentiment, SentimentVector, bias_value, compose
+from helpers import (
+    NEUTRAL,
+    CompositeSentiment,
+    SentimentVector,
+    bias_value,
+    compose,
+    matrix_csv_cells,
+)
 
 
 def polar(tokens, lexicon):
@@ -243,11 +250,8 @@ class TestBiasMatrix:
             " ".join(f"w{rng.randint(0, 12)}" for _ in range(rng.randint(0, 10)))
             for _ in range(6)
         ]
-        path = tmp_path / "bias.csv"
-        corpus_bias(self._corpus(texts), lexicon).write_csv(path)
-        header, *rows = path.read_text(encoding="utf-8").splitlines()
-        assert len(rows) == 6
-        for i, row in enumerate(rows):
-            cells = row.split(",")[1:]
-            assert cells[i] == "0.000000"
-            assert all(0.0 <= float(x) <= 1.0 for x in cells)
+        cells = matrix_csv_cells(corpus_bias(self._corpus(texts), lexicon), tmp_path / "m.csv")
+        assert len(cells) == 36
+        for (u, v), value in cells.items():
+            assert 0.0 <= value <= 1.0
+            assert u != v or value == 0.0

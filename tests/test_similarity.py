@@ -16,6 +16,7 @@ from helpers import (
     cosine_similarity,
     dense_similarity_oracle,
     inverse_document_frequency,
+    matrix_csv_cells,
     random_corpus,
     term_frequency,
     tfidf_vector,
@@ -146,7 +147,7 @@ class TestSimilarityMatrix:
     def test_single_user(self, tmp_path):
         matrix = corpus_matrix(build_corpus([Document("u1", "a")]))
         assert matrix.n == 1
-        assert csv_cells(matrix, tmp_path) == {("u1", "u1"): 0.0}
+        assert matrix_csv_cells(matrix, tmp_path / "m.csv") == {("u1", "u1"): 0.0}
 
     def test_empty_text_user_is_zero_row(self):
         corpus = build_corpus(
@@ -270,28 +271,15 @@ def reference_csv(nodes, values, precision):
     return "\n".join(lines) + "\n"
 
 
-def csv_cells(matrix, tmp_path):
-    """``{(row, column): value}`` as read back from ``matrix.write_csv``."""
-    path = tmp_path / "cells.csv"
-    matrix.write_csv(path)
-    header, *rows = path.read_text(encoding="utf-8").splitlines()
-    columns = header.split(",")[1:]
-    cells = {}
-    for row in rows:
-        u, *values = row.split(",")
-        cells.update(((u, v), float(x)) for v, x in zip(columns, values))
-    return cells
-
-
 class TestSymmetricMatrix:
     def test_get_symmetric(self, tmp_path):
-        cells = csv_cells(lookup_matrix(["a", "b", "c"], {(0, 2): 0.25}), tmp_path)
+        cells = matrix_csv_cells(lookup_matrix(["a", "b", "c"], {(0, 2): 0.25}), tmp_path / "m.csv")
         assert cells["a", "c"] == 0.25
         assert cells["c", "a"] == 0.25
         assert cells["a", "b"] == 0.0
 
     def test_diagonal_fixed(self, tmp_path):
-        cells = csv_cells(lookup_matrix(["a", "b"], {(0, 1): 1.0}), tmp_path)
+        cells = matrix_csv_cells(lookup_matrix(["a", "b"], {(0, 1): 1.0}), tmp_path / "m.csv")
         assert cells["a", "a"] == 0.0
         assert cells["b", "b"] == 0.0
 
