@@ -2,7 +2,8 @@
 
 A record class names each field once, as an annotated class attribute with
 an optional default, and :class:`Record` turns the fields into
-``__slots__``.  A record is built positionally or by keyword, then checked
+``__slots__``.  Every record built without a field shares its default
+object, so defaults are immutable values.  A record is built positionally or by keyword, then checked
 by its class's :meth:`~Record._check`.  It compares and prints field by
 field.  ``frozen=True`` in the class statement makes assignment raise
 AttributeError and hashes the record by its field values; other records do
