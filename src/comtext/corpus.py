@@ -95,14 +95,14 @@ class Document(Record, frozen=True):
 
 
 class Corpus(Record, frozen=True):
-    """Per-user merged token sequences over a sorted vocabulary.
+    """Per-user merged token sequences over a vocabulary.
 
     ``users`` is sorted (the determinism anchor for every matrix built on
-    top).  ``vocabulary`` holds each distinct term once, in sorted order,
-    and a term's position there is its rank.  ``docs_by_user[u]`` is user
-    ``u``'s merged text as an ``array('i')`` of ranks in token order, 4
-    bytes per token, so ``len()`` is its token count and
-    ``vocabulary[r]`` turns a rank back into its term.
+    top).  ``vocabulary`` holds each distinct term once, in order of first
+    appearance in the corpus, and a term's position there is its rank.
+    ``docs_by_user[u]`` is user ``u``'s merged text as an ``array('i')`` of
+    ranks in token order, 4 bytes per token, so ``len()`` is its token
+    count and ``vocabulary[r]`` turns a rank back into its term.
     ``doc_frequency[r]``, an ``array('i')`` by rank, counts how many
     users' merged documents contain term ``r``, so it is always >= 1.
     """
@@ -121,9 +121,9 @@ class Corpus(Record, frozen=True):
 def build_corpus(documents: Iterable[Document], token_delim: str | None = None) -> Corpus:
     """Merge documents per user (in input order) and build the vocabulary.
 
-    Terms are numbered by first appearance as the documents stream in, so
-    each user's tokens are held as one growing ``array('i')``; once the
-    vocabulary is sorted, each array is remapped in place to ranks.
+    Terms are numbered by first appearance as the documents stream in, and
+    each user's tokens are held as one growing ``array('i')`` of those
+    numbers, which are the ranks.
     """
     merged: dict[str, array] = {}
     numbers: dict[str, int] = {}  # term -> order of first appearance; keeps one object per term
@@ -131,19 +131,13 @@ def build_corpus(documents: Iterable[Document], token_delim: str | None = None) 
         user = node_id(doc.user_id, f"document {index}")
         merged.setdefault(user, array("i")).extend(
             numbers.setdefault(t, len(numbers)) for t in tokenize(doc.text, token_delim))
-    vocabulary = tuple(sorted(numbers))
-    rank = array("i", bytes(4 * len(vocabulary)))  # first-appearance number -> rank
-    for r, term in enumerate(vocabulary):
-        rank[numbers[term]] = r
+    vocabulary = tuple(numbers)
     del numbers
     freq = array("i", bytes(4 * len(vocabulary)))
     for tokens in merged.values():
-        for i, number in enumerate(tokens):
-            tokens[i] = rank[number]
         for r in set(tokens):
             freq[r] += 1
-    users = tuple(sorted(merged))
-    return Corpus(users, {u: merged[u] for u in users}, vocabulary, freq)
+    return Corpus(tuple(sorted(merged)), merged, vocabulary, freq)
 
 
 def load_corpus(path, token_delim: str | None = None) -> Corpus:

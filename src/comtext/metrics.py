@@ -99,18 +99,18 @@ def nmi(p1: Partition, p2: Partition) -> float:
     if set(p1.assignment) != set(p2.assignment):
         raise GraphError("partitions cover different node sets")
     n = len(p1.assignment)
-    joint = Counter((p1.assignment[u], p2.assignment[u]) for u in sorted(p1.assignment))
+    joint = Counter((p1.assignment[u], p2.assignment[u]) for u in p1.assignment)
     rows = Counter(p1.assignment.values())
     cols = Counter(p2.assignment.values())
 
     def entropy(counts: Counter) -> float:
-        return -math.fsum((c / n) * math.log(c / n) for _, c in sorted(counts.items()))
+        return -math.fsum((c / n) * math.log(c / n) for c in counts.values())
 
     h1, h2 = entropy(rows), entropy(cols)
     if h1 + h2 == 0.0:
         return 1.0
     info = math.fsum(
         (c / n) * (math.log(c / n) - math.log(rows[a] / n) - math.log(cols[b] / n))
-        for (a, b), c in sorted(joint.items())
+        for (a, b), c in joint.items()
     )
     return min(1.0, max(0.0, 2.0 * info / (h1 + h2)))

@@ -67,7 +67,7 @@ class SymmetricMatrix:
 class PackedVector:
     """A tf-idf vector packed for scoring, 12 bytes per term.
 
-    ``terms`` holds the vocabulary ranks of its terms in ascending order,
+    ``terms`` holds the vocabulary ranks of its terms, in no set order,
     ``weights`` their weights at the same positions, and ``norm`` its
     Euclidean norm.  ``len()`` is the term count.
     """
@@ -99,8 +99,8 @@ def user_vectors(corpus: Corpus, *, consume: bool = False) -> dict[str, PackedVe
         ranks = docs.pop(u) if consume else docs[u]
         counts = Counter(ranks)
         terms, weights = [], []
-        for r in sorted(counts):
-            weight = counts[r] / len(ranks) * math.log(n_docs / freq[r])
+        for r, count in counts.items():
+            weight = count / len(ranks) * math.log(n_docs / freq[r])
             if weight > 0.0:
                 terms.append(r)
                 weights.append(weight)

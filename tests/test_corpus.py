@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -185,14 +186,16 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_vocabulary_document_frequencies(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            ['{"user_id": "u1", "text": "a b"}', '{"user_id": "u2", "text": "b c"}'],
-        )
-        corpus = load_corpus(path)
-        assert corpus.vocabulary == ("a", "b", "c")
-        assert dict(zip(corpus.vocabulary, corpus.doc_frequency)) == {"a": 1, "b": 2, "c": 1}
-        assert all(df >= 1 for df in corpus.doc_frequency)
+        """Terms are numbered by first appearance in the file, which in the
+        second case is not their sorted order."""
+        for texts, vocabulary in ((("a b", "b c"), ("a", "b", "c")),
+                                  (("b a", "c b"), ("b", "a", "c"))):
+            path = self._write(tmp_path, [json.dumps({"user_id": f"u{i}", "text": text})
+                                          for i, text in enumerate(texts, start=1)])
+            corpus = load_corpus(path)
+            assert corpus.vocabulary == vocabulary
+            assert dict(zip(corpus.vocabulary, corpus.doc_frequency)) == {"a": 1, "b": 2, "c": 1}
+            assert all(df >= 1 for df in corpus.doc_frequency)
 
     def test_one_object_per_term(self):
         corpus = build_corpus([Document("u1", "shared words"), Document("u2", "more shared")])

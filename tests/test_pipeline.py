@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from comtext import cli, pipeline
-from comtext.corpus import load_edges
+from comtext.corpus import load_corpus, load_edges
 from comtext.detect import detect
 from comtext.errors import ParameterError
 from comtext.fixtures import RECOVERY_SPEC, default_spec, generate, write_karate
@@ -225,6 +225,25 @@ class TestCompare:
         second = compare(config_for(inputs, "cmp2"))
         assert tree_bytes(inputs["tmp"] / "cmp1") == tree_bytes(inputs["tmp"] / "cmp2")
         assert first.rows == second.rows
+
+
+class TestTermNumbering:
+    @pytest.mark.parametrize("command", [run, compare], ids=["run", "compare"])
+    def test_corpus_line_order_never_reaches_an_output(self, tmp_path, command):
+        """Terms are numbered by first appearance, so reversing a corpus that
+        holds one line per user renumbers them; at 17 places any sum whose
+        rounding hung on that numbering would show in the trees."""
+        fx = generate(default_spec(3, 8, rng_seed=7), tmp_path / "inputs")
+        lines = fx.corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_path = tmp_path / "reversed.jsonl"
+        reversed_path.write_text("".join(reversed(lines)), encoding="utf-8")
+        assert load_corpus(reversed_path).vocabulary != load_corpus(fx.corpus_path).vocabulary
+        trees = []
+        for name, corpus in (("given", fx.corpus_path), ("reversed", reversed_path)):
+            command(RunConfig(edges=fx.edges_path, corpus=corpus, lexicon=fx.lexicon_path,
+                              out_dir=tmp_path / name, k_values=(2, 3), precision=17))
+            trees.append(tree_bytes(tmp_path / name))
+        assert trees[0] == trees[1]
 
 
 class TestCallCounts:

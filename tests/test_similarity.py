@@ -197,8 +197,8 @@ class TestPackedVectors:
             assert list(packed) == list(corpus.users)
             for u in corpus.users:
                 assert len(packed[u]) == len(dicts[u])
-                assert [corpus.vocabulary[r] for r in packed[u].terms] == list(dicts[u])
-                assert list(packed[u].weights) == list(dicts[u].values())
+                terms = [corpus.vocabulary[r] for r in packed[u].terms]
+                assert dict(zip(terms, packed[u].weights)) == dicts[u]
                 # The norm cosine_similarity computes, bit for bit.
                 assert packed[u].norm == math.sqrt(math.fsum(w * w for w in dicts[u].values()))
             s = similarity_score(corpus)
