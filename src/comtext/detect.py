@@ -58,10 +58,15 @@ class Partition(Record, frozen=True):
         return groups
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise ParameterError unless ``k`` is a center count for ``n`` nodes."""
+    if not isinstance(k, int) or k < 1 or k > n:
+        raise ParameterError(f"k must be an integer in 1..{n}, got {k!r}")
+
+
 def select_centers(g: WeightedGraph, k: int) -> list[str]:
     """Greedy strength-ranked, spread-out center selection (see module doc)."""
-    if not isinstance(k, int) or k < 1 or k > g.n:
-        raise ParameterError(f"k must be an integer in 1..{g.n}, got {k!r}")
+    check_k(k, g.n)
     # Strongest first; the sort is stable, so ties stay in index (= id) order.
     ranked = sorted(range(g.n), key=g.strengths.__getitem__, reverse=True)
     taken = bytearray(g.n)

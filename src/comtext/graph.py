@@ -27,6 +27,14 @@ def _finite_sum(values: Iterable[float], what: str) -> float:
         raise GraphError(f"{what} overflows a float") from None
 
 
+class DuplicateEdgeError(GraphError):
+    """An undirected edge given twice; ``pair`` holds its ids, smaller first."""
+
+    def __init__(self, pair: tuple[str, str]):
+        self.pair = pair
+        super().__init__(f"duplicate edge {pair!r}")
+
+
 class WeightedGraph:
     """Immutable undirected weighted graph stored as compressed sparse rows.
 
@@ -92,7 +100,7 @@ class WeightedGraph:
             row = array("i", map(targets.__getitem__, order))
             for a, b in pairwise(row):
                 if a == b:
-                    raise GraphError(f"duplicate edge {(self.nodes[i], self.nodes[a])!r}")
+                    raise DuplicateEdgeError((self.nodes[i], self.nodes[a]))
             targets[start:end] = row
             weights[start:end] = array("d", map(weights.__getitem__, order))
         self.strengths = array("d", (_finite_sum(weights[offsets[i]:offsets[i + 1]],
@@ -147,7 +155,8 @@ class WeightedGraph:
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
-        """Load a graph written by :meth:`write_csv`."""
+        """Load a graph written by :meth:`write_csv`.  An edge given twice is
+        a ParseError naming the line that repeats it."""
         names: dict[str, int] = {}  # each id, numbered in order of first appearance
         heads, tails, weights = array("i"), array("i"), array("d")
         for where, line in read_lines(path):
@@ -178,7 +187,14 @@ class WeightedGraph:
         # The generator alone now holds the parsed arrays, and frees them once
         # the constructor has drawn every edge, before it allocates the rows.
         del heads, tails, weights
-        return cls(ids, edges, precision=precision)
+        try:
+            return cls(ids, edges, precision=precision)
+        except DuplicateEdgeError as exc:
+            # Looked for only now, so valid input pays for no set of edges seen.
+            naming = (where for where, line in read_lines(path)
+                      if sorted(f.strip() for f in line.split(",")[:2]) == list(exc.pair))
+            next(naming)
+            raise ParseError(f"{next(naming)}: {exc}") from None
 
 
 def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str, str], float],

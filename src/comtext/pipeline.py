@@ -23,8 +23,10 @@ exactly.  Corpus text is split by the Unicode rule of
 :func:`~comtext.corpus.tokenize`, or on ``RunConfig.token_delim`` when it is
 already segmented.  ``RunConfig`` rejects inconsistent parameters, such as
 an empty delimiter or one without a corpus, with a ``ParameterError``
-before anything is written.  A failing stage raises ``StageError`` naming
-it: edges, corpus, sentiment, graph, detect or metrics.
+before anything is written; a k above the node count fails at the detect
+stage as soon as the nodes are known, also before any write.  A failing
+stage raises ``StageError`` naming it: edges, corpus, sentiment, graph,
+detect or metrics.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 
 from ._record import Record
 from .corpus import ensure_users, load_corpus, load_edges
-from .detect import Partition, detect, load_partition, save_partition
+from .detect import Partition, check_k, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, quality_report
@@ -117,6 +119,14 @@ def _unit_weights(graph: WeightedGraph) -> WeightedGraph:
     return structural_graph(((nodes[i], nodes[j]) for i, j, _ in graph.edge_indices()), nodes)
 
 
+def _check_k_values(config: RunConfig, n: int) -> None:
+    """Fail on a k above the node count ``n`` as detection would, but before
+    anything is written."""
+    with _stage("detect", ParameterError):
+        for k in config.k_values:
+            check_k(k, n)
+
+
 def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
     """Read and check every input file given, also where the mode needs none
     of its contents; write each export matrix into ``config.out_dir``; and
@@ -125,6 +135,7 @@ def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
             graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
+        _check_k_values(config, graph.n)
         return (graph if config.mode == "weighted" else _unit_weights(graph)), []
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
@@ -137,6 +148,7 @@ def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
     nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
+    _check_k_values(config, len(nodes))
     # Pairs of users are scored from their text, for the weighted graph or the export.
     scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
     if scored:

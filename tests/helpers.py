@@ -26,11 +26,12 @@ import heapq
 import json
 import math
 import random
+import tracemalloc
 import unicodedata
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +44,20 @@ from comtext.sentiment import NEUTRAL_ANGLE
 
 # Sparse tf-idf vector: term -> positive weight.
 TermVector = dict[str, float]
+
+
+def traced(fn: Callable[..., Any], *args) -> tuple[Any, int, int]:
+    """Call ``fn(*args)`` under tracemalloc; return its result, the bytes it
+    left allocated and the peak it reached, both counted from the bytes
+    traced just before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def user_terms(corpus: Corpus, user: str) -> tuple[str, ...]:

@@ -1,6 +1,5 @@
 import json
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +16,7 @@ from comtext.corpus import (
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
-from helpers import reference_tokenize, user_terms
+from helpers import reference_tokenize, traced, user_terms
 
 # Characters at the edges of the rule: combining marks, CJK, digits and
 # other numbers, astral letters, "İ" (whose lowercase gains a combining
@@ -105,6 +104,15 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "expected a JSON object"),
+        ('{"text": "a"}', "missing 'user_id'"),
+    ])
+    def test_line_that_is_no_document_names_line(self, tmp_path, line, message):
+        path = self._write(tmp_path, ['{"user_id": "u1", "text": "a"}', line])
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            load_corpus(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = self._write(tmp_path, ['{"user_id": "u1", "text": "a"}', "{nope"])
         with pytest.raises(ParseError, match="line 2"):
@@ -148,13 +156,7 @@ class TestLoadCorpus:
         token count and the bytes at the peak and at the end."""
         path = generate(default_spec(10, 40, rng_seed=3, tokens_per_user=300),
                         tmp_path).corpus_path
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            corpus = load_corpus(path)
-            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
+        corpus, retained, peak = traced(load_corpus, path)
         tokens = sum(map(len, corpus.docs_by_user.values()))
         assert tokens == 400 * 300
         return tokens, peak, retained

@@ -2,7 +2,6 @@ import heapq
 import importlib
 import random
 import re
-import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +23,7 @@ from helpers import (
     reference_expand_communities,
     reference_select_centers,
     scaled,
+    traced,
 )
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
@@ -216,13 +216,7 @@ class TestDetect:
         stale entry until popped at 114."""
         g = block_graph(random.Random(109), weights=(0.25, 0.5, 1.0))
         edges = len(g.targets) // 2
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            detect(g, 64)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(detect, g, 64)
         assert peak / edges < 32
 
 

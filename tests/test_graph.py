@@ -1,14 +1,13 @@
 import math
 import random
 import re
-import tracemalloc
 
 import pytest
 
 from comtext.corpus import EdgeList, load_edges
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph, build_weighted_graph, structural_graph
-from helpers import block_graph, random_weighted_graph
+from helpers import block_graph, random_weighted_graph, traced
 
 from comtext.fixtures import KARATE_NODES, karate_edge_list
 
@@ -224,13 +223,7 @@ class TestWeightedGraph:
             i, j = sorted(rng.sample(range(2000), 2))
             pairs.add((i, j))
         edges = [(nodes[i], nodes[j], rng.random()) for i, j in sorted(pairs)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            g = WeightedGraph(nodes, edges)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        g, retained, _ = traced(WeightedGraph, nodes, edges)
         assert len(g.edges()) == len(edges)
         assert retained / len(edges) < 64
 
@@ -241,13 +234,7 @@ class TestWeightedGraph:
         edge 134."""
         path = tmp_path / "graph.csv"
         block_graph(random.Random(113), n=1000, weights=(0.25, 0.5, 1.0)).write_csv(path)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            g = WeightedGraph.read_csv(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        g, _, peak = traced(WeightedGraph.read_csv, path)
         assert peak / (len(g.targets) // 2) < 65
 
     def test_handshake_identity(self):
@@ -310,6 +297,15 @@ class TestWeightedGraph:
         path.write_text("a,b,1.0\nc,c,0.5\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: self-loop at 'c'"):
             WeightedGraph.read_csv(path)
+
+    def test_csv_duplicate_edge_names_the_repeating_line(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        for text, line in (("a,b,1.0\nb,c,1.0\nb,a,0.5\n", 3),
+                           ("x,,\nc,d,1.0\n a , b ,1.0\nc,e,1.0\nb,a,1.0\nc,d,2.0\n", 5)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError, match=re.escape(
+                    f"{path}: line {line}: duplicate edge ('a', 'b')")):
+                WeightedGraph.read_csv(path)
 
     def test_precision_snaps_weights_to_export_grid(self, tmp_path):
         exact = WeightedGraph(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])

@@ -1,10 +1,10 @@
 import gc
 import json
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import traced
 
 from comtext import cli, pipeline
 from comtext.corpus import load_corpus, load_edges
@@ -173,6 +173,8 @@ class TestStageErrors:
             config_for(inputs, k_values=(2, 3, 2))
         with pytest.raises(ParameterError):
             config_for(inputs, alpha=2.0)
+        with pytest.raises(ParameterError, match="precision must be at least 1"):
+            config_for(inputs, precision=0)
         with pytest.raises(ParameterError):
             RunConfig()
         with pytest.raises(ParameterError, match="non-empty"):
@@ -350,13 +352,7 @@ class TestFrontHalfMemory:
         fx = generate(spec, tmp_path)
         config = RunConfig(edges=fx.edges_path, corpus=fx.corpus_path, lexicon=fx.lexicon_path,
                            out_dir=tmp_path / "out", export_matrices=False)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            pipeline._front_half(config)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(pipeline._front_half, config)
         assert peak / (groups * 20 * 300) < 26
 
     def test_no_vector_alive_during_detect(self, inputs, monkeypatch):
@@ -421,13 +417,38 @@ class TestCli:
         assert "stage graph" in err and "line 2" in err
 
     @pytest.mark.parametrize("line, message", [("b,c,-0.5", "line 2: weight is negative"),
-                                               ("c,c,0.5", "line 2: self-loop at 'c'")])
+                                               ("c,c,0.5", "line 2: self-loop at 'c'"),
+                                               ("b,c,1.0\nb,a,0.5",
+                                                "line 3: duplicate edge ('a', 'b')")])
     def test_invalid_graph_edge_names_its_line(self, tmp_path, capsys, line, message):
         graph = tmp_path / "graph.csv"
         graph.write_text(f"a,b,1.0\n{line}\n", encoding="utf-8")
         code = cli.main(["run", "--graph", str(graph), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: stage graph: {graph}: {message}\n"
+
+    @pytest.mark.parametrize("case", ["karate", "compare", "empty-graph"])
+    def test_k_above_node_count_writes_nothing(self, tmp_path, capsys, case):
+        """The k values are checked against the node count before the first
+        write, with the message detection gives."""
+        if case == "karate":
+            edges, _ = write_karate(tmp_path)
+            args, n, k = ["run", "--mode", "structural", "--edges", str(edges)], 34, "2,50"
+        elif case == "compare":
+            fx = generate(default_spec(rng_seed=1), tmp_path)
+            args = ["compare", "--edges", str(fx.edges_path), "--corpus", str(fx.corpus_path),
+                    "--lexicon", str(fx.lexicon_path)]
+            n, k = 20, "2,99"
+        else:
+            graph = tmp_path / "empty.csv"
+            graph.write_text("", encoding="utf-8")
+            args, n, k = ["run", "--graph", str(graph)], 0, "1"
+        out = tmp_path / "out"
+        assert cli.main([*args, "--k", k, "--out", str(out)]) == 1
+        got = k.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: stage detect: k must be an integer in 1..{n}, got {got}\n")
+        assert not out.exists()
 
     def test_failed_compare_leaves_no_output(self, inputs, capsys):
         out = inputs["tmp"] / "cmp_bad"
@@ -630,12 +651,23 @@ class TestCli:
             assert code == 1
             assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[]", '[{"k": 2}]', '"k"', "null"])
+    def test_config_file_not_an_object(self, inputs, capsys, text):
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "listed"), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config_path}: expected a JSON object\n")
+        assert not (inputs["tmp"] / "listed").exists()
+
     @pytest.mark.parametrize("values", [
         {"no_matrices": "false"},
         {"token_delim": 1},
         {"k": True},
         {"k": [2, True]},
         {"k": 2.0},
+        {"k": "2,x"},
         {"precision": 2.9},
         {"precision": True},
         {"alpha": True},

@@ -94,6 +94,10 @@ class TestLexicon:
         with pytest.raises(ValueError):
             SentimentLexicon({"x": 2.0})
 
+    def test_empty_term_rejected(self):
+        with pytest.raises(ValueError, match="lexicon terms must be non-empty"):
+            SentimentLexicon({"": 0.5})
+
 
 class TestScoreText:
     def test_no_matches_is_neutral(self):

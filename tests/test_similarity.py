@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -20,6 +19,7 @@ from helpers import (
     random_corpus,
     term_frequency,
     tfidf_vector,
+    traced,
     user_terms,
 )
 
@@ -244,13 +244,7 @@ class TestPackedVectors:
         corpus = build_corpus([Document(f"u{i:03d}", " ".join(rng.choices(words, k=300)))
                                for i in range(100)])
         terms = sum(map(len, user_vectors(corpus).values()))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            corpus_matrix(corpus)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(corpus_matrix, corpus)
         assert peak / terms < 30
 
 
@@ -325,12 +319,7 @@ class TestSymmetricMatrix:
     def test_retained_bytes_per_pair(self):
         n = 300
         nodes = [f"u{i:03d}" for i in range(n)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            matrix = SymmetricMatrix(nodes, lambda u, v: (int(u[1:]) + int(v[1:])) / (2 * n))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        matrix, retained, _ = traced(
+            SymmetricMatrix, nodes, lambda u, v: (int(u[1:]) + int(v[1:])) / (2 * n))
         assert matrix.n == n
         assert retained / (n * (n - 1) // 2) < 10
