@@ -93,8 +93,6 @@ class TestLexicon:
     def test_score_validation(self):
         with pytest.raises(ValueError):
             SentimentLexicon({"x": 2.0})
-
-    def test_empty_term_rejected(self):
         with pytest.raises(ValueError, match="lexicon terms must be non-empty"):
             SentimentLexicon({"": 0.5})
 
