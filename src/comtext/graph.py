@@ -156,7 +156,8 @@ class WeightedGraph:
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
         """Load a graph written by :meth:`write_csv`.  An edge given twice is
-        a ParseError naming the line that repeats it."""
+        a ParseError naming the line that repeats it; a file with no line is
+        one naming the file."""
         names: dict[str, int] = {}  # each id, numbered in order of first appearance
         heads, tails, weights = array("i"), array("i"), array("d")
         for where, line in read_lines(path):
@@ -182,6 +183,8 @@ class WeightedGraph:
             heads.append(i)
             tails.append(j)
             weights.append(w)
+        if not names:
+            raise ParseError(f"{path}: empty graph file")
         ids = list(names)
         edges = ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights))
         # The generator alone now holds the parsed arrays, and frees them once

@@ -12,10 +12,12 @@ of the graph CSV.  The back half writes the graph, then detects and scores
 communities for each k.
 
 ``run`` chains the two halves for one mode.  ``compare`` runs the front
-half once under the weighted mode's input checks, gives the back half the
-weighted graph and then unit weights on its edges, copies the matrix files
-into the structural side and tabulates modularity side by side.  Identical
-inputs give byte-identical output trees.
+half once under the weighted mode's input checks, so the matrices, which
+no mode changes, are written once at the root of its tree beside
+``compare.csv``.  It gives the back half the weighted graph and then unit
+weights on its edges, in ``weighted/`` and ``structural/``, and tabulates
+modularity side by side.  Identical inputs give byte-identical output
+trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
@@ -31,7 +33,6 @@ detect or metrics.
 
 from __future__ import annotations
 
-import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -127,16 +128,16 @@ def _check_k_values(config: RunConfig, n: int) -> None:
             check_k(k, n)
 
 
-def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
+def _front_half(config: RunConfig) -> WeightedGraph:
     """Read and check every input file given, also where the mode needs none
     of its contents; write each export matrix into ``config.out_dir``; and
-    return the mode's graph with the matrix paths written.  The per-user
-    vectors and the edge list are dropped on return."""
+    return the mode's graph.  The per-user vectors and the edge list are
+    dropped on return."""
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
             graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
         _check_k_values(config, graph.n)
-        return (graph if config.mode == "weighted" else _unit_weights(graph)), []
+        return graph if config.mode == "weighted" else _unit_weights(graph)
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
 
@@ -156,7 +157,7 @@ def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
     s = sv = None
     if config.lexicon is not None:
         with _stage("sentiment", ValueError, OSError):
-            lexicon = load_lexicon(config.lexicon)
+            lexicon = load_lexicon(config.lexicon, config.token_delim)
         sv = bias_score(corp, lexicon) if scored else None
         del lexicon  # the polar vectors keep what they need
     elif config.mode == "weighted":
@@ -168,19 +169,16 @@ def _front_half(config: RunConfig) -> tuple[WeightedGraph, list[Path]]:
 
     # Each matrix is built just before it is written and dropped right after,
     # so at most one triangle is alive.
-    paths = []
     if config.export_matrices and scored:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths.append(out / "similarity_matrix.csv")
-        similarity_matrix(nodes, s).write_csv(paths[-1], config.precision)
+        similarity_matrix(nodes, s).write_csv(out / "similarity_matrix.csv", config.precision)
         if sv is not None:
-            paths.append(out / "bias_matrix.csv")
-            bias_matrix(nodes, sv).write_csv(paths[-1], config.precision)
+            bias_matrix(nodes, sv).write_csv(out / "bias_matrix.csv", config.precision)
     if config.mode == "weighted":
         return build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
-                                    precision=config.precision), paths
-    return structural_graph(edge_list, nodes), paths
+                                    precision=config.precision)
+    return structural_graph(edge_list, nodes)
 
 
 def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
@@ -212,21 +210,20 @@ def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Execute one full pipeline pass and write all artifacts."""
-    return _back_half(config, _front_half(config)[0])
+    return _back_half(config, _front_half(config))
 
 
 def compare(config: RunConfig) -> CompareResult:
     """Run weighted and structural modes side by side on one front half,
-    under the weighted mode's input checks; the structural side gets unit
-    weights on the weighted graph's edges and copies of its matrix files."""
+    under the weighted mode's input checks.  The matrices are written once,
+    at the root of the tree; the structural side gets unit weights on the
+    weighted graph's edges."""
     out = Path(config.out_dir)
-    weighted_config = config.replace(mode="weighted", out_dir=out / "weighted")
-    graph, matrices = _front_half(weighted_config)
-    weighted = _back_half(weighted_config, graph)
+    weighted_config = config.replace(mode="weighted")
+    graph = _front_half(weighted_config)
+    weighted = _back_half(weighted_config.replace(out_dir=out / "weighted"), graph)
     structural = _back_half(config.replace(mode="structural", out_dir=out / "structural"),
                             _unit_weights(graph))
-    for path in matrices:
-        shutil.copyfile(path, structural.out_dir / path.name)
     rows = [
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)

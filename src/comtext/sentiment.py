@@ -15,7 +15,7 @@ import math
 from typing import Callable, Sequence
 
 from ._record import Record
-from .corpus import Corpus, read_lines
+from .corpus import Corpus, read_lines, tokenize
 from .errors import ParseError
 from .similarity import SymmetricMatrix
 
@@ -35,9 +35,11 @@ class SentimentLexicon(Record, frozen=True):
                 raise ValueError(f"lexicon score out of [-1, 1] for {term!r}: {score!r}")
 
 
-def load_lexicon(path) -> SentimentLexicon:
+def load_lexicon(path, token_delim: str | None = None) -> SentimentLexicon:
     """Read a TSV lexicon (``term<TAB>score``, terms lowercased as tokens are);
-    ``#`` lines are comments."""
+    ``#`` lines are comments.  A term that :func:`~comtext.corpus.tokenize`
+    under ``token_delim`` does not keep as one token could never match one,
+    so it is a ParseError naming its line."""
     scores: dict[str, float] = {}
     for where, line in read_lines(path):
         if line.startswith("#"):
@@ -48,6 +50,10 @@ def load_lexicon(path) -> SentimentLexicon:
         term = fields[0].strip().lower()
         if term in scores:
             raise ParseError(f"{where}: duplicate term {term!r}")
+        tokens = tokenize(term, token_delim)
+        if tokens != [term]:
+            raise ParseError(f"{where}: term {term!r} can never match a token: "
+                             f"it tokenizes to {tokens!r}")
         try:
             score = float(fields[1])
         except ValueError:

@@ -411,9 +411,10 @@ def _lines(path) -> list[str]:
     return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
-def reference_run(config: RunConfig) -> list[tuple[int, float]]:
+def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tuple[int, float]]:
     """Write the output tree that ``run(config)`` writes, the long way round;
-    return its ``(k, modularity)`` rows.
+    return its ``(k, modularity)`` rows.  The matrices go to ``matrix_dir``,
+    by default the out dir.
 
     Texts are split by :func:`reference_tokenize` under the config's
     ``token_delim``.  Every pair of users is scored with the dict forms
@@ -454,8 +455,8 @@ def reference_run(config: RunConfig) -> list[tuple[int, float]]:
     def fixed(x: float) -> str:
         return f"{x:.{config.precision}f}"
 
-    def write(name: str, text: str) -> None:
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    def write(name: str, text: str, where: Path = out) -> None:
+        (where / name).write_text(text, encoding="utf-8", newline="\n")
 
     if config.export_matrices and config.corpus is not None:
         scored = [("similarity", s)] + ([("bias", sv)] if config.lexicon is not None else [])
@@ -464,7 +465,7 @@ def reference_run(config: RunConfig) -> list[tuple[int, float]]:
             for u in nodes:
                 cells = (0.0 if u == v else score(min(u, v), max(u, v)) for v in nodes)
                 lines.append(u + "," + ",".join(map(fixed, cells)) + "\n")
-            write(f"{name}_matrix.csv", "".join(lines))
+            write(f"{name}_matrix.csv", "".join(lines), Path(matrix_dir or out))
 
     if config.mode == "weighted":
         a = config.alpha
@@ -499,12 +500,14 @@ def reference_run(config: RunConfig) -> list[tuple[int, float]]:
 
 
 def reference_compare(config: RunConfig) -> None:
-    """Write the output tree that ``compare(config)`` writes: a weighted and a
-    structural :func:`reference_run`, then their modularity side by side."""
+    """Write the output tree that ``compare(config)`` writes: a weighted
+    :func:`reference_run` that puts the matrices at the root, a structural
+    one with none, then their modularity side by side."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weighted, structural = (reference_run(config.replace(mode=mode, out_dir=out / mode))
-                            for mode in ("weighted", "structural"))
+    weighted = reference_run(config.replace(mode="weighted", out_dir=out / "weighted"), out)
+    structural = reference_run(config.replace(mode="structural", out_dir=out / "structural",
+                                              export_matrices=False))
     rows = "".join(f"{k},{qw!r},{qs!r}\n" for (k, qw), (_, qs) in zip(weighted, structural))
     (out / "compare.csv").write_text("k,modularity_weighted,modularity_structural\n" + rows,
                                      encoding="utf-8", newline="\n")

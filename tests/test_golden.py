@@ -9,6 +9,7 @@ one on purpose says why in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ GOLDEN = {
     "recovery/run":
         "7c5558454d8104b9bb19b31f1c13fa29f88d62939ffbecd99b7251f149525d99",
     "recovery/compare":
-        "44b7c7be1a9d08e8cee654427bb4606f57e2d4d3188e5bde44d1f891ea43978c",
+        "0695a967f2442d83cc7227087a6e0aa1ad5d3d82f9535a3eb240a1227031968b",
     "recovery/structural":
         "0a41632901e4a4e706abb35313849cb20016e47c074b3aff5998ff2321891a9b",
     "recovery/precision":
@@ -51,7 +52,7 @@ GOLDEN = {
     "trend/run":
         "0d154fa3d794e691541a08845ca811bd45b1524c5605740e0aaf49b01f0438c0",
     "trend/compare":
-        "2750a5a93139eb3260099d5a5b4128403b201259117ec322cea9311e6c47eddd",
+        "a9c25a71ba012e857af8f2c2825d9fbc50cf0b587445817798c4db03b16e0800",
     "trend/structural":
         "58c31a73214ac2241a6cf16db08a9e58ac4ee35ee5e96b5a520337ad06adb428",
     "trend/full-precision":
@@ -66,6 +67,16 @@ GOLDEN = {
         "698163325d84fcd2dfa024107d98f01da0bad75fbd8723e7a308dc194a7cf3e2",
     "karate/structural":
         "d75771a7408c51d402f3a177ad0c97ae1e81bafb81ec83dfbecec74f8799f786",
+}
+
+
+# The compare trees as they were when each mode directory held its own copy
+# of both matrix files and the root held none.
+SPLIT_MATRIX_GOLDEN = {
+    "recovery/compare":
+        "44b7c7be1a9d08e8cee654427bb4606f57e2d4d3188e5bde44d1f891ea43978c",
+    "trend/compare":
+        "2750a5a93139eb3260099d5a5b4128403b201259117ec322cea9311e6c47eddd",
 }
 
 
@@ -84,8 +95,13 @@ def _cli(argv: list[str], out: Path) -> str:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory) -> dict[str, str]:
-    root = tmp_path_factory.mktemp("golden")
+def golden_root(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def digests(golden_root) -> dict[str, str]:
+    root = golden_root
     found = {}
     for name, spec, text_cases in (("recovery", RECOVERY_SPEC, _TEXT_CASES),
                                    ("trend", TREND_SPEC, (*_TEXT_CASES, _FULL_PRECISION))):
@@ -108,3 +124,16 @@ def digests(tmp_path_factory) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_tree_digest(digests, case):
     assert digests[case] == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_MATRIX_GOLDEN))
+def test_compare_tree_differs_only_in_where_the_matrices_sit(digests, golden_root, tmp_path,
+                                                             case):
+    """Moving the root matrices into both mode directories rebuilds the
+    earlier layout byte for byte."""
+    tree = shutil.copytree(golden_root / case, tmp_path / "split")
+    for name in ("similarity_matrix.csv", "bias_matrix.csv"):
+        for mode in ("weighted", "structural"):
+            shutil.copyfile(tree / name, tree / mode / name)
+        (tree / name).unlink()
+    assert tree_digest(tree) == SPLIT_MATRIX_GOLDEN[case]

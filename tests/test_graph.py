@@ -305,6 +305,10 @@ class TestWeightedGraph:
             with pytest.raises(ParseError, match=re.escape(
                     f"{path}: line {line}: duplicate edge ('a', 'b')")):
                 WeightedGraph.read_csv(path)
+        for text in ("", "\n \r\n\t\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError, match=re.escape(f"{path}: empty graph file")):
+                WeightedGraph.read_csv(path)
 
     def test_precision_snaps_weights_to_export_grid(self, tmp_path):
         exact = WeightedGraph(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])

@@ -194,6 +194,24 @@ class TestCompare:
         assert (out / "weighted" / "summary.csv").exists()
         assert (out / "structural" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--no-matrices"], ["--graph"]],
+                             ids=["matrices", "no-matrices", "graph"])
+    def test_matrices_written_once_at_the_root(self, inputs, extra):
+        """The matrix files sit beside compare.csv, and neither mode
+        directory holds one; a tree without matrices has none anywhere."""
+        if extra == ["--graph"]:
+            run(config_for(inputs, "one"))
+            args = ["--graph", str(inputs["tmp"] / "one" / "graph.csv")]
+        else:
+            args = ["--edges", str(inputs["edges"]), "--corpus", str(inputs["corpus"]),
+                    "--lexicon", str(inputs["lexicon"]), *extra]
+        out = inputs["tmp"] / "cmp"
+        assert cli.main(["compare", *args, "--k", "2", "--out", str(out)]) == 0
+        matrices = ["bias_matrix.csv", "similarity_matrix.csv"] if not extra else []
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*matrix*")) == matrices
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["compare.csv", "structural", "weighted", *matrices])
+
     def test_karate_weighted_rejected_without_corpus(self, tmp_path):
         edge_path, _ = write_karate(tmp_path)
         config = RunConfig(edges=edge_path, out_dir=tmp_path / "out")
@@ -324,7 +342,7 @@ class TestCallCounts:
         assert calls == {"read_csv": 1, "graph": 2}
 
     def test_compare_formats_each_matrix_once(self, inputs, monkeypatch):
-        """The structural side copies the weighted side's matrix files."""
+        """Each matrix file is written once, at the root of the tree."""
         written = []
         write_csv = SymmetricMatrix.write_csv
 
@@ -334,10 +352,9 @@ class TestCallCounts:
 
         monkeypatch.setattr(SymmetricMatrix, "write_csv", counted)
         compare(config_for(inputs, "cmp"))
-        assert written == ["weighted/similarity_matrix.csv", "weighted/bias_matrix.csv"]
-        for name in ("similarity_matrix.csv", "bias_matrix.csv"):
-            structural = (inputs["tmp"] / "cmp" / "structural" / name).read_bytes()
-            assert structural == (inputs["tmp"] / "cmp" / "weighted" / name).read_bytes()
+        assert written == ["similarity_matrix.csv", "bias_matrix.csv"]
+        for mode in ("weighted", "structural"):
+            assert not list((inputs["tmp"] / "cmp" / mode).glob("*matrix*")), mode
 
 
 class TestFrontHalfMemory:
@@ -366,7 +383,7 @@ class TestFrontHalfMemory:
 
         monkeypatch.setattr(pipeline, "detect", spy)
         compare(config_for(inputs, "cmp", k_values=(2, 3)))
-        assert (inputs["tmp"] / "cmp" / "structural" / "similarity_matrix.csv").exists()
+        assert (inputs["tmp"] / "cmp" / "similarity_matrix.csv").exists()
         assert alive == [0, 0, 0, 0]
 
 
@@ -427,7 +444,7 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: stage graph: {graph}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["karate", "compare", "empty-graph"])
+    @pytest.mark.parametrize("case", ["karate", "compare", "one-node-graph"])
     def test_k_above_node_count_writes_nothing(self, tmp_path, capsys, case):
         """The k values are checked against the node count before the first
         write, with the message detection gives."""
@@ -440,14 +457,43 @@ class TestCli:
                     "--lexicon", str(fx.lexicon_path)]
             n, k = 20, "2,99"
         else:
-            graph = tmp_path / "empty.csv"
-            graph.write_text("", encoding="utf-8")
-            args, n, k = ["run", "--graph", str(graph)], 0, "1"
+            graph = tmp_path / "one.csv"
+            graph.write_text("a,,\n", encoding="utf-8")
+            args, n, k = ["run", "--graph", str(graph)], 1, "1,2"
         out = tmp_path / "out"
         assert cli.main([*args, "--k", k, "--out", str(out)]) == 1
         got = k.split(",")[-1]
         assert capsys.readouterr().err == (
             f"error: stage detect: k must be an integer in 1..{n}, got {got}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank"])
+    def test_empty_graph_file_rejected(self, tmp_path, capsys, command, text):
+        graph = tmp_path / "empty.csv"
+        graph.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "run":
+            args = ["run", "--graph", str(graph), "--k", "1", "--out", str(out)]
+        else:
+            partition = tmp_path / "partition.txt"
+            partition.write_text("k_requested=1\nm=1\n0:a\n", encoding="utf-8")
+            args = ["score", "--graph", str(graph), "--partition", str(partition)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: stage graph: {graph}: empty graph file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["empty.csv"] + (["partition.txt"] if command == "score" else []))
+
+    @pytest.mark.parametrize("term, delim", [("well-known", None), ("good|bad", "|")])
+    def test_unmatchable_lexicon_term_names_its_line(self, inputs, capsys, term, delim):
+        lexicon = inputs["tmp"] / "lexicon.tsv"
+        lexicon.write_text(f"great\t1.0\n{term}\t0.5\n", encoding="utf-8")
+        out = inputs["tmp"] / "out"
+        extra = ["--token-delim", delim] if delim else []
+        code = cli.main(["run", *self._base_args(inputs, "out"), "--k", "2", *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: stage sentiment: {lexicon}: line 2: term {term!r} can never match a token")
         assert not out.exists()
 
     def test_failed_compare_leaves_no_output(self, inputs, capsys):
@@ -512,6 +558,25 @@ class TestCli:
             cells[name] = rows[1].split(",")[2]  # s(u1, u2)
         assert float(cells["rule"]) > 0.0
         assert cells["delim"] == "0.000000"
+
+    def test_token_delim_keeps_a_lexicon_term_whole(self, tmp_path):
+        """Under a delimiter ``well-known`` is one token, so the lexicon
+        term is read and matched."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"user_id": u, "text": t}) + "\n"
+            for u, t in [("u1", "well-known|cat"), ("u2", "well-known|dog"), ("u3", "fish")]),
+            encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text("u1,u2\nu2,u3\n", encoding="utf-8")
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("well-known\t0.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--corpus", str(corpus), "--edges", str(edges),
+                         "--lexicon", str(lexicon), "--token-delim", "|", "--k", "1",
+                         "--out", str(out)]) == 0
+        rows = (out / "bias_matrix.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == "1.000000"  # sv(u1, u2): both score 0.5
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_empty_token_delim_rejected(self, inputs, capsys, command):

@@ -84,6 +84,32 @@ class TestLexicon:
         with pytest.raises(ParseError, match="line 2: duplicate term 'good'"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("term, delim, tokens", [
+        ("well-known", None, ["well", "known"]),
+        ("Not good", None, ["not", "good"]),
+        ("café!", None, ["café"]),
+        ("good|bad", "|", ["good", "bad"]),
+    ])
+    def test_term_that_is_not_one_token(self, tmp_path, term, delim, tokens):
+        """No token equals such a term, so it could never match."""
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"# header\ngood\t0.5\n{term}\t0.4\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_lexicon(path, delim)
+        assert str(excinfo.value) == (f"{path}: line 3: term {term.lower()!r} can never "
+                                      f"match a token: it tokenizes to {tokens!r}")
+
+    def test_delimiter_keeps_terms_the_unicode_rule_splits(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("well-known\t0.5\nnot good\t-0.4\n", encoding="utf-8")
+        lexicon = load_lexicon(path, "|")
+        assert lexicon.scores == {"well-known": 0.5, "not good": -0.4}
+        corpus = build_corpus([Document("u1", "not good|meh"), Document("u2", "well-known")],
+                              "|")
+        scores = [lexicon.scores.get(t) for t in corpus.vocabulary]
+        assert score_text(corpus.docs_by_user["u1"], scores) == (0.4, 1.4 * math.pi / 2)
+        assert score_text(corpus.docs_by_user["u2"], scores) == (0.5, 0.5 * math.pi / 2)
+
     def test_missing_tab(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("good 0.5\n", encoding="utf-8")
