@@ -42,7 +42,9 @@ class WeightedGraph:
     there, so comparing two indices compares the ids.  The neighbors of
     ``nodes[i]`` are ``targets[offsets[i]:offsets[i + 1]]``, sorted by index,
     with the matching edge weights in the same slice of ``weights``.  Each
-    edge appears once in each endpoint's slice.  ``strengths[i]`` is the
+    edge appears once in each endpoint's slice.  ``targets`` is an
+    ``array('H')``, 2 bytes per index, when there are at most 65,536 nodes,
+    and an ``array('i')`` above that.  ``strengths[i]`` is the
     node's weighted degree.  Every strength and twice the total weight must
     be finite, or the constructor raises GraphError.  Every id the graph
     hands out is the object in ``nodes``.
@@ -81,7 +83,8 @@ class WeightedGraph:
             edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
         del index
         self.offsets = offsets = array("q", accumulate(degree, initial=0))
-        self.targets = targets = array("i", [0]) * offsets[-1]
+        typecode = "H" if n <= 65536 else "i"  # the narrowest that holds index n - 1
+        self.targets = targets = array(typecode, [0]) * offsets[-1]
         self.weights = weights = array("d", [0.0]) * offsets[-1]
         cursor = offsets[:-1]
         for i, j, w in zip(heads, tails, edge_weights):
@@ -97,7 +100,7 @@ class WeightedGraph:
             if end - start < 2:
                 continue
             order = sorted(range(start, end), key=targets.__getitem__)
-            row = array("i", map(targets.__getitem__, order))
+            row = array(typecode, map(targets.__getitem__, order))
             for a, b in pairwise(row):
                 if a == b:
                     raise DuplicateEdgeError((self.nodes[i], self.nodes[a]))

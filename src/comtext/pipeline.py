@@ -9,7 +9,9 @@ weights of the structural edges only; structural mode gives each edge
 weight 1 instead.  The vectors and the edge list are freed when it returns,
 before any detection.  A graph reload replaces all of this with one read
 of the graph CSV.  The back half writes the graph, then detects and scores
-communities for each k.
+communities for each k, largest k first, since detection's working set
+grows with k; ``summary.csv``, ``compare.csv`` and the result keep the k
+values in the order given.
 
 ``run`` chains the two halves for one mode.  ``compare`` runs the front
 half once under the weighted mode's input checks, so the matrices, which
@@ -187,10 +189,10 @@ def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     graph.write_csv(out / "graph.csv", config.precision)
 
-    partitions: dict[int, Partition] = {}
-    reports: dict[int, QualityReport] = {}
-    summary_rows: list[tuple[int, float]] = []
-    for k in config.k_values:
+    partitions: dict[int, Partition] = dict.fromkeys(config.k_values)
+    reports: dict[int, QualityReport] = dict.fromkeys(config.k_values)
+    # Largest k first: detection's working set grows with k, so the rest reuse its memory.
+    for k in sorted(config.k_values, reverse=True):
         with _stage("detect", ParameterError, GraphError):
             partition = detect(graph, k)
         with _stage("metrics", GraphError, UndefinedModularityError):
@@ -199,7 +201,7 @@ def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
         report.write_json(out / f"quality_k{k}.json")
         partitions[k] = partition
         reports[k] = report
-        summary_rows.append((k, report.modularity))
+    summary_rows = [(k, reports[k].modularity) for k in config.k_values]
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("k,modularity\n")

@@ -167,6 +167,11 @@ def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values, 
 @example("structural-edges", [("a", "")],
          [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("d", "f")],
          {}, 0.5, 6, False, [1, 2, 3], None)
+# A k sweep out of order: detection runs the largest k first, and every
+# output keeps the order given.
+@example("compare", [("a", "good cat"), ("b", "cat dog"), ("c", "bad dog"), ("d", "good fish")],
+         [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")], {"good": 1.0, "bad": -0.5},
+         0.5, 6, True, (3, 1, 2), None)
 # Users sharing three or more weighted terms, where the order of the dot
 # product's sum shows at 17 decimals.
 @example("compare", [("a", "good bad cat dog fish fish"), ("b", "good good bad cat dog fish"),

@@ -28,6 +28,8 @@ _TEXT_CASES = (
 # Seventeen decimal places show every bit of each fused weight, so this digest
 # holds only where every sum rounds alike on every supported Python.
 _FULL_PRECISION = ("full-precision", ["run", "--precision", "17"])
+# Detection runs the largest k first; the tree keeps the order given.
+_K_ORDER = ("k-order", ["run", "--k", "5,2,3"])
 _RELOAD_CASES = (
     ("reload", ["run", "--graph", "{graph}", "--precision", "2"]),
     ("compare-reload", ["compare", "--graph", "{graph}"]),
@@ -41,6 +43,8 @@ GOLDEN = {
         "0695a967f2442d83cc7227087a6e0aa1ad5d3d82f9535a3eb240a1227031968b",
     "recovery/structural":
         "0a41632901e4a4e706abb35313849cb20016e47c074b3aff5998ff2321891a9b",
+    "recovery/k-order":
+        "f38c44d5350312d50a5d63b0bf5c261bdc4458245a3264a9368670ead604ea6d",
     "recovery/precision":
         "dc9852b63a0ea8a3a4ef53d34195a1d47ba382fdefab0d7994146f6a37ce5966",
     "recovery/reload":
@@ -103,7 +107,7 @@ def golden_root(tmp_path_factory) -> Path:
 def digests(golden_root) -> dict[str, str]:
     root = golden_root
     found = {}
-    for name, spec, text_cases in (("recovery", RECOVERY_SPEC, _TEXT_CASES),
+    for name, spec, text_cases in (("recovery", RECOVERY_SPEC, (*_TEXT_CASES, _K_ORDER)),
                                    ("trend", TREND_SPEC, (*_TEXT_CASES, _FULL_PRECISION))):
         fixture = generate(spec, root / name / "inputs")
         inputs = ["--edges", str(fixture.edges_path), "--corpus", str(fixture.corpus_path),

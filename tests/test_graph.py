@@ -214,8 +214,10 @@ class TestWeightedGraph:
             assert g.total_weight == math.fsum(w for _, _, w in g.edges())
 
     def test_retained_bytes_per_edge(self):
-        """Compressed sparse rows cost two index entries and two weights per
-        edge; a tuple per edge and a pair per endpoint cost about 207."""
+        """Compressed sparse rows cost two 2-byte neighbor indices and two
+        weights per edge, about 22.5 B/edge with the per-node arrays; 4-byte
+        indices read 26.5, and a tuple per edge and a pair per endpoint
+        about 207."""
         rng = random.Random(113)
         nodes = [f"n{i:04d}" for i in range(2000)]
         pairs = set()
@@ -225,7 +227,28 @@ class TestWeightedGraph:
         edges = [(nodes[i], nodes[j], rng.random()) for i, j in sorted(pairs)]
         g, retained, _ = traced(WeightedGraph, nodes, edges)
         assert len(g.edges()) == len(edges)
-        assert retained / len(edges) < 64
+        assert retained / len(edges) < 24
+
+    @pytest.mark.parametrize("n, itemsize", [(65536, 2), (65537, 4)])
+    def test_neighbor_index_width_follows_the_node_count(self, tmp_path, n, itemsize):
+        """2-byte neighbor indices hold every index of a graph of up to
+        65,536 nodes; one more node takes 4 bytes per index."""
+        nodes = [f"n{i:05d}" for i in range(n)]
+        last = nodes[-1]
+        edges = [(nodes[0], nodes[1], 1.0), (nodes[0], last, 0.5), (nodes[1], last, 0.25),
+                 (nodes[n // 2], last, 0.125)]
+        g = WeightedGraph(nodes, edges)
+        assert g.targets.itemsize == itemsize
+        assert g.index_of(last) == n - 1
+        assert g.edges() == tuple(edges)
+        assert g.neighbors(last) == ((nodes[0], 0.5), (nodes[1], 0.25), (nodes[n // 2], 0.125))
+        path = tmp_path / "graph.csv"
+        g.write_csv(path)
+        loaded = WeightedGraph.read_csv(path)
+        assert loaded.targets.itemsize == itemsize
+        assert loaded.nodes == g.nodes
+        assert loaded.edges() == tuple(edges)
+        assert loaded.neighbors(last) == g.neighbors(last)
 
     def test_read_csv_peak_bytes_per_edge(self, tmp_path):
         """Rows filled in input order and sorted one at a time, the parsed

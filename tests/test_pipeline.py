@@ -387,6 +387,35 @@ class TestFrontHalfMemory:
         assert alive == [0, 0, 0, 0]
 
 
+class TestSweepOrder:
+    @pytest.mark.parametrize("command", [run, compare], ids=["run", "compare"])
+    def test_largest_k_detected_first_outputs_in_given_order(self, inputs, monkeypatch, command):
+        order = (2, 4, 1, 3)
+        called = []
+
+        def spy(graph, k):
+            called.append(k)
+            return detect(graph, k)
+
+        monkeypatch.setattr(pipeline, "detect", spy)
+        out = inputs["tmp"] / "sweep"
+        result = command(config_for(inputs, "sweep", k_values=order))
+        sides = [result] if command is run else [result.weighted, result.structural]
+        assert called == [4, 3, 2, 1] * len(sides)
+        for side in sides:
+            assert [k for k, _ in side.summary_rows] == list(order)
+            assert list(side.partitions) == list(side.reports) == list(order)
+            for k, q in side.summary_rows:
+                assert side.partitions[k] == detect(side.graph, k)
+                assert side.reports[k].modularity == q
+            lines = (side.out_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in order]
+        if command is compare:
+            assert [k for k, _, _ in result.rows] == list(order)
+            lines = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in order]
+
+
 class TestCli:
     def _base_args(self, inputs, out_name):
         return [
