@@ -52,6 +52,10 @@ class WeightedGraph:
     ``precision`` snaps each weight to that many decimal places, the grid
     :meth:`write_csv` exports, so a reloaded export is bit-identical;
     ``None`` keeps weights exact.
+
+    :meth:`unit_weights` gives the structural graph on the same edges as a
+    view: it shares ``nodes``, ``offsets`` and ``targets`` with this graph
+    and owns only its ``weights`` and ``strengths``.
     """
 
     __slots__ = ("nodes", "offsets", "targets", "weights", "strengths", "total_weight")
@@ -112,6 +116,20 @@ class WeightedGraph:
         self.total_weight = _finite_sum(edge_weights, "total weight")
         if not math.isfinite(2.0 * self.total_weight):
             raise GraphError("twice the total weight overflows a float")
+
+    def unit_weights(self) -> "WeightedGraph":
+        """The structural graph on this graph's edges: every weight 1.
+
+        The rows are shared, not copied; only the weights and strengths are
+        new.  A strength is the row's length as a float and the total weight
+        half the number of row entries, which are exactly the ``math.fsum``
+        results of building the unit graph anew."""
+        unit = object.__new__(WeightedGraph)
+        unit.nodes, unit.offsets, unit.targets = self.nodes, self.offsets, self.targets
+        unit.weights = array("d", [1.0]) * len(self.targets)
+        unit.strengths = array("d", (float(end - start) for start, end in pairwise(self.offsets)))
+        unit.total_weight = len(self.targets) / 2
+        return unit
 
     @property
     def n(self) -> int:

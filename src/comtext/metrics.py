@@ -54,6 +54,12 @@ class QualityReport(Record, frozen=True):
             fh.write("\n")
 
 
+def check_total_weight(g: WeightedGraph) -> None:
+    """Raise UndefinedModularityError unless ``g`` has a positive total weight."""
+    if g.total_weight <= 0.0:
+        raise UndefinedModularityError("modularity is undefined for zero total weight")
+
+
 def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     """Per-community intra weight / strength sums plus the modularity score."""
     # Equal sizes and every graph node listed mean the same node set.
@@ -63,9 +69,8 @@ def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
                  (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
         raise GraphError("partition does not cover exactly the graph's nodes: "
                          + ", ".join(named))
+    check_total_weight(g)
     total = g.total_weight
-    if total <= 0.0:
-        raise UndefinedModularityError("modularity is undefined for zero total weight")
     intra = [0.0] * p.m
     degree_sum = [0.0] * p.m
     size = [0] * p.m

@@ -3,12 +3,17 @@
 The front half reads and checks the inputs and returns the mode's graph.
 It reads the edges and the corpus, scores each user's polar vector and
 drops the lexicon, then packs each user's tf-idf vector and frees that
-user's tokens.  With the vectors in hand it writes each export matrix, one
-triangle at a time, and fuses similarity and sentiment bias into the
-weights of the structural edges only; structural mode gives each edge
-weight 1 instead.  The vectors and the edge list are freed when it returns,
-before any detection.  A graph reload replaces all of this with one read
-of the graph CSV.  The back half writes the graph, then detects and scores
+user's tokens.  With the vectors in hand it fuses similarity and sentiment
+bias into the weights of the structural edges only; structural mode gives
+each edge weight 1 instead.  That graph is checked before anything is
+written: a k above its node count fails at the detect stage, and a zero
+total weight at the metrics stage, with the messages detection and scoring
+give.  Only then does it write each export matrix, one triangle at a time.
+The vectors and the edge list are freed when it returns, before any
+detection.  A graph reload replaces all of this with one read of the graph
+CSV; structural mode takes its unit view
+(:meth:`~comtext.graph.WeightedGraph.unit_weights`), and the same check
+follows.  The back half writes the graph, then detects and scores
 communities for each k, largest k first, since detection's working set
 grows with k; ``summary.csv``, ``compare.csv`` and the result keep the k
 values in the order given.
@@ -16,10 +21,10 @@ values in the order given.
 ``run`` chains the two halves for one mode.  ``compare`` runs the front
 half once under the weighted mode's input checks, so the matrices, which
 no mode changes, are written once at the root of its tree beside
-``compare.csv``.  It gives the back half the weighted graph and then unit
-weights on its edges, in ``weighted/`` and ``structural/``, and tabulates
-modularity side by side.  Identical inputs give byte-identical output
-trees.
+``compare.csv``.  It gives the back half the weighted graph and then its
+unit view, which shares the weighted graph's node, offset and target
+arrays, in ``weighted/`` and ``structural/``, and tabulates modularity side
+by side.  Identical inputs give byte-identical output trees.
 
 Edge weights are snapped to the export precision as the graph is built,
 so reloading the exported graph CSV reproduces the reported numbers
@@ -27,10 +32,8 @@ exactly.  Corpus text is split by the Unicode rule of
 :func:`~comtext.corpus.tokenize`, or on ``RunConfig.token_delim`` when it is
 already segmented.  ``RunConfig`` rejects inconsistent parameters, such as
 an empty delimiter or one without a corpus, with a ``ParameterError``
-before anything is written; a k above the node count fails at the detect
-stage as soon as the nodes are known, also before any write.  A failing
-stage raises ``StageError`` naming it: edges, corpus, sentiment, graph,
-detect or metrics.
+before anything is written.  A failing stage raises ``StageError`` naming
+it: edges, corpus, sentiment, graph, detect or metrics.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .corpus import ensure_users, load_corpus, load_edges
 from .detect import Partition, check_k, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
-from .metrics import QualityReport, quality_report
+from .metrics import QualityReport, check_total_weight, quality_report
 from .sentiment import bias_matrix, bias_score, load_lexicon
 from .similarity import similarity_matrix, similarity_score
 
@@ -116,30 +119,29 @@ def _stage(name: str, *errors: type[Exception]):
         raise StageError(name, str(exc)) from exc
 
 
-def _unit_weights(graph: WeightedGraph) -> WeightedGraph:
-    """The structural graph on ``graph``'s edges: every weight 1."""
-    nodes = graph.nodes
-    return structural_graph(((nodes[i], nodes[j]) for i, j, _ in graph.edge_indices()), nodes)
-
-
-def _check_k_values(config: RunConfig, n: int) -> None:
-    """Fail on a k above the node count ``n`` as detection would, but before
-    anything is written."""
+def _check(config: RunConfig, graph: WeightedGraph) -> None:
+    """Fail on what detection or scoring would reject, a k above the node
+    count or a zero total weight, with their messages but before anything
+    is written."""
     with _stage("detect", ParameterError):
         for k in config.k_values:
-            check_k(k, n)
+            check_k(k, graph.n)
+    with _stage("metrics", UndefinedModularityError):
+        check_total_weight(graph)
 
 
 def _front_half(config: RunConfig) -> WeightedGraph:
     """Read and check every input file given, also where the mode needs none
-    of its contents; write each export matrix into ``config.out_dir``; and
-    return the mode's graph.  The per-user vectors and the edge list are
-    dropped on return."""
+    of its contents; build and check the mode's graph; only then write each
+    export matrix into ``config.out_dir``; and return the graph.  The
+    per-user vectors are dropped on return."""
     if config.graph_path is not None:
         with _stage("graph", ParseError, GraphError, OSError):
             graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
-        _check_k_values(config, graph.n)
-        return graph if config.mode == "weighted" else _unit_weights(graph)
+        if config.mode == "structural":
+            graph = graph.unit_weights()
+        _check(config, graph)
+        return graph
     with _stage("edges", ParseError, OSError):
         edge_list = load_edges(config.edges)
 
@@ -151,7 +153,6 @@ def _front_half(config: RunConfig) -> WeightedGraph:
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
     nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
-    _check_k_values(config, len(nodes))
     # Pairs of users are scored from their text, for the weighted graph or the export.
     scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
     if scored:
@@ -168,6 +169,13 @@ def _front_half(config: RunConfig) -> WeightedGraph:
         # Each user's ranks are freed once packed: tokens and vectors never all coexist.
         s = similarity_score(corp, consume=True)
     del corp
+    if config.mode == "weighted":
+        graph = build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
+                                     precision=config.precision)
+    else:
+        graph = structural_graph(edge_list, nodes)
+    del edge_list
+    _check(config, graph)
 
     # Each matrix is built just before it is written and dropped right after,
     # so at most one triangle is alive.
@@ -177,10 +185,7 @@ def _front_half(config: RunConfig) -> WeightedGraph:
         similarity_matrix(nodes, s).write_csv(out / "similarity_matrix.csv", config.precision)
         if sv is not None:
             bias_matrix(nodes, sv).write_csv(out / "bias_matrix.csv", config.precision)
-    if config.mode == "weighted":
-        return build_weighted_graph(edge_list, nodes, s, sv, config.alpha,
-                                    precision=config.precision)
-    return structural_graph(edge_list, nodes)
+    return graph
 
 
 def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
@@ -218,14 +223,14 @@ def run(config: RunConfig) -> RunResult:
 def compare(config: RunConfig) -> CompareResult:
     """Run weighted and structural modes side by side on one front half,
     under the weighted mode's input checks.  The matrices are written once,
-    at the root of the tree; the structural side gets unit weights on the
-    weighted graph's edges."""
+    at the root of the tree; the structural side is the weighted graph's
+    unit view, on the same rows."""
     out = Path(config.out_dir)
     weighted_config = config.replace(mode="weighted")
     graph = _front_half(weighted_config)
     weighted = _back_half(weighted_config.replace(out_dir=out / "weighted"), graph)
     structural = _back_half(config.replace(mode="structural", out_dir=out / "structural"),
-                            _unit_weights(graph))
+                            graph.unit_weights())
     rows = [
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)

@@ -423,10 +423,9 @@ def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tup
     the pair sum.  Inputs must be
     well formed and every ``k`` at most the node count.  Raises
     ``UndefinedModularityError`` where ``run`` fails at its metrics stage,
-    after writing the same files.
+    before writing anything.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     edges = sorted({(min(a, b), max(a, b)) for a, b in
                     (line.split(",") for line in _lines(config.edges)) if a != b})
     tokens: dict[str, list[str]] = {}
@@ -458,6 +457,16 @@ def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tup
     def write(name: str, text: str, where: Path = out) -> None:
         (where / name).write_text(text, encoding="utf-8", newline="\n")
 
+    if config.mode == "weighted":
+        a = config.alpha
+        weighted = [(u, v, float(fixed(a * s(u, v) + (1.0 - a) * sv(u, v)))) for u, v in edges]
+    else:
+        weighted = [(u, v, 1.0) for u, v in edges]
+    total = math.fsum(w for _, _, w in weighted)
+    if total <= 0.0:
+        raise UndefinedModularityError("zero total weight")
+
+    out.mkdir(parents=True, exist_ok=True)
     if config.export_matrices and config.corpus is not None:
         scored = [("similarity", s)] + ([("bias", sv)] if config.lexicon is not None else [])
         for name, score in scored:
@@ -467,22 +476,14 @@ def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tup
                 lines.append(u + "," + ",".join(map(fixed, cells)) + "\n")
             write(f"{name}_matrix.csv", "".join(lines), Path(matrix_dir or out))
 
-    if config.mode == "weighted":
-        a = config.alpha
-        weighted = [(u, v, float(fixed(a * s(u, v) + (1.0 - a) * sv(u, v)))) for u, v in edges]
-    else:
-        weighted = [(u, v, 1.0) for u, v in edges]
     g = ReferenceGraph(nodes, weighted)
     linked = {u for edge in edges for u in edge}
     write("graph.csv", "".join([f"{u},,\n" for u in nodes if u not in linked]
                                + [f"{u},{v},{fixed(w)}\n" for u, v, w in weighted]))
 
-    total = math.fsum(w for _, _, w in weighted)
     rows = []
     for k in config.k_values:
         p = reference_expand_communities(g, reference_select_centers(g, k))
-        if total <= 0.0:
-            raise UndefinedModularityError("zero total weight")
         q = pairsum_modularity(g, p)
         members = p.communities()
         write(f"partition_k{k}.txt", f"k_requested={k}\nm={p.m}\nmodularity={q!r}\n"
@@ -504,7 +505,6 @@ def reference_compare(config: RunConfig) -> None:
     :func:`reference_run` that puts the matrices at the root, a structural
     one with none, then their modularity side by side."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     weighted = reference_run(config.replace(mode="weighted", out_dir=out / "weighted"), out)
     structural = reference_run(config.replace(mode="structural", out_dir=out / "structural",
                                               export_matrices=False))

@@ -110,15 +110,16 @@ def written(entry, config, failure) -> tuple[bool, dict[str, bytes]]:
         entry(config)
     except failure as exc:
         assert getattr(exc, "stage", "metrics") == "metrics", exc
-        return True, tree(config.out_dir)
+        assert not config.out_dir.exists()
+        return True, {}
     return False, tree(config.out_dir)
 
 
 def run_both(command, docs, edges, lexicon, alpha, precision, export, k_values, token_delim):
     """The shipped and the reference outcome for these inputs.
 
-    Inputs whose weights are all zero fail at the metrics stage, after the
-    graph and matrix exports are written, in both pipelines.
+    Inputs whose weights are all zero fail at the metrics stage, before
+    anything is written, in both pipelines.
     """
     text = command in ("weighted", "compare", "structural")
     with_corpus = command != "structural-edges"

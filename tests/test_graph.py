@@ -130,6 +130,36 @@ class TestStructuralGraph:
             structural_graph(EdgeList.from_pairs([("a", "z")]), ["a", "b"])
 
 
+class TestUnitWeights:
+    """``unit_weights()`` equals ``structural_graph`` on the same edges, bit
+    for bit, while sharing the rows it was taken from."""
+
+    @staticmethod
+    def assert_unit_view(g):
+        unit = g.unit_weights()
+        rebuilt = structural_graph([(u, v) for u, v, _ in g.edges()], g.nodes)
+        for name in ("nodes", "offsets", "targets"):
+            assert getattr(unit, name) is getattr(g, name), name
+        assert unit.weights == rebuilt.weights
+        assert unit.strengths == rebuilt.strengths
+        assert unit.total_weight == rebuilt.total_weight
+        assert list(unit.edge_indices()) == list(rebuilt.edge_indices())
+
+    def test_seeded_graph_with_isolated_nodes(self):
+        block = block_graph(random.Random(29), n=300, blocks=6, degree=6)
+        g = WeightedGraph([*block.nodes, "iso-a", "iso-b"], block.edges())
+        assert sum(a == b for a, b in zip(g.offsets, g.offsets[1:])) >= 2
+        assert set(g.weights) == {0.0, 0.5, 1.0}
+        self.assert_unit_view(g)
+
+    def test_four_byte_indices(self):
+        nodes = [f"n{i:05d}" for i in range(65537)]
+        g = WeightedGraph(nodes, [(nodes[0], nodes[1], 0.25), (nodes[0], nodes[-1], 0.5),
+                                  (nodes[1], nodes[-1], 0.0), (nodes[32768], nodes[-1], 2.0)])
+        assert g.targets.typecode == "i"
+        self.assert_unit_view(g)
+
+
 class TestWeightedGraph:
     def test_strength_cases(self):
         triangle = WeightedGraph(

@@ -109,6 +109,23 @@ class TestRun:
         assert "u9" in result.graph.nodes
         assert result.graph.strength("u9") >= 0.0
 
+    def test_structural_reload_shares_the_read_rows(self, inputs, monkeypatch):
+        first = run(config_for(inputs, "one"))
+        read = []
+        read_csv = WeightedGraph.read_csv.__func__
+
+        def keep(cls, *args, **kwargs):
+            read.append(read_csv(cls, *args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(WeightedGraph, "read_csv", classmethod(keep))
+        result = run(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv",
+                                edges=None, corpus=None, lexicon=None, mode="structural"))
+        [loaded] = read
+        for name in ("nodes", "offsets", "targets"):
+            assert getattr(result.graph, name) is getattr(loaded, name), name
+        assert set(result.graph.weights) == {1.0}
+
     def test_graph_reload_skips_text_stages(self, inputs):
         first = run(config_for(inputs, "one"))
         config = config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv",
@@ -239,6 +256,17 @@ class TestCompare:
         assert structural.nodes == first.graph.nodes
         assert [e[:2] for e in structural.edges()] == [e[:2] for e in first.graph.edges()]
         assert result.weighted.graph.edges() == first.graph.edges()
+        for name in ("nodes", "offsets", "targets"):
+            assert getattr(structural, name) is getattr(result.weighted.graph, name), name
+
+    def test_structural_side_shares_the_weighted_rows(self, inputs):
+        """The structural side is a unit view of the weighted graph: the same
+        node, offset and target arrays, its own weights of 1."""
+        result = compare(config_for(inputs, "cmp"))
+        weighted, structural = result.weighted.graph, result.structural.graph
+        for name in ("nodes", "offsets", "targets"):
+            assert getattr(structural, name) is getattr(weighted, name), name
+        assert set(structural.weights) == {1.0}
 
     def test_deterministic(self, inputs):
         first = compare(config_for(inputs, "cmp1"))
@@ -267,7 +295,7 @@ class TestTermNumbering:
 
 
 class TestCallCounts:
-    """Each input is loaded and scored once; each mode builds one graph."""
+    """Each input is loaded and scored once, and one graph is built from it."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> Counter:
@@ -286,7 +314,7 @@ class TestCallCounts:
 
     def test_compare_computes_features_once(self, inputs, calls):
         compare(config_for(inputs, "cmp"))
-        assert calls == {"load_corpus": 1, "similarity_matrix": 1, "bias_matrix": 1, "graph": 2}
+        assert calls == {"load_corpus": 1, "similarity_matrix": 1, "bias_matrix": 1, "graph": 1}
 
     def test_graph_reload_builds_one_graph(self, inputs, calls):
         first = run(config_for(inputs, "one"))
@@ -339,7 +367,7 @@ class TestCallCounts:
         calls.clear()
         compare(config_for(inputs, "cmp", graph_path=first.out_dir / "graph.csv",
                            edges=None, corpus=None, lexicon=None))
-        assert calls == {"read_csv": 1, "graph": 2}
+        assert calls == {"read_csv": 1, "graph": 1}
 
     def test_compare_formats_each_matrix_once(self, inputs, monkeypatch):
         """Each matrix file is written once, at the root of the tree."""
@@ -473,10 +501,10 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: stage graph: {graph}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["karate", "compare", "one-node-graph"])
+    @pytest.mark.parametrize("case", ["karate", "compare", "one-node-graph", "compare-graph"])
     def test_k_above_node_count_writes_nothing(self, tmp_path, capsys, case):
-        """The k values are checked against the node count before the first
-        write, with the message detection gives."""
+        """The k values are checked against the node count of the mode's
+        graph before the first write, with the message detection gives."""
         if case == "karate":
             edges, _ = write_karate(tmp_path)
             args, n, k = ["run", "--mode", "structural", "--edges", str(edges)], 34, "2,50"
@@ -485,10 +513,14 @@ class TestCli:
             args = ["compare", "--edges", str(fx.edges_path), "--corpus", str(fx.corpus_path),
                     "--lexicon", str(fx.lexicon_path)]
             n, k = 20, "2,99"
-        else:
+        elif case == "one-node-graph":
             graph = tmp_path / "one.csv"
             graph.write_text("a,,\n", encoding="utf-8")
             args, n, k = ["run", "--graph", str(graph)], 1, "1,2"
+        else:
+            graph = tmp_path / "graph.csv"
+            graph.write_text("a,b,0.5\nb,c,0.25\n", encoding="utf-8")
+            args, n, k = ["compare", "--graph", str(graph)], 3, "2,4"
         out = tmp_path / "out"
         assert cli.main([*args, "--k", k, "--out", str(out)]) == 1
         got = k.split(",")[-1]
@@ -652,25 +684,46 @@ class TestCli:
         code = cli.main(["run", *self._base_args(inputs, "run"), "--k", "2", *extra])
         assert code == 0
 
-    def test_zero_total_weight_fails_at_metrics(self, tmp_path, capsys):
-        # Identical texts give every term idf 0, so every similarity is 0;
-        # no lexicon match leaves every user neutral, so every bias is 0.
-        (tmp_path / "corpus.jsonl").write_text(
+    @staticmethod
+    def _zero_weight_inputs(root: Path) -> list[str]:
+        """Identical texts give every term idf 0, so every similarity is 0;
+        no lexicon match leaves every user neutral, so every bias is 0."""
+        (root / "corpus.jsonl").write_text(
             "".join(f'{{"user_id": "{u}", "text": "same words"}}\n' for u in "abc"),
             encoding="utf-8")
-        (tmp_path / "edges.csv").write_text("a,b\nb,c\n", encoding="utf-8")
-        (tmp_path / "lexicon.tsv").write_text("great\t1.0\n", encoding="utf-8")
+        (root / "edges.csv").write_text("a,b\nb,c\n", encoding="utf-8")
+        (root / "lexicon.tsv").write_text("great\t1.0\n", encoding="utf-8")
+        return ["--corpus", str(root / "corpus.jsonl"), "--edges", str(root / "edges.csv"),
+                "--lexicon", str(root / "lexicon.tsv")]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("source", ["edges", "graph"])
+    def test_zero_total_weight_fails_before_any_write(self, tmp_path, capsys, source, command):
+        """The mode's graph is checked before the first write, matrices
+        included, so a run whose fused weights are all 0 writes nothing."""
+        if source == "edges":
+            args = self._zero_weight_inputs(tmp_path)
+        else:
+            graph = tmp_path / "graph.csv"
+            graph.write_text("a,b,0.000000\nb,c,0.000000\n", encoding="utf-8")
+            args = ["--graph", str(graph)]
         out = tmp_path / "out"
-        code = cli.main(["run", "--corpus", str(tmp_path / "corpus.jsonl"),
-                         "--edges", str(tmp_path / "edges.csv"),
-                         "--lexicon", str(tmp_path / "lexicon.tsv"),
-                         "--k", "2", "--out", str(out)])
-        assert code == 1
+        assert cli.main([command, *args, "--k", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: stage metrics: modularity is undefined for zero total weight\n")
-        assert sorted(p.name for p in out.iterdir()) == [
-            "bias_matrix.csv", "graph.csv", "similarity_matrix.csv"]
-        assert (out / "graph.csv").read_text() == "a,b,0.000000\nb,c,0.000000\n"
+        assert not out.exists()
+
+    def test_structural_run_on_zero_weights_succeeds(self, tmp_path):
+        """The check reads the mode's graph: unit weights on the same edges
+        have a positive total, so a structural run still detects."""
+        graph = tmp_path / "graph.csv"
+        graph.write_text("a,b,0.000000\nb,c,0.000000\n", encoding="utf-8")
+        for name, args in (("edges", self._zero_weight_inputs(tmp_path)),
+                           ("reload", ["--graph", str(graph)])):
+            out = tmp_path / name
+            assert cli.main(["run", "--mode", "structural", *args, "--k", "2",
+                             "--out", str(out)]) == 0
+            assert (out / "graph.csv").read_text() == "a,b,1.000000\nb,c,1.000000\n"
 
     def test_score_rejects_node_in_two_communities(self, tmp_path, capsys):
         graph = tmp_path / "graph.csv"
