@@ -38,8 +38,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 def _parse_k(value) -> tuple[int, ...]:
     if isinstance(value, str):
+        parts = value.split(",")
+        if not all(part.strip() for part in parts):
+            raise ParameterError(f"empty k value in {value!r}")
         try:
-            return tuple(int(part) for part in value.split(",") if part.strip())
+            return tuple(map(int, parts))
         except ValueError:
             raise ParameterError(f"cannot parse k values from {value!r}") from None
     values = value if isinstance(value, list) else [value]

@@ -8,7 +8,8 @@ bias into the weights of the structural edges only; structural mode gives
 each edge weight 1 instead.  That graph is checked before anything is
 written: a k above its node count fails at the detect stage, and a zero
 total weight at the metrics stage, with the messages detection and scoring
-give.  Only then does it write each export matrix, one triangle at a time.
+give.  Only then does it write each export matrix, scoring each pair of
+users as its cells are written, a band of rows at a time.
 The vectors and the edge list are freed when it returns, before any
 detection.  A graph reload replaces all of this with one read of the graph
 CSV; structural mode takes its unit view
@@ -177,8 +178,7 @@ def _front_half(config: RunConfig) -> WeightedGraph:
     del edge_list
     _check(config, graph)
 
-    # Each matrix is built just before it is written and dropped right after,
-    # so at most one triangle is alive.
+    # Each matrix scores its pairs as it writes them; no matrix is ever held.
     if config.export_matrices and scored:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

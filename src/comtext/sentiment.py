@@ -114,5 +114,7 @@ def bias_score(corpus: Corpus, lexicon: SentimentLexicon) -> Callable[[str, str]
 
 
 def bias_matrix(nodes: Sequence[str], sv: Callable[[str, str], float]) -> SymmetricMatrix:
-    """Sentiment bias ``sv`` of every pair of ``nodes``, for export; zero diagonal."""
+    """Sentiment bias ``sv`` of every pair of ``nodes``, for export; zero
+    diagonal.  The pairs are scored as :meth:`SymmetricMatrix.write_csv`
+    writes them."""
     return SymmetricMatrix(nodes, sv)

@@ -1,6 +1,6 @@
 """Content similarity: tf-idf term vectors, their pairwise cosine, and the
-:class:`SymmetricMatrix` that scores every pair of users for export (the
-sentiment bias values use it too).
+:class:`SymmetricMatrix` that scores every pair of users as it writes them
+out (the sentiment bias values use it too).
 
 Each user's tf-idf vector is packed once, straight from the counts of the
 user's rank array, into :class:`PackedVector` arrays over vocabulary
@@ -14,54 +14,104 @@ carry no discriminative signal.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from collections import Counter
-from itertools import combinations, starmap
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import Corpus
 
+# Rows that SymmetricMatrix.write_csv scores and holds at a time.
+_BAND = 16
+
 
 class SymmetricMatrix:
-    """Immutable pairwise values in [0, 1] over an ordered node list, zero diagonal.
+    """Pairwise values in [0, 1] over an ordered node list, zero diagonal,
+    scored as they are written.
 
-    ``score(nodes[i], nodes[j])`` is called once for each pair ``i < j``, row
-    by row, and must return a value in [0, 1] (``ValueError`` otherwise).
-    Only the upper triangle is stored, 8 bytes per pair; :meth:`write_csv`
-    writes the full square, symmetric by construction.
+    Construction only checks that the nodes are distinct.  :meth:`write_csv`
+    calls ``score(nodes[i], nodes[j])`` once for each pair ``i < j``, row by
+    row, and each value must lie in [0, 1] (``ValueError`` otherwise, and no
+    file is left).  No value outlives the band of ``_BAND`` rows it was
+    scored in, so a write holds O(n * ``_BAND``) bytes.
     """
 
-    __slots__ = ("nodes", "_values")
+    __slots__ = ("nodes", "_score")
 
     def __init__(self, nodes: Sequence[str], score: Callable[[str, str], float]):
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        self._values = array("d", starmap(score, combinations(self.nodes, 2)))
-        bad = next((x for x in self._values if not 0.0 <= x <= 1.0), None)
-        if bad is not None:
-            raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
+        self._score = score
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def _base(self, i: int) -> int:
-        """Entry ``(i, j)``, ``i < j``, is stored at ``_values[_base(i) + j]``."""
-        return i * len(self.nodes) - i * (i + 3) // 2 - 1
-
     def write_csv(self, path, precision: int = 6) -> None:
-        """Full square matrix with row/column labels, fixed decimal places,
-        written one row at a time."""
-        values, n = self._values, len(self.nodes)
-        bases = [self._base(i) for i in range(n)]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("node," + ",".join(self.nodes) + "\n")
-            for i, u in enumerate(self.nodes):
-                row = [values[bases[h] + i] for h in range(i)]
-                row.append(0.0)
-                row.extend(values[bases[i] + i + 1:bases[i] + n])
-                fh.write(u + "," + ",".join(f"{x:.{precision}f}" for x in row) + "\n")
+        """Full square matrix with row/column labels and fixed decimal
+        places, symmetric, each pair scored once as it is written.  On any
+        failure the partial file is removed."""
+        fh = open(path, "wb")
+        try:
+            with fh:
+                for offset, data in self._chunks(precision):
+                    fh.seek(offset)
+                    fh.write(data)
+        except BaseException:
+            os.remove(path)
+            raise
+
+    def _chunks(self, precision: int) -> Iterator[tuple[int, bytes]]:
+        """``(byte offset, bytes)`` pieces that tile the CSV, header first.
+
+        A value in [0, 1] formats to exactly ``precision + 2`` characters,
+        so with its separator every cell is ``width`` bytes and every cell's
+        offset follows from the header, the row labels and n.  Rows are
+        scored ``_BAND`` at a time, in row-major order.  A band row's
+        diagonal and the cells right of it go out in one piece, preceded by
+        the band's own cells left of the diagonal; the band's cells below
+        it sit side by side in each later row, one piece per row.  The
+        first band's pieces start at column 0, so they carry the row labels.
+        """
+        nodes, score, n = self.nodes, self._score, len(self.nodes)
+        spec = f"%.{precision}f,".encode()
+        width = precision + 3
+        header = ("node," + ",".join(nodes) + "\n").encode("utf-8")
+        # firsts[i]: the byte offset of row i's first cell, just after its label.
+        firsts, offset = array("q"), len(header)
+        for u in nodes:
+            offset += len(u.encode("utf-8")) + 1
+            firsts.append(offset)
+            offset += n * width
+        zero = spec % 0.0
+
+        def at(i: int, column: int, cells: bytes) -> tuple[int, bytes]:
+            if column:
+                return firsts[i] + column * width, cells
+            label = nodes[i].encode("utf-8") + b","
+            return firsts[i] - len(label), label + cells
+
+        yield 0, header
+        for top in range(0, n, _BAND):
+            # band[h]: row top + h's cells right of its diagonal; column c
+            # starts at byte (c - top - h - 1) * width.
+            band = []
+            for i in range(top, min(top + _BAND, n)):
+                u = nodes[i]
+                # + 0.0 makes a -0.0 0.0, as wide as every other cell.
+                values = tuple(score(u, v) + 0.0 for v in nodes[i + 1:])
+                bad = next((x for x in values if not 0.0 <= x <= 1.0), None)
+                if bad is not None:
+                    raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
+                band.append((spec * len(values)) % values)
+            for k, row in enumerate(band):
+                left = [band[h][(k - h - 1) * width:(k - h) * width] for h in range(k)]
+                # The row's last cell ends the line.
+                yield at(top + k, top, b"".join([*left, zero, row])[:-1] + b"\n")
+            for m in range(top + len(band), n):
+                yield at(m, top, b"".join([row[(m - top - h - 1) * width:(m - top - h) * width]
+                                           for h, row in enumerate(band)]))
 
 
 class PackedVector:
@@ -136,5 +186,6 @@ def similarity_score(corpus: Corpus, *, consume: bool = False) -> Callable[[str,
 
 
 def similarity_matrix(nodes: Sequence[str], s: Callable[[str, str], float]) -> SymmetricMatrix:
-    """Content similarity ``s`` of every pair of ``nodes``, for export."""
+    """Content similarity ``s`` of every pair of ``nodes``, for export; the
+    pairs are scored as :meth:`SymmetricMatrix.write_csv` writes them."""
     return SymmetricMatrix(nodes, s)

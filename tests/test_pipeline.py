@@ -757,6 +757,13 @@ class TestCli:
         assert "k value 2 is repeated" in capsys.readouterr().err
         assert not (inputs["tmp"] / "flag").exists() and not (inputs["tmp"] / "file").exists()
 
+    @pytest.mark.parametrize("k", ["4,,12", "2,", ",2", " "])
+    def test_empty_k_field_rejected(self, inputs, capsys, k):
+        code = cli.main(["run", *self._base_args(inputs, "flag"), "--k", k])
+        assert code == 1
+        assert f"empty k value in {k!r}" in capsys.readouterr().err
+        assert not (inputs["tmp"] / "flag").exists()
+
     def test_missing_edges_rejected(self, inputs, capsys):
         code = cli.main(["run", "--out", str(inputs["tmp"] / "x")])
         assert code == 1
@@ -815,6 +822,7 @@ class TestCli:
         {"k": [2, True]},
         {"k": 2.0},
         {"k": "2,x"},
+        {"k": "4,,12"},
         {"precision": 2.9},
         {"precision": True},
         {"alpha": True},

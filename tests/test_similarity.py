@@ -1,11 +1,12 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, cycle
 
 import pytest
 
 from comtext.corpus import Document, build_corpus, ensure_users
 from comtext.similarity import (
+    _BAND,
     SymmetricMatrix,
     similarity_matrix,
     similarity_score,
@@ -277,25 +278,56 @@ class TestSymmetricMatrix:
         assert cells["a", "a"] == 0.0
         assert cells["b", "b"] == 0.0
 
-    def test_score_called_once_per_pair_row_major(self):
+    def test_score_called_once_per_pair_row_major(self, tmp_path):
+        """No pair is scored at construction; the write scores each pair
+        once, in row-major order, across band boundaries too."""
         calls = []
 
         def score(u, v):
             calls.append((u, v))
             return 0.5
 
-        for n in range(7):
+        for n in [*range(7), 2 * _BAND + 3]:
             calls.clear()
             nodes = [f"n{i}" for i in range(n)]
-            SymmetricMatrix(nodes, score)
+            matrix = SymmetricMatrix(nodes, score)
+            assert calls == []
+            matrix.write_csv(tmp_path / "m.csv")
             assert len(calls) == n * (n - 1) // 2
             assert calls == [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
 
-    def test_range_enforced(self):
+    def test_range_enforced(self, tmp_path):
         # Values are checked, not clamped: 1 + 1e-12 is out of range too.
-        for value in (1.5, -0.25, 1.0 + 1e-12, -1e-12, math.nan, math.inf):
-            with pytest.raises(ValueError, match="out of \\[0, 1\\]"):
-                lookup_matrix(["a", "b", "c"], {(1, 2): value})
+        # The bad value is the last pair scored, after the earlier bands'
+        # rows went out, and the partial file is removed.
+        path = tmp_path / "m.csv"
+        for n in (3, 2 * _BAND + 3):
+            for value in (1.5, -0.25, 1.0 + 1e-12, -1e-12, math.nan, math.inf):
+                matrix = lookup_matrix([f"u{i}" for i in range(n)], {(n - 2, n - 1): value})
+                with pytest.raises(ValueError, match="out of \\[0, 1\\]"):
+                    matrix.write_csv(path)
+                assert not path.exists()
+
+    def test_failed_score_leaves_no_file(self, tmp_path):
+        # The score fails in the second band, after the first band's writes.
+        path = tmp_path / "m.csv"
+        path.write_text("an earlier export\n", encoding="utf-8")
+
+        def score(u, v):
+            if u == f"u{_BAND + 4}":
+                raise KeyError(u)
+            return 0.5
+
+        with pytest.raises(KeyError):
+            SymmetricMatrix([f"u{i}" for i in range(40)], score).write_csv(path)
+        assert not path.exists()
+
+    def test_negative_zero_written_as_zero(self, tmp_path):
+        path = tmp_path / "m.csv"
+        lookup_matrix(["a", "b", "c"], {(0, 1): -0.0, (1, 2): 0.5}).write_csv(path)
+        assert path.read_text(encoding="utf-8") == (
+            "node,a,b,c\na,0.000000,0.000000,0.000000\n"
+            "b,0.000000,0.000000,0.500000\nc,0.000000,0.500000,0.000000\n")
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -307,19 +339,32 @@ class TestSymmetricMatrix:
         matrix.write_csv(path, precision=2)
         assert path.read_text(encoding="utf-8") == "node,a,b\na,0.00,0.12\nb,0.12,0.00\n"
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
     def test_write_csv_matches_get(self, tmp_path, n):
+        """Byte for byte against a cell-by-cell build, with ids whose UTF-8
+        lengths differ (so do the row offsets), across more than two bands."""
         rng = random.Random(n)
         values = {(i, j): rng.random() for i in range(n) for j in range(i + 1, n)}
-        nodes = [f"u{i}" for i in range(n)]
+        values.update({(0, n - 1): 1.0, (1, n - 1): 0.0} if n > 2 else {})
+        nodes = [f"{prefix}{i}" for i, prefix in
+                 zip(range(n), cycle(["u", "é", "日本", "e\u0301"]))]
         path = tmp_path / "matrix.csv"
-        lookup_matrix(nodes, values).write_csv(path, precision=4)
-        assert path.read_text(encoding="utf-8") == reference_csv(nodes, values, 4)
+        for precision in (1, 6, 17):
+            lookup_matrix(nodes, values).write_csv(path, precision=precision)
+            assert path.read_text(encoding="utf-8") == reference_csv(nodes, values, precision)
 
-    def test_retained_bytes_per_pair(self):
-        n = 300
+    def test_write_peak_bytes_per_node(self, tmp_path):
+        """Scoring and writing hold a band of rows, not the triangle: about
+        240 B per node here, where a stored triangle alone took 8 B per pair,
+        2,400 B per node."""
+        n = 600
         nodes = [f"u{i:03d}" for i in range(n)]
-        matrix, retained, _ = traced(
-            SymmetricMatrix, nodes, lambda u, v: (int(u[1:]) + int(v[1:])) / (2 * n))
-        assert matrix.n == n
-        assert retained / (n * (n - 1) // 2) < 10
+
+        def score(u, v):
+            return (int(u[1:]) + int(v[1:])) / (2 * n)
+
+        def export():
+            SymmetricMatrix(nodes, score).write_csv(tmp_path / "m.csv")
+
+        _, _, peak = traced(export)
+        assert peak / n < 400
