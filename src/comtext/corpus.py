@@ -89,6 +89,11 @@ def tokenize(text: str, token_delim: str | None = None) -> list[str]:
                    for ch in text.lower()).split()
 
 
+def index_typecode(n: int) -> str:
+    """The narrowest array typecode that holds every index below ``n``."""
+    return "H" if n <= 65536 else "i"
+
+
 class Document(Record, frozen=True):
     user_id: str
     text: str
@@ -100,9 +105,11 @@ class Corpus(Record, frozen=True):
     ``users`` is sorted (the determinism anchor for every matrix built on
     top).  ``vocabulary`` holds each distinct term once, in order of first
     appearance in the corpus, and a term's position there is its rank.
-    ``docs_by_user[u]`` is user ``u``'s merged text as an ``array('i')`` of
-    ranks in token order, 4 bytes per token, so ``len()`` is its token
-    count and ``vocabulary[r]`` turns a rank back into its term.
+    ``docs_by_user[u]`` is user ``u``'s merged text as an array of ranks in
+    token order, so ``len()`` is its token count and ``vocabulary[r]`` turns
+    a rank back into its term.  Every user's array has the typecode
+    :func:`index_typecode` gives for the vocabulary size: ``'H'``, 2 bytes
+    per token, up to 65,536 terms, and ``'i'``, 4 bytes, above.
     ``doc_frequency[r]``, an ``array('i')`` by rank, counts how many
     users' merged documents contain term ``r``, so it is always >= 1.
     """
@@ -122,15 +129,22 @@ def build_corpus(documents: Iterable[Document], token_delim: str | None = None) 
     """Merge documents per user (in input order) and build the vocabulary.
 
     Terms are numbered by first appearance as the documents stream in, and
-    each user's tokens are held as one growing ``array('i')`` of those
-    numbers, which are the ranks.
+    each user's tokens are held as one growing array of those numbers,
+    which are the ranks.  The arrays start as ``array('H')``; the document
+    whose terms take the vocabulary past 65,536 turns every array into an
+    ``array('i')`` once, before its own ranks are added.
     """
     merged: dict[str, array] = {}
     numbers: dict[str, int] = {}  # term -> order of first appearance; keeps one object per term
+    typecode = index_typecode(0)
     for index, doc in enumerate(documents, start=1):
         user = node_id(doc.user_id, f"document {index}")
-        merged.setdefault(user, array("i")).extend(
-            numbers.setdefault(t, len(numbers)) for t in tokenize(doc.text, token_delim))
+        ranks = [numbers.setdefault(t, len(numbers)) for t in tokenize(doc.text, token_delim)]
+        if index_typecode(len(numbers)) != typecode:
+            typecode = index_typecode(len(numbers))
+            for u in merged:
+                merged[u] = array(typecode, merged[u])
+        merged.setdefault(user, array(typecode)).extend(ranks)
     vocabulary = tuple(numbers)
     del numbers
     freq = array("i", bytes(4 * len(vocabulary)))
@@ -178,13 +192,15 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     added users count as documents, which enters the inverse-document-
     frequency denominator's corpus size.  Empty documents change neither
     the vocabulary nor any document frequency, so the extended corpus
-    shares those two objects with ``corpus``.
+    shares those two objects with ``corpus``.  The empty rank arrays take
+    the width of the corpus's own (see :class:`Corpus`).
     """
     missing = set(user_ids) - set(corpus.users)
     if not missing:
         return corpus
     users = tuple(sorted(missing.union(corpus.users)))
-    docs = {u: array("i") if u in missing else corpus.docs_by_user[u] for u in users}
+    typecode = index_typecode(len(corpus.vocabulary))
+    docs = {u: array(typecode) if u in missing else corpus.docs_by_user[u] for u in users}
     return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 
@@ -219,12 +235,16 @@ def load_edges(path) -> EdgeList:
 
     Self-loop lines are dropped and counted in ``self_loops_dropped``;
     anything that is not exactly two non-empty comma-separated fields is a
-    ParseError naming the line.
+    ParseError naming the line.  Each line's pair goes into the edge set as
+    it is read, so no list of the file's pairs is ever held.
     """
-    pairs: list[tuple[str, str]] = []
+    return EdgeList.from_pairs(_read_pairs(path))
+
+
+def _read_pairs(path) -> Iterator[tuple[str, str]]:
+    """Yield the edge file's checked id pairs one line at a time."""
     for where, line in read_lines(path):
         fields = line.split(",")
         if len(fields) != 2:
             raise ParseError(f"{where}: expected 'id_a,id_b'")
-        pairs.append((node_id(fields[0], where), node_id(fields[1], where)))
-    return EdgeList.from_pairs(pairs)
+        yield node_id(fields[0], where), node_id(fields[1], where)

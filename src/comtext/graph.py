@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import EdgeList, node_id, read_lines
+from .corpus import EdgeList, index_typecode, node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
 
 
@@ -87,7 +87,7 @@ class WeightedGraph:
             edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
         del index
         self.offsets = offsets = array("q", accumulate(degree, initial=0))
-        typecode = "H" if n <= 65536 else "i"  # the narrowest that holds index n - 1
+        typecode = index_typecode(n)
         self.targets = targets = array(typecode, [0]) * offsets[-1]
         self.weights = weights = array("d", [0.0]) * offsets[-1]
         cursor = offsets[:-1]

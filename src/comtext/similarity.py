@@ -19,7 +19,7 @@ from array import array
 from collections import Counter
 from typing import Callable, Iterator, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, index_typecode
 
 # Rows that SymmetricMatrix.write_csv scores and holds at a time.
 _BAND = 16
@@ -115,17 +115,20 @@ class SymmetricMatrix:
 
 
 class PackedVector:
-    """A tf-idf vector packed for scoring, 12 bytes per term.
+    """A tf-idf vector packed for scoring, 10 bytes per term while every
+    rank is below 65,536.
 
-    ``terms`` holds the vocabulary ranks of its terms, in no set order,
-    ``weights`` their weights at the same positions, and ``norm`` its
-    Euclidean norm.  ``len()`` is the term count.
+    ``terms`` holds the vocabulary ranks of its terms, in no set order, in
+    the narrowest array that holds its largest rank (``'H'`` or ``'i'``, see
+    :func:`~comtext.corpus.index_typecode`); ``weights`` holds their weights
+    at the same positions, and ``norm`` its Euclidean norm.  ``len()`` is
+    the term count.
     """
 
     __slots__ = ("terms", "weights", "norm")
 
     def __init__(self, terms: list[int], weights: list[float]):
-        self.terms = array("i", terms)
+        self.terms = array(index_typecode(max(terms, default=-1) + 1), terms)
         self.weights = array("d", weights)  # from a list: no spare capacity
         self.norm = math.sqrt(math.fsum(w * w for w in weights))
 

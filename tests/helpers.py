@@ -267,6 +267,18 @@ def random_corpus(rng: random.Random, max_users: int = 10) -> Corpus:
     return build_corpus(docs)
 
 
+def wide_corpus() -> Corpus:
+    """A corpus whose vocabulary passes 65,536 terms mid-stream: its second
+    document brings the vocabulary to exactly 65,536 terms, and the third
+    adds ``gamma``, rank 65,536, after ``u3`` has been read once."""
+    return build_corpus([
+        Document("u3", "alpha beta alpha"),
+        Document("u1", " ".join(f"w{i}" for i in range(65534)) + " beta"),
+        Document("u2", "gamma alpha w7"),
+        Document("u3", "gamma delta w9"),
+    ])
+
+
 def dense_similarity_oracle(corpus: Corpus) -> np.ndarray:
     """Cosine matrix from dense full-vocabulary tf-idf arrays."""
     vocab = list(corpus.vocabulary)

@@ -16,7 +16,7 @@ from comtext.corpus import (
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
-from helpers import reference_tokenize, traced, user_terms
+from helpers import reference_tokenize, traced, user_terms, wide_corpus
 
 # Characters at the edges of the rule: combining marks, CJK, digits and
 # other numbers, astral letters, "İ" (whose lowercase gains a combining
@@ -163,16 +163,18 @@ class TestLoadCorpus:
 
     def test_load_peak_bytes_per_token(self, tmp_path):
         """Lines are tokenized as they are read, straight into each user's
-        rank array; reading every document first and keeping the lists
-        beside the token tuples peaked at about 30 B/token."""
+        rank array: about 3.4 B/token.  4-byte ranks peaked at about 5.5,
+        and reading every document first and keeping the lists beside the
+        token tuples at about 30."""
         tokens, peak, _ = self._load_traced(tmp_path)
-        assert peak / tokens < 16
+        assert peak / tokens < 4.5
 
     def test_load_retained_bytes_per_token(self, tmp_path):
-        """A token is one 4-byte rank; as one 8-byte reference to its term
-        in a tuple, the corpus kept about 8.7 B/token."""
+        """A token is one 2-byte rank, about 2.9 B/token kept; 4-byte ranks
+        kept about 5.0, and one 8-byte reference to its term in a tuple
+        about 8.7."""
         tokens, _, retained = self._load_traced(tmp_path)
-        assert retained / tokens < 6
+        assert retained / tokens < 4
 
     def test_empty_user_id(self, tmp_path):
         path = self._write(tmp_path, ['{"user_id": "", "text": "a"}'])
@@ -227,6 +229,35 @@ class TestLoadCorpus:
         assert ensure_users(corpus, ["u2"]) is corpus
 
 
+class TestRankWidth:
+    @pytest.mark.parametrize("terms, itemsize", [(65536, 2), (65537, 4)])
+    def test_rank_width_follows_the_vocabulary_size(self, terms, itemsize):
+        """2-byte ranks hold every rank of a vocabulary of up to 65,536
+        terms; one more term takes 4 bytes per token, in every user's array,
+        the empty ones ``ensure_users`` adds included."""
+        words = tuple(f"w{i}" for i in range(terms))
+        corpus = build_corpus([Document("u1", "w0 w1"), Document("u2", " ".join(words))])
+        assert len(corpus.vocabulary) == terms
+        assert [a.itemsize for a in corpus.docs_by_user.values()] == [itemsize, itemsize]
+        assert user_terms(corpus, "u1") == ("w0", "w1")
+        assert user_terms(corpus, "u2") == words
+        added = ensure_users(corpus, ["u0"]).docs_by_user["u0"]
+        assert (len(added), added.itemsize) == (0, itemsize)
+
+    def test_switch_mid_stream_keeps_earlier_ranks(self):
+        """The document that takes the vocabulary past 65,536 terms widens
+        the arrays of the users read before it, ranks unchanged."""
+        corpus = wide_corpus()
+        assert len(corpus.vocabulary) == 65538
+        assert {a.typecode for a in corpus.docs_by_user.values()} == {"i"}
+        assert user_terms(corpus, "u3") == ("alpha", "beta", "alpha", "gamma", "delta", "w9")
+        assert user_terms(corpus, "u2") == ("gamma", "alpha", "w7")
+        assert list(corpus.docs_by_user["u3"]) == [0, 1, 0, 65536, 65537, 11]
+        assert len(user_terms(corpus, "u1")) == 65535
+        assert list(corpus.doc_frequency[:2]) == [2, 2]
+        assert list(corpus.doc_frequency[65536:]) == [2, 1]
+
+
 class TestLoadEdges:
     def _write(self, tmp_path, lines):
         path = tmp_path / "edges.csv"
@@ -274,6 +305,21 @@ class TestLoadEdges:
     def test_endpoints(self):
         edges = EdgeList.from_pairs([("b", "a"), ("c", "b")])
         assert edges.endpoints() == ("a", "b", "c")
+
+    def test_load_peak_bytes_per_edge(self, tmp_path):
+        """Each line's pair goes into the edge set as it is read: about
+        196 B/edge at the peak here.  Holding a list of every line's fresh
+        id strings beside the set peaked at about 362."""
+        rng = random.Random(113)
+        pairs = set()
+        while len(pairs) < 20000:
+            pairs.add(tuple(sorted(rng.sample(range(2000), 2))))
+        lines = [f"u{i:04d},u{j:04d}" if rng.random() < 0.5 else f"u{j:04d},u{i:04d}"
+                 for i, j in pairs]
+        rng.shuffle(lines)
+        edges, _, peak = traced(load_edges, self._write(tmp_path, lines))
+        assert len(edges.edges) == len(pairs)
+        assert peak / len(pairs) < 250
 
     def test_one_object_per_endpoint_id(self, tmp_path):
         path = self._write(tmp_path, ["alice,bob", "bob,carol", "carol,alice", "dave,bob"])

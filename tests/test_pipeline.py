@@ -388,9 +388,10 @@ class TestCallCounts:
 class TestFrontHalfMemory:
     def test_peak_bytes_per_token(self, tmp_path):
         """The front half scores the polar vectors first, then packs each
-        user's tf-idf vector and frees that user's 4-byte ranks as it goes.
-        Holding every token as an 8-byte term reference, beside an idf dict
-        and all the vectors, peaked at about 34 B/token here (matrices off)."""
+        user's tf-idf vector and frees that user's 2-byte ranks as it goes:
+        about 16.3 B/token here (matrices off).  4-byte ranks and vector
+        terms peaked at about 19.9, and every token held as an 8-byte term
+        reference, beside an idf dict and all the vectors, at about 34."""
         groups = 6
         spec = default_spec(groups, 20, rng_seed=5, tokens_per_user=300).replace(
             vocab_per_group=tuple(tuple(f"g{g}w{t}" for t in range(400)) for g in range(groups)))
@@ -398,7 +399,7 @@ class TestFrontHalfMemory:
         config = RunConfig(edges=fx.edges_path, corpus=fx.corpus_path, lexicon=fx.lexicon_path,
                            out_dir=tmp_path / "out", export_matrices=False)
         _, _, peak = traced(pipeline._front_half, config)
-        assert peak / (groups * 20 * 300) < 26
+        assert peak / (groups * 20 * 300) < 18
 
     def test_no_vector_alive_during_detect(self, inputs, monkeypatch):
         """The matrices are written and the vectors freed before detection."""

@@ -5,6 +5,7 @@ from itertools import combinations, cycle
 import pytest
 
 from comtext.corpus import Document, build_corpus, ensure_users
+from comtext.sentiment import SentimentLexicon, bias_score
 from comtext.similarity import (
     _BAND,
     SymmetricMatrix,
@@ -13,15 +14,19 @@ from comtext.similarity import (
     user_vectors,
 )
 from helpers import (
+    bias_value,
+    compose,
     cosine_similarity,
     dense_similarity_oracle,
     inverse_document_frequency,
     matrix_csv_cells,
     random_corpus,
+    reference_polar,
     term_frequency,
     tfidf_vector,
     traced,
     user_terms,
+    wide_corpus,
 )
 
 
@@ -237,9 +242,37 @@ class TestPackedVectors:
         for u, v in pairs:
             assert s(u, v) == cosine_similarity(dicts[u], dicts[v])
 
+    @pytest.mark.parametrize("terms, itemsize", [(65536, 2), (65537, 4)])
+    def test_term_width_follows_the_largest_rank(self, terms, itemsize):
+        """A vector's ranks take 2 bytes each while its largest is below
+        65,536; a vector with a rank beyond takes 4."""
+        corpus = build_corpus([Document("u1", "w0"),
+                               Document("u2", " ".join(f"w{i}" for i in range(terms)))])
+        vectors = user_vectors(corpus)
+        assert max(vectors["u2"].terms) == terms - 1
+        assert vectors["u2"].terms.itemsize == itemsize
+        assert len(vectors["u1"]) == 0
+        assert vectors["u1"].terms.itemsize == 2
+
+    def test_scores_across_the_rank_width_switch(self):
+        """Similarity and bias on a corpus whose ranks were widened
+        mid-stream equal the reference forms' with ==."""
+        corpus = wide_corpus()
+        idf = inverse_document_frequency(corpus)
+        dicts = {u: tfidf_vector(user_terms(corpus, u), idf) for u in corpus.users}
+        vectors = user_vectors(corpus)
+        assert [vectors[u].terms.typecode for u in corpus.users] == ["H", "i", "i"]
+        lexicon = SentimentLexicon({"alpha": 0.5, "gamma": -0.8, "w7": 1.0, "w9": 0.25})
+        polar = {u: reference_polar(user_terms(corpus, u), lexicon.scores) for u in corpus.users}
+        s, sv = similarity_score(corpus), bias_score(corpus, lexicon)
+        for u, v in combinations(corpus.users, 2):
+            assert s(u, v) == cosine_similarity(dicts[u], dicts[v]) > 0.0, (u, v)
+            assert sv(u, v) == bias_value(compose(polar[u], polar[v])) > 0.0, (u, v)
+
     def test_matrix_peak_bytes_per_vector_term(self):
-        """Vectors packed into two arrays, 12 B/term plus a small object per
-        user: about 21 B/term here; one dict per user peaks at about 54."""
+        """Vectors packed into two arrays, 10 B/term plus a small object per
+        user: about 12.5 B/term here (14.5 with 4-byte ranks); one dict per
+        user peaks at about 54."""
         rng = random.Random(139)
         words = [f"w{i}" for i in range(4000)]
         corpus = build_corpus([Document(f"u{i:03d}", " ".join(rng.choices(words, k=300)))
