@@ -193,14 +193,16 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     frequency denominator's corpus size.  Empty documents change neither
     the vocabulary nor any document frequency, so the extended corpus
     shares those two objects with ``corpus``.  The empty rank arrays take
-    the width of the corpus's own (see :class:`Corpus`).
+    the width of the corpus's own (see :class:`Corpus`).  Only the missing
+    ids are collected in a set.
     """
-    missing = set(user_ids) - set(corpus.users)
+    docs = corpus.docs_by_user
+    missing = {u for u in user_ids if u not in docs}
     if not missing:
         return corpus
-    users = tuple(sorted(missing.union(corpus.users)))
+    users = tuple(sorted([*corpus.users, *missing]))
     typecode = index_typecode(len(corpus.vocabulary))
-    docs = {u: array(typecode) if u in missing else corpus.docs_by_user[u] for u in users}
+    docs = {u: docs[u] if u in docs else array(typecode) for u in users}
     return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 

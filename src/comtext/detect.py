@@ -97,7 +97,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         raise ParameterError("duplicate centers")
     seeds = [g.index_of(c) for c in centers]
 
-    offsets, targets, weights, nodes = g.offsets, g.targets, g.weights, g.nodes
+    offsets, targets, weights, scale, nodes = g.offsets, g.targets, g.weights, g.scale, g.nodes
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
@@ -127,7 +127,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
         key_of, heap = keys[community], heaps[community]
         for a in range(offsets[node], offsets[node + 1]):
-            v, w = targets[a], weights[a]
+            v, w = targets[a], weights[a] / scale
             if assignment[v] < 0 and w > 0.0:
                 u = nodes[v]
                 old = key_of.get(u)

@@ -18,6 +18,26 @@ from .corpus import EdgeList, index_typecode, node_id, read_lines
 from .errors import GraphError, ParameterError, ParseError
 
 
+def _fixed_point(weights: array, precision: int | None) -> tuple[array, float]:
+    """``weights``, already snapped to ``precision`` decimal places, as
+    ``array('I')`` counts ``m`` of the unit ``10**-precision``, and the scale
+    ``10.0**precision`` that gives each weight back as ``m / scale``.
+
+    The division is exact: ``m`` and ``10**precision`` (``precision`` <= 22)
+    are exact doubles, and the correctly rounded quotient is the double
+    nearest ``m / 10**precision``, which is the snapped weight.  No precision,
+    one outside 0..22 or a weight of 2**32 units or more keeps ``weights``
+    as they are, with scale 1.0.
+    """
+    if precision is None or not 0 <= precision <= 22:
+        return weights, 1.0
+    scale = 10.0 ** precision
+    try:
+        return array("I", (round(w * scale) for w in weights)), scale
+    except OverflowError:  # a count above 2**32 - 1
+        return weights, 1.0
+
+
 def _finite_sum(values: Iterable[float], what: str) -> float:
     """``math.fsum`` of finite ``values``, which raises OverflowError rather
     than return inf; that becomes a GraphError naming ``what``."""
@@ -51,14 +71,20 @@ class WeightedGraph:
 
     ``precision`` snaps each weight to that many decimal places, the grid
     :meth:`write_csv` exports, so a reloaded export is bit-identical;
-    ``None`` keeps weights exact.
+    ``None`` keeps weights exact.  A row entry's weight is
+    ``weights[a] / scale``.  When ``precision`` is 0 to 22 and every
+    snapped weight is below 2**32 units, ``weights`` is an ``array('I')`` of
+    those units, 4 bytes per entry, and ``scale`` is ``10.0**precision``;
+    the division gives back the snapped double exactly.  Otherwise
+    ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight of -0.0
+    keeps the doubles, whose sign the units cannot hold.
 
     :meth:`unit_weights` gives the structural graph on the same edges as a
     view: it shares ``nodes``, ``offsets`` and ``targets`` with this graph
     and owns only its ``weights`` and ``strengths``.
     """
 
-    __slots__ = ("nodes", "offsets", "targets", "weights", "strengths", "total_weight")
+    __slots__ = ("nodes", "offsets", "targets", "weights", "scale", "strengths", "total_weight")
 
     def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
                  *, precision: int | None = None):
@@ -69,6 +95,7 @@ class WeightedGraph:
             raise GraphError("duplicate node ids")
         heads, tails, edge_weights = array("i"), array("i"), array("d")
         degree = [0] * n
+        negative_zero = False
         for u, v, w in weighted_edges:
             try:
                 i, j = index[u], index[v]
@@ -80,16 +107,19 @@ class WeightedGraph:
                 raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
             if w < 0.0:
                 raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
+            if not w and math.copysign(1.0, w) < 0.0:
+                negative_zero = True
             heads.append(i)
             tails.append(j)
             degree[i] += 1
             degree[j] += 1
             edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
         del index
+        edge_weights, self.scale = _fixed_point(edge_weights, None if negative_zero else precision)
         self.offsets = offsets = array("q", accumulate(degree, initial=0))
         typecode = index_typecode(n)
         self.targets = targets = array(typecode, [0]) * offsets[-1]
-        self.weights = weights = array("d", [0.0]) * offsets[-1]
+        self.weights = weights = array(edge_weights.typecode, [0]) * offsets[-1]
         cursor = offsets[:-1]
         for i, j, w in zip(heads, tails, edge_weights):
             a, b = cursor[i], cursor[j]
@@ -109,11 +139,12 @@ class WeightedGraph:
                 if a == b:
                     raise DuplicateEdgeError((self.nodes[i], self.nodes[a]))
             targets[start:end] = row
-            weights[start:end] = array("d", map(weights.__getitem__, order))
-        self.strengths = array("d", (_finite_sum(weights[offsets[i]:offsets[i + 1]],
+            weights[start:end] = array(weights.typecode, map(weights.__getitem__, order))
+        as_weight = self.scale.__rtruediv__  # a stored value m -> its weight m / scale
+        self.strengths = array("d", (_finite_sum(map(as_weight, weights[offsets[i]:offsets[i + 1]]),
                                                  f"strength of {self.nodes[i]!r}")
                                      for i in range(n)))
-        self.total_weight = _finite_sum(edge_weights, "total weight")
+        self.total_weight = _finite_sum(map(as_weight, edge_weights), "total weight")
         if not math.isfinite(2.0 * self.total_weight):
             raise GraphError("twice the total weight overflows a float")
 
@@ -121,12 +152,14 @@ class WeightedGraph:
         """The structural graph on this graph's edges: every weight 1.
 
         The rows are shared, not copied; only the weights and strengths are
-        new.  A strength is the row's length as a float and the total weight
-        half the number of row entries, which are exactly the ``math.fsum``
-        results of building the unit graph anew."""
+        new.  ``weights`` holds its ones as an ``array('I')``, 4 bytes per
+        row entry, with ``scale`` 1.0, so a weight is still
+        ``weights[a] / scale``.  A strength is the row's length as a float
+        and the total weight half the number of row entries, which are
+        exactly the ``math.fsum`` results of building the unit graph anew."""
         unit = object.__new__(WeightedGraph)
         unit.nodes, unit.offsets, unit.targets = self.nodes, self.offsets, self.targets
-        unit.weights = array("d", [1.0]) * len(self.targets)
+        unit.weights, unit.scale = array("I", [1]) * len(self.targets), 1.0
         unit.strengths = array("d", (float(end - start) for start, end in pairwise(self.offsets)))
         unit.total_weight = len(self.targets) / 2
         return unit
@@ -146,7 +179,7 @@ class WeightedGraph:
         i = self.index_of(node)
         start, end = self.offsets[i], self.offsets[i + 1]
         return tuple(zip(map(self.nodes.__getitem__, self.targets[start:end]),
-                         self.weights[start:end]))
+                         map(self.scale.__rtruediv__, self.weights[start:end])))
 
     def strength(self, node: str) -> float:
         """Weighted degree: sum of incident edge weights."""
@@ -154,11 +187,11 @@ class WeightedGraph:
 
     def edge_indices(self) -> Iterator[tuple[int, int, float]]:
         """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``, sorted."""
-        offsets, targets, weights = self.offsets, self.targets, self.weights
+        offsets, targets, weights, scale = self.offsets, self.targets, self.weights, self.scale
         for i in range(len(self.nodes)):
             end = offsets[i + 1]
             for a in range(bisect_right(targets, i, offsets[i], end), end):
-                yield i, targets[a], weights[a]
+                yield i, targets[a], weights[a] / scale
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """Canonical edge tuples (min id first, sorted)."""
@@ -239,5 +272,6 @@ def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str
 
 def structural_graph(edges: Iterable[tuple[str, str]], nodes: Sequence[str]) -> WeightedGraph:
     """Unit-weight graph on a structural edge set: an :class:`EdgeList` or
-    any other iterable of ``(u, v)`` pairs."""
-    return WeightedGraph(nodes, ((u, v, 1.0) for u, v in edges))
+    any other iterable of ``(u, v)`` pairs.  Its weights are whole units,
+    stored as in :meth:`WeightedGraph.unit_weights`."""
+    return WeightedGraph(nodes, ((u, v, 1.0) for u, v in edges), precision=0)

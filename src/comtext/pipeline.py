@@ -153,7 +153,12 @@ def _front_half(config: RunConfig) -> WeightedGraph:
     elif config.mode == "weighted":
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
-    nodes = sorted(set(edge_list.endpoints()) | set(corp.users if corp else ()))
+    # One set of every id, freed once sorted into the node list.
+    ids = {u for edge in edge_list for u in edge}
+    if corp is not None:
+        ids.update(corp.users)
+    nodes = sorted(ids)
+    del ids
     # Pairs of users are scored from their text, for the weighted graph or the export.
     scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
     if scored:

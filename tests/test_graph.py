@@ -1,6 +1,9 @@
 import math
 import random
 import re
+from array import array
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -24,6 +27,18 @@ def assert_endpoints_shared(g):
         assert u is shared[u] and v is shared[v]
     for u in g.nodes:
         assert all(v is shared[v] for v, _ in g.neighbors(u))
+
+
+def sparse_random_edges():
+    """2,000 node ids and 20,000 distinct edges between them with weights
+    uniform in [0, 1)."""
+    rng = random.Random(113)
+    nodes = [f"n{i:04d}" for i in range(2000)]
+    pairs = set()
+    while len(pairs) < 20000:
+        i, j = sorted(rng.sample(range(2000), 2))
+        pairs.add((i, j))
+    return nodes, [(nodes[i], nodes[j], rng.random()) for i, j in sorted(pairs)]
 
 
 def score_from(entries):
@@ -140,6 +155,8 @@ class TestUnitWeights:
         rebuilt = structural_graph([(u, v) for u, v, _ in g.edges()], g.nodes)
         for name in ("nodes", "offsets", "targets"):
             assert getattr(unit, name) is getattr(g, name), name
+        assert (unit.weights.typecode, unit.scale) == ("I", 1.0)
+        assert (rebuilt.weights.typecode, rebuilt.scale) == ("I", 1.0)
         assert unit.weights == rebuilt.weights
         assert unit.strengths == rebuilt.strengths
         assert unit.total_weight == rebuilt.total_weight
@@ -227,18 +244,21 @@ class TestWeightedGraph:
                 assert neighbor_ids == sorted(neighbor_ids)
 
     def test_csr_arrays_match_the_public_api(self):
+        """With and without fixed-point weights: a row entry's weight is
+        ``weights[a] / scale``."""
         rng = random.Random(83)
-        for _ in range(50):
+        for _, precision in product(range(50), (None, 6)):
             g = random_weighted_graph(rng)
             nodes = list(g.nodes)
             rng.shuffle(nodes)
-            g = WeightedGraph(nodes, g.edges())
+            g = WeightedGraph(nodes, g.edges(), precision=precision)
+            assert g.weights.typecode == ("d" if precision is None else "I")
             assert len(g.offsets) == g.n + 1 and g.offsets[-1] == 2 * len(g.edges())
             for i, u in enumerate(g.nodes):
                 assert g.index_of(u) == i
                 start, end = g.offsets[i], g.offsets[i + 1]
                 row = zip(g.targets[start:end], g.weights[start:end])
-                assert [(g.nodes[j], w) for j, w in row] == list(g.neighbors(u))
+                assert [(g.nodes[j], w / g.scale) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == g.strength(u) == math.fsum(w for _, w in g.neighbors(u))
             assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
             assert g.total_weight == math.fsum(w for _, _, w in g.edges())
@@ -248,16 +268,19 @@ class TestWeightedGraph:
         weights per edge, about 22.5 B/edge with the per-node arrays; 4-byte
         indices read 26.5, and a tuple per edge and a pair per endpoint
         about 207."""
-        rng = random.Random(113)
-        nodes = [f"n{i:04d}" for i in range(2000)]
-        pairs = set()
-        while len(pairs) < 20000:
-            i, j = sorted(rng.sample(range(2000), 2))
-            pairs.add((i, j))
-        edges = [(nodes[i], nodes[j], rng.random()) for i, j in sorted(pairs)]
+        nodes, edges = sparse_random_edges()
         g, retained, _ = traced(WeightedGraph, nodes, edges)
         assert len(g.edges()) == len(edges)
         assert retained / len(edges) < 24
+
+    def test_fixed_point_retained_bytes_per_edge(self):
+        """Weights snapped to 6 places are held as 4-byte units: two 2-byte
+        neighbor indices and two 4-byte weights per edge, about 14.5 B/edge
+        with the per-node arrays, against 22.5 as doubles."""
+        nodes, edges = sparse_random_edges()
+        g, retained, _ = traced(partial(WeightedGraph, precision=6), nodes, edges)
+        assert (g.weights.typecode, g.scale) == ("I", 1e6)
+        assert retained / len(edges) < 16
 
     @pytest.mark.parametrize("n, itemsize", [(65536, 2), (65537, 4)])
     def test_neighbor_index_width_follows_the_node_count(self, tmp_path, n, itemsize):
@@ -289,6 +312,55 @@ class TestWeightedGraph:
         block_graph(random.Random(113), n=1000, weights=(0.25, 0.5, 1.0)).write_csv(path)
         g, _, peak = traced(WeightedGraph.read_csv, path)
         assert peak / (len(g.targets) // 2) < 65
+
+    @staticmethod
+    def assert_same_graph(g, h):
+        """Bit for bit: every weight the public API returns, and the sums."""
+        def bits(values):
+            return array("d", values).tobytes()
+
+        assert g.nodes == h.nodes
+        assert bits(w for _, _, w in g.edges()) == bits(w for _, _, w in h.edges())
+        assert g.edges() == h.edges()
+        for u in g.nodes:
+            assert g.neighbors(u) == h.neighbors(u)
+            assert bits(w for _, w in g.neighbors(u)) == bits(w for _, w in h.neighbors(u))
+        assert g.strengths.tobytes() == h.strengths.tobytes()
+        assert bits([g.total_weight]) == bits([h.total_weight])
+
+    def test_fixed_point_weights_are_exact(self):
+        """Units of ``10**-p`` divided by ``10.0**p`` give back every snapped
+        weight, for each ``p`` that stores units, up to 2**32 - 1 units:
+        the graph equals one built from the snapped doubles."""
+        rng = random.Random(131)
+        nodes = [f"n{i:02d}" for i in range(40)]
+        pairs = sorted({tuple(sorted(rng.sample(nodes, 2))) for _ in range(300)})
+        for p in range(1, 23):
+            top = (2**32 - 1) / 10**p
+            weights = [rng.uniform(0.0, top) for _ in pairs]
+            weights[:3] = [float(f"{2**32 - 1}e-{p}"), 0.0, 10.0**-p]
+            edges = [(u, v, w) for (u, v), w in zip(pairs, weights)]
+            fixed = WeightedGraph(nodes, edges, precision=p)
+            assert (fixed.weights.typecode, fixed.scale) == ("I", 10.0**p)
+            assert max(fixed.weights) == 2**32 - 1
+            snapped = WeightedGraph(nodes, [(u, v, float(f"{w:.{p}f}")) for u, v, w in edges])
+            assert snapped.weights.typecode == "d"
+            self.assert_same_graph(fixed, snapped)
+
+    @pytest.mark.parametrize("precision, weight", [
+        (None, 0.5), (23, 0.5), (400, 0.5), (6, 4294.967296), (6, -0.0),
+    ], ids=["none", "23", "400", "2**32-units", "negative-zero"])
+    def test_weights_without_fixed_point_stay_doubles(self, precision, weight):
+        """No precision, one whose ``10**p`` is no exact double, a weight of
+        2**32 units or a -0.0, whose sign units cannot hold: doubles, scale
+        1.0, the same weights as one built from the snapped values."""
+        edges = [("a", "b", weight), ("b", "c", 0.25)]
+        g = WeightedGraph(["a", "b", "c"], edges, precision=precision)
+        assert (g.weights.typecode, g.scale) == ("d", 1.0)
+        if precision is not None:
+            edges = [(u, v, float(f"{w:.{precision}f}")) for u, v, w in edges]
+        self.assert_same_graph(g, WeightedGraph(["a", "b", "c"], edges))
+        assert math.copysign(1.0, g.neighbors("a")[0][1]) == math.copysign(1.0, weight)
 
     def test_handshake_identity(self):
         rng = random.Random(71)
