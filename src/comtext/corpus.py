@@ -60,6 +60,17 @@ def read_lines(path) -> Iterator[tuple[Where, str]]:
                 yield where, line
 
 
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` to ``path`` as UTF-8, with one LF after each.
+
+    ``lines`` may be any iterable, a generator included; each line is
+    written as it is drawn.  Every text file comtext writes goes through
+    here: no byte-order mark, and no CR whatever the platform.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def node_id(raw: str, where: str | Where) -> str:
     """The node id ``raw`` names: stripped, non-empty, no reserved character
     and no lone surrogate."""

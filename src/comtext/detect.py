@@ -32,7 +32,7 @@ import math
 from collections import deque
 
 from ._record import Record
-from .corpus import node_id, read_lines
+from .corpus import node_id, read_lines, write_lines
 from .errors import ParameterError, ParseError
 from .graph import WeightedGraph
 
@@ -84,8 +84,8 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
             best = next(fallback)
         centers.append(best)
         taken[best] = 1
-        for a in range(g.offsets[best], g.offsets[best + 1]):
-            blocked[g.targets[a]] = 1
+        for j, _ in g.row(best):
+            blocked[j] = 1
     return [g.nodes[i] for i in centers]
 
 
@@ -97,7 +97,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         raise ParameterError("duplicate centers")
     seeds = [g.index_of(c) for c in centers]
 
-    offsets, targets, weights, scale, nodes = g.offsets, g.targets, g.weights, g.scale, g.nodes
+    row, nodes = g.row, g.nodes
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
@@ -126,8 +126,7 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     def attach(node: int, community: int) -> None:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
         key_of, heap = keys[community], heaps[community]
-        for a in range(offsets[node], offsets[node + 1]):
-            v, w = targets[a], weights[a] / scale
+        for v, w in row(node):
             if assignment[v] < 0 and w > 0.0:
                 u = nodes[v]
                 old = key_of.get(u)
@@ -199,8 +198,8 @@ def format_partition(p: Partition, modularity: float | None = None) -> str:
 
 
 def save_partition(p: Partition, path, modularity: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_partition(p, modularity))
+    # format_partition's text ends in the LF that write_lines adds back.
+    write_lines(path, [format_partition(p, modularity)[:-1]])
 
 
 def load_partition(path) -> tuple[Partition, float | None]:

@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 
 from ._record import Record
-from .corpus import EdgeList
+from .corpus import EdgeList, write_lines
 from .detect import Partition, save_partition
 from .errors import ParameterError
 
@@ -66,8 +66,7 @@ def write_karate(out_dir) -> tuple[Path, Partition]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     edge_path = out / "karate_edges.csv"
-    with open(edge_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(f"{u},{v}" for u, v in KARATE_EDGES) + "\n")
+    write_lines(edge_path, (f"{u},{v}" for u, v in KARATE_EDGES))
     factions = karate_partition()
     save_partition(factions, out / "karate_factions.txt")
     return edge_path, factions
@@ -164,13 +163,11 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
     users = _user_ids(spec)
 
     corpus_path = out / "corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8", newline="\n") as fh:
-        for user, group in users:
-            tokens = [
-                rng.choice(spec.vocab_per_group[group])
-                for _ in range(spec.tokens_per_user)
-            ]
-            fh.write(json.dumps({"user_id": user, "text": " ".join(tokens)}) + "\n")
+    write_lines(corpus_path, (
+        json.dumps({"user_id": user, "text": " ".join(
+            rng.choice(spec.vocab_per_group[group]) for _ in range(spec.tokens_per_user))})
+        for user, group in users
+    ))
 
     lexicon_path = out / "lexicon.tsv"
     term_scores = {
@@ -178,17 +175,15 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
         for g in range(spec.groups)
         for term in spec.vocab_per_group[g]
     }
-    with open(lexicon_path, "w", encoding="utf-8", newline="\n") as fh:
-        for term in sorted(term_scores):
-            fh.write(f"{term}\t{term_scores[term]:.4f}\n")
+    write_lines(lexicon_path, (f"{term}\t{term_scores[term]:.4f}" for term in sorted(term_scores)))
 
     edges_path = out / "edges.csv"
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, (user_a, group_a) in enumerate(users):
-            for user_b, group_b in users[i + 1 :]:
-                p = spec.p_in if group_a == group_b else spec.p_out
-                if rng.random() < p:
-                    fh.write(f"{user_a},{user_b}\n")
+    write_lines(edges_path, (
+        f"{user_a},{user_b}"
+        for i, (user_a, group_a) in enumerate(users)
+        for user_b, group_b in users[i + 1 :]
+        if rng.random() < (spec.p_in if group_a == group_b else spec.p_out)
+    ))
 
     truth = Partition({u: g for u, g in users}, spec.groups, spec.groups)
     truth_path = out / "ground_truth.txt"

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
-from itertools import accumulate, pairwise
+from bisect import bisect_left
+from itertools import accumulate, chain, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import EdgeList, index_typecode, node_id, read_lines
+from .corpus import EdgeList, index_typecode, node_id, read_lines, write_lines
 from .errors import GraphError, ParameterError, ParseError
 
 
@@ -77,7 +77,9 @@ class WeightedGraph:
     those units, 4 bytes per entry, and ``scale`` is ``10.0**precision``;
     the division gives back the snapped double exactly.  Otherwise
     ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight of -0.0
-    keeps the doubles, whose sign the units cannot hold.
+    keeps the doubles, whose sign the units cannot hold.  :meth:`row`
+    yields a node's neighbors with the division applied; no other module
+    reads ``offsets``, ``targets``, ``weights`` or ``scale``.
 
     :meth:`unit_weights` gives the structural graph on the same edges as a
     view: it shares ``nodes``, ``offsets`` and ``targets`` with this graph
@@ -174,12 +176,18 @@ class WeightedGraph:
             raise GraphError(f"unknown node {node!r}")
         return i
 
+    def row(self, i: int) -> Iterator[tuple[int, float]]:
+        """``(neighbor index, weight)`` pairs of the node with index ``i``,
+        in increasing neighbor index, each weight a float: the stored value
+        divided by ``scale``.  Every reader of a graph's edges outside this
+        class goes through here."""
+        start, end = self.offsets[i], self.offsets[i + 1]
+        return zip(self.targets[start:end], map(self.scale.__rtruediv__, self.weights[start:end]))
+
     def neighbors(self, node: str) -> tuple[tuple[str, float], ...]:
         """``(neighbor, weight)`` pairs, sorted by neighbor id."""
-        i = self.index_of(node)
-        start, end = self.offsets[i], self.offsets[i + 1]
-        return tuple(zip(map(self.nodes.__getitem__, self.targets[start:end]),
-                         map(self.scale.__rtruediv__, self.weights[start:end])))
+        nodes = self.nodes
+        return tuple((nodes[j], w) for j, w in self.row(self.index_of(node)))
 
     def strength(self, node: str) -> float:
         """Weighted degree: sum of incident edge weights."""
@@ -187,11 +195,10 @@ class WeightedGraph:
 
     def edge_indices(self) -> Iterator[tuple[int, int, float]]:
         """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``, sorted."""
-        offsets, targets, weights, scale = self.offsets, self.targets, self.weights, self.scale
         for i in range(len(self.nodes)):
-            end = offsets[i + 1]
-            for a in range(bisect_right(targets, i, offsets[i], end), end):
-                yield i, targets[a], weights[a] / scale
+            for j, w in self.row(i):
+                if j > i:
+                    yield i, j, w
 
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """Canonical edge tuples (min id first, sorted)."""
@@ -202,10 +209,9 @@ class WeightedGraph:
         """``u,v,weight`` lines; isolated nodes appear as ``u,,`` so the
         node set round-trips through :func:`read_csv`."""
         nodes, offsets = self.nodes, self.offsets
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{u},,\n" for i, u in enumerate(nodes) if offsets[i] == offsets[i + 1])
-            fh.writelines(f"{nodes[i]},{nodes[j]},{w:.{precision}f}\n"
-                          for i, j, w in self.edge_indices())
+        isolated = (f"{u},," for i, u in enumerate(nodes) if offsets[i] == offsets[i + 1])
+        write_lines(path, chain(isolated, (f"{nodes[i]},{nodes[j]},{w:.{precision}f}"
+                                           for i, j, w in self.edge_indices())))
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 
 from ._record import Record
+from .corpus import write_lines
 from .detect import Partition
 from .errors import GraphError, UndefinedModularityError
 from .graph import WeightedGraph
@@ -49,9 +50,7 @@ class QualityReport(Record, frozen=True):
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_lines(path, [json.dumps(self.to_dict(), indent=2, sort_keys=True)])
 
 
 def check_total_weight(g: WeightedGraph) -> None:

@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ._record import Record
-from .corpus import ensure_users, load_corpus, load_edges
+from .corpus import ensure_users, load_corpus, load_edges, write_lines
 from .detect import Partition, check_k, detect, load_partition, save_partition
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
@@ -89,8 +89,8 @@ class RunConfig(Record, frozen=True):
                 raise ParameterError(f"k value {k} is repeated")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must be in [0, 1]")
-        if self.precision < 1:
-            raise ParameterError("precision must be at least 1")
+        if type(self.precision) is not int or self.precision < 1:
+            raise ParameterError(f"precision must be at least 1, an int: got {self.precision!r}")
         if self.token_delim == "":
             raise ParameterError("the token delimiter must be a non-empty string")
         if self.token_delim is not None and self.corpus is None:
@@ -213,10 +213,7 @@ def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
         reports[k] = report
     summary_rows = [(k, reports[k].modularity) for k in config.k_values]
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,modularity\n")
-        for k, q in summary_rows:
-            fh.write(f"{k},{q!r}\n")
+    write_lines(out / "summary.csv", ["k,modularity", *(f"{k},{q!r}" for k, q in summary_rows)])
     return RunResult(graph, partitions, reports, summary_rows, out)
 
 
@@ -240,10 +237,8 @@ def compare(config: RunConfig) -> CompareResult:
         (k, qw, qs)
         for (k, qw), (_, qs) in zip(weighted.summary_rows, structural.summary_rows)
     ]
-    with open(out / "compare.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,modularity_weighted,modularity_structural\n")
-        for k, qw, qs in rows:
-            fh.write(f"{k},{qw!r},{qs!r}\n")
+    write_lines(out / "compare.csv", ["k,modularity_weighted,modularity_structural",
+                                      *(f"{k},{qw!r},{qs!r}" for k, qw, qs in rows)])
     return CompareResult(weighted, structural, rows)
 
 

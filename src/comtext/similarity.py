@@ -9,6 +9,13 @@ natural; any fixed base rescales every idf uniformly and cancels in the
 cosine, so the choice is unobservable in the similarity values.  Terms
 present in every document get idf 0 and drop out of the vectors: they
 carry no discriminative signal.
+
+The matrix CSV has fixed-width cells, so each cell has a known byte offset
+and the writer places bytes by seeking.  One rule places every scored
+cell: for a band of ``_BAND`` rows, each row from the band's top row down
+gets one piece at the band's first column, the band's cells left of that
+row's diagonal followed, for a row inside the band, by its diagonal and
+the cells right of it.  Each pair is scored once, in row-major order.
 """
 
 from __future__ import annotations
@@ -49,9 +56,12 @@ class SymmetricMatrix:
         return len(self.nodes)
 
     def write_csv(self, path, precision: int = 6) -> None:
-        """Full square matrix with row/column labels and fixed decimal
-        places, symmetric, each pair scored once as it is written.  On any
-        failure the partial file is removed."""
+        """Full square matrix with row/column labels and ``precision``
+        decimal places, at least 1, symmetric, each pair scored once as it
+        is written.  A precision below 1 is a ValueError before the file is
+        opened; on any later failure the partial file is removed."""
+        if precision < 1:
+            raise ValueError(f"matrix precision must be at least 1, got {precision!r}")
         fh = open(path, "wb")
         try:
             with fh:
@@ -63,36 +73,32 @@ class SymmetricMatrix:
             raise
 
     def _chunks(self, precision: int) -> Iterator[tuple[int, bytes]]:
-        """``(byte offset, bytes)`` pieces that tile the CSV, header first.
+        """``(byte offset, bytes)`` pieces that tile the CSV.
 
         A value in [0, 1] formats to exactly ``precision + 2`` characters,
         so with its separator every cell is ``width`` bytes and every cell's
-        offset follows from the header, the row labels and n.  Rows are
-        scored ``_BAND`` at a time, in row-major order.  A band row's
-        diagonal and the cells right of it go out in one piece, preceded by
-        the band's own cells left of the diagonal; the band's cells below
-        it sit side by side in each later row, one piece per row.  The
-        first band's pieces start at column 0, so they carry the row labels.
+        offset follows from the header, the row labels and n.  The header
+        and each row's label go out in the pass that finds where each row's
+        cells start.  Rows are then scored ``_BAND`` at a time, in row-major
+        order, and one rule places a band: every row from the band's top row
+        down gets one piece at the band's first column, holding the band's
+        cells left of that row's diagonal and, for a row inside the band,
+        its diagonal and the cells right of it, which end the line.
         """
         nodes, score, n = self.nodes, self._score, len(self.nodes)
         spec = f"%.{precision}f,".encode()
         width = precision + 3
         header = ("node," + ",".join(nodes) + "\n").encode("utf-8")
+        yield 0, header
         # firsts[i]: the byte offset of row i's first cell, just after its label.
         firsts, offset = array("q"), len(header)
         for u in nodes:
-            offset += len(u.encode("utf-8")) + 1
+            label = u.encode("utf-8") + b","
+            yield offset, label
+            offset += len(label)
             firsts.append(offset)
             offset += n * width
         zero = spec % 0.0
-
-        def at(i: int, column: int, cells: bytes) -> tuple[int, bytes]:
-            if column:
-                return firsts[i] + column * width, cells
-            label = nodes[i].encode("utf-8") + b","
-            return firsts[i] - len(label), label + cells
-
-        yield 0, header
         for top in range(0, n, _BAND):
             # band[h]: row top + h's cells right of its diagonal; column c
             # starts at byte (c - top - h - 1) * width.
@@ -105,13 +111,13 @@ class SymmetricMatrix:
                 if bad is not None:
                     raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
                 band.append((spec * len(values)) % values)
-            for k, row in enumerate(band):
-                left = [band[h][(k - h - 1) * width:(k - h) * width] for h in range(k)]
-                # The row's last cell ends the line.
-                yield at(top + k, top, b"".join([*left, zero, row])[:-1] + b"\n")
-            for m in range(top + len(band), n):
-                yield at(m, top, b"".join([row[(m - top - h - 1) * width:(m - top - h) * width]
-                                           for h, row in enumerate(band)]))
+            for m in range(top, n):
+                k = m - top  # row m's diagonal is the band's column k
+                piece = b"".join([row[(k - h - 1) * width:(k - h) * width]
+                                  for h, row in enumerate(band[:k])])
+                if k < len(band):
+                    piece = (piece + zero + band[k])[:-1] + b"\n"
+                yield firsts[m] + top * width, piece
 
 
 class PackedVector:

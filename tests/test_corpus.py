@@ -12,7 +12,9 @@ from comtext.corpus import (
     ensure_users,
     load_corpus,
     load_edges,
+    read_lines,
     tokenize,
+    write_lines,
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
@@ -327,3 +329,24 @@ class TestLoadEdges:
         endpoints = [u for edge in edges.edges for u in edge]
         assert len(endpoints) == 8
         assert len({id(u) for u in endpoints}) == len(set(endpoints)) == 4
+
+
+class TestWriteLines:
+    def test_lf_only_utf8_without_bom_from_a_generator(self, tmp_path):
+        """Non-ASCII lines, an empty one and a U+2028 (no line break for
+        the readers) are drawn from a generator and each ended by one LF."""
+        lines = ["é,日本", "e\u0301,z", "", "a\u2028b", "\U0001d400"]
+        drawn = []
+
+        def generate():
+            for line in lines:
+                drawn.append(line)
+                yield line
+
+        path = tmp_path / "out.txt"
+        write_lines(path, generate())
+        data = path.read_bytes()
+        assert drawn == lines
+        assert data == "".join(f"{line}\n" for line in lines).encode("utf-8")
+        assert not data.startswith(b"\xef\xbb\xbf") and b"\r" not in data
+        assert [line for _, line in read_lines(path)] == [x for x in lines if x]

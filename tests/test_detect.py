@@ -17,6 +17,7 @@ from comtext.detect import (
 )
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import WeightedGraph
+from comtext.metrics import quality_report
 from helpers import (
     block_graph,
     random_weighted_graph,
@@ -315,6 +316,41 @@ class TestReferenceOracle:
                 assert centers == reference_select_centers(g, k)
                 self.assert_same(g, centers)
                 assert heapify_calls
+
+
+class RowsOnly(WeightedGraph):
+    """A graph whose edges can be read only through :meth:`row`: its
+    ``offsets``, ``targets``, ``weights`` and ``scale`` are None, and each
+    row is read from a real graph."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: WeightedGraph):
+        self.source = source
+        self.nodes, self.strengths = source.nodes, source.strengths
+        self.total_weight = source.total_weight
+        self.offsets = self.targets = self.weights = self.scale = None
+
+    def row(self, i):
+        return self.source.row(i)
+
+
+class TestRowBoundary:
+    def test_detection_and_scoring_read_rows_through_row(self):
+        """Centers, partitions and quality reports on doubles, fixed-point
+        units and the unit view are the real graph's."""
+        rng = random.Random(131)
+        graphs = [tie_heavy_graph(rng) for _ in range(60)] + [block_graph(rng)]
+        graphs += [WeightedGraph(g.nodes, g.edges(), precision=3) for g in graphs[:20]]
+        graphs += [g.unit_weights() for g in graphs[:10]]
+        for g in graphs:
+            rows_only = RowsOnly(g)
+            for k in sorted({1, 2, 3, g.n // 2, g.n} & set(range(1, g.n + 1))):
+                assert select_centers(rows_only, k) == select_centers(g, k)
+                partition = detect(rows_only, k)
+                assert partition == detect(g, k)
+                if g.total_weight > 0.0:
+                    assert quality_report(rows_only, partition) == quality_report(g, partition)
 
 
 def partition_file(tmp_path, text):

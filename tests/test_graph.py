@@ -257,8 +257,9 @@ class TestWeightedGraph:
             for i, u in enumerate(g.nodes):
                 assert g.index_of(u) == i
                 start, end = g.offsets[i], g.offsets[i + 1]
-                row = zip(g.targets[start:end], g.weights[start:end])
-                assert [(g.nodes[j], w / g.scale) for j, w in row] == list(g.neighbors(u))
+                row = [(j, w / g.scale) for j, w in zip(g.targets[start:end], g.weights[start:end])]
+                assert list(g.row(i)) == row
+                assert [(g.nodes[j], w) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == g.strength(u) == math.fsum(w for _, w in g.neighbors(u))
             assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == list(g.edges())
             assert g.total_weight == math.fsum(w for _, _, w in g.edges())

@@ -190,8 +190,9 @@ class TestStageErrors:
             config_for(inputs, k_values=(2, 3, 2))
         with pytest.raises(ParameterError):
             config_for(inputs, alpha=2.0)
-        with pytest.raises(ParameterError, match="precision must be at least 1"):
-            config_for(inputs, precision=0)
+        for precision in (0, True, 2.5, "6"):
+            with pytest.raises(ParameterError, match="precision must be at least 1"):
+                config_for(inputs, precision=precision)
         with pytest.raises(ParameterError):
             RunConfig()
         with pytest.raises(ParameterError, match="non-empty"):

@@ -355,6 +355,15 @@ class TestSymmetricMatrix:
             SymmetricMatrix([f"u{i}" for i in range(40)], score).write_csv(path)
         assert not path.exists()
 
+    def test_precision_below_one_rejected_before_open(self, tmp_path):
+        """``%.0f`` formats a cell in one character, not ``precision + 2``,
+        so a precision of 0 would leave gaps in the fixed-width layout."""
+        path = tmp_path / "m.csv"
+        for precision in (0, -1):
+            with pytest.raises(ValueError, match="precision must be at least 1"):
+                lookup_matrix(["a", "b", "c"], {(0, 1): 1.0}).write_csv(path, precision=precision)
+            assert not path.exists()
+
     def test_negative_zero_written_as_zero(self, tmp_path):
         path = tmp_path / "m.csv"
         lookup_matrix(["a", "b", "c"], {(0, 1): -0.0, (1, 2): 0.5}).write_csv(path)
@@ -372,7 +381,7 @@ class TestSymmetricMatrix:
         matrix.write_csv(path, precision=2)
         assert path.read_text(encoding="utf-8") == "node,a,b\na,0.00,0.12\nb,0.12,0.00\n"
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, _BAND, 17, 2 * _BAND, 40])
     def test_write_csv_matches_get(self, tmp_path, n):
         """Byte for byte against a cell-by-cell build, with ids whose UTF-8
         lengths differ (so do the row offsets), across more than two bands."""
