@@ -20,9 +20,9 @@ from .corpus import (
 )
 from .detect import Partition, detect, expand_communities, select_centers
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
-from .fixtures import SyntheticSpec, default_spec, generate, karate_edge_list, karate_partition
+from .fixtures import SyntheticSpec, default_spec, generate, karate_partition
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
-from .metrics import QualityReport, modularity, nmi, quality_report
+from .metrics import QualityReport, nmi, quality_report
 from .pipeline import CompareResult, RunConfig, RunResult, StageError, compare, run
 from .sentiment import SentimentLexicon, bias_matrix, bias_score, load_lexicon, score_text
 from .similarity import (

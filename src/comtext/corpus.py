@@ -187,12 +187,12 @@ def _read_documents(path) -> Iterator[Document]:
             raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected a JSON object")
-        user_id, text = record.get("user_id"), record.get("text")
-        if not isinstance(user_id, str):
-            raise ParseError(f"{where}: missing 'user_id'")
-        if not isinstance(text, str):
-            raise ParseError(f"{where}: missing 'text' field")
-        yield Document(node_id(user_id, where), text)
+        for key in ("user_id", "text"):
+            if key not in record:
+                raise ParseError(f"{where}: missing {key!r}")
+            if not isinstance(record[key], str):
+                raise ParseError(f"{where}: {key!r} must be a string")
+        yield Document(node_id(record["user_id"], where), record["text"])
 
 
 def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
@@ -238,9 +238,6 @@ class EdgeList(Record, frozen=True):
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self.edges)
-
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(sorted({u for edge in self.edges for u in edge}))
 
 
 def load_edges(path) -> EdgeList:

@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 
 from ._record import Record
-from .corpus import EdgeList, write_lines
+from .corpus import write_lines
 from .detect import Partition, save_partition
 from .errors import ParameterError
 
@@ -47,10 +47,6 @@ KARATE_INSTRUCTOR_FACTION = frozenset(
 )
 
 KARATE_NODES: tuple[str, ...] = tuple(f"{i:02d}" for i in range(1, 35))
-
-
-def karate_edge_list() -> EdgeList:
-    return EdgeList.from_pairs(KARATE_EDGES)
 
 
 def karate_partition() -> Partition:

@@ -4,38 +4,22 @@ Edge weights fuse two pairwise scores, each taken once per structural edge:
 ``W(u, v) = alpha * s(u, v) + (1 - alpha) * sv(u, v)`` with ``alpha`` = 0.5
 by default.  Zero-weight edges stay in the edge set (structure and weights
 are separate concerns); they contribute nothing to strengths or scores.
+
+Every graph is built by one constructor over index columns,
+:class:`WeightedGraph`; :meth:`WeightedGraph.from_edges` takes id triples,
+and :meth:`WeightedGraph.read_csv` passes the columns it parses.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
-from itertools import accumulate, chain, pairwise
-from typing import Callable, Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice, pairwise, repeat
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 from .corpus import EdgeList, index_typecode, node_id, read_lines, write_lines
 from .errors import GraphError, ParameterError, ParseError
-
-
-def _fixed_point(weights: array, precision: int | None) -> tuple[array, float]:
-    """``weights``, already snapped to ``precision`` decimal places, as
-    ``array('I')`` counts ``m`` of the unit ``10**-precision``, and the scale
-    ``10.0**precision`` that gives each weight back as ``m / scale``.
-
-    The division is exact: ``m`` and ``10**precision`` (``precision`` <= 22)
-    are exact doubles, and the correctly rounded quotient is the double
-    nearest ``m / 10**precision``, which is the snapped weight.  No precision,
-    one outside 0..22 or a weight of 2**32 units or more keeps ``weights``
-    as they are, with scale 1.0.
-    """
-    if precision is None or not 0 <= precision <= 22:
-        return weights, 1.0
-    scale = 10.0 ** precision
-    try:
-        return array("I", (round(w * scale) for w in weights)), scale
-    except OverflowError:  # a count above 2**32 - 1
-        return weights, 1.0
 
 
 def _finite_sum(values: Iterable[float], what: str) -> float:
@@ -47,12 +31,13 @@ def _finite_sum(values: Iterable[float], what: str) -> float:
         raise GraphError(f"{what} overflows a float") from None
 
 
-class DuplicateEdgeError(GraphError):
-    """An undirected edge given twice; ``pair`` holds its ids, smaller first."""
+class EdgeError(GraphError):
+    """An edge the constructor rejects; ``position`` is its index in the
+    constructor's columns."""
 
-    def __init__(self, pair: tuple[str, str]):
-        self.pair = pair
-        super().__init__(f"duplicate edge {pair!r}")
+    def __init__(self, position: int, message: str):
+        self.position = position
+        super().__init__(message)
 
 
 class WeightedGraph:
@@ -75,11 +60,14 @@ class WeightedGraph:
     ``weights[a] / scale``.  When ``precision`` is 0 to 22 and every
     snapped weight is below 2**32 units, ``weights`` is an ``array('I')`` of
     those units, 4 bytes per entry, and ``scale`` is ``10.0**precision``;
-    the division gives back the snapped double exactly.  Otherwise
-    ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight of -0.0
-    keeps the doubles, whose sign the units cannot hold.  :meth:`row`
-    yields a node's neighbors with the division applied; no other module
-    reads ``offsets``, ``targets``, ``weights`` or ``scale``.
+    the division gives back the snapped double exactly: ``m`` and
+    ``10**precision`` are exact doubles, and the correctly rounded quotient
+    is the double nearest ``m / 10**precision``, which is the snapped weight.
+    Otherwise ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight
+    of -0.0 keeps the doubles, whose sign the units cannot hold.
+    :meth:`row` yields a node's neighbors with the division applied, and
+    :meth:`edge_indices` each edge once; no other module reads ``offsets``,
+    ``targets``, ``weights`` or ``scale``.
 
     :meth:`unit_weights` gives the structural graph on the same edges as a
     view: it shares ``nodes``, ``offsets`` and ``targets`` with this graph
@@ -88,45 +76,63 @@ class WeightedGraph:
 
     __slots__ = ("nodes", "offsets", "targets", "weights", "scale", "strengths", "total_weight")
 
-    def __init__(self, nodes: Sequence[str], weighted_edges: Iterable[tuple[str, str, float]],
-                 *, precision: int | None = None):
-        self.nodes = tuple(sorted(nodes))
-        index = {u: i for i, u in enumerate(self.nodes)}
-        n = len(self.nodes)
-        if len(index) != n:
+    def __init__(self, ids: Sequence[str], heads: Sequence[int], tails: Sequence[int],
+                 weights: MutableSequence[float], *, precision: int | None = None):
+        """The graph on the node ids ``ids``, in any order, whose edge ``e``
+        joins ``ids[heads[e]]`` and ``ids[tails[e]]`` with weight
+        ``weights[e]``.
+
+        Every graph is built here.  ``ids`` are sorted once, and each column
+        index is mapped to its id's rank.  Each edge is checked once, in
+        column order: a node index out of range, a self-loop, a weight that
+        is not finite and a negative weight raise :class:`EdgeError` with
+        the edge's position, and so does an edge given twice, at its second
+        position, for the smallest pair of ids given twice.  Repeated ids
+        raise GraphError.  The constructor owns the columns it is given:
+        with a ``precision`` it snaps ``weights`` in place, and it encodes
+        the units as it fills the rows, so it holds no second column.
+        """
+        n = len(ids)
+        order = sorted(range(n), key=ids.__getitem__)
+        self.nodes = nodes = tuple(map(ids.__getitem__, order))
+        if any(a == b for a, b in pairwise(nodes)):
             raise GraphError("duplicate node ids")
-        heads, tails, edge_weights = array("i"), array("i"), array("d")
+        rank = array("i", sorted(range(n), key=order.__getitem__))  # column index -> its rank
+        del order
         degree = [0] * n
         negative_zero = False
-        for u, v, w in weighted_edges:
-            try:
-                i, j = index[u], index[v]
-            except KeyError:
-                raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
-            if i == j:
-                raise GraphError(f"self-loop at {u!r}")
+        for e, (h, t, w) in enumerate(zip(heads, tails, weights, strict=True)):
+            if not (0 <= h < n and 0 <= t < n):
+                raise EdgeError(e, "node index out of range")
+            if h == t:
+                raise EdgeError(e, f"self-loop at {ids[h]!r}")
             if not math.isfinite(w):
-                raise GraphError(f"non-finite weight on edge ({u!r}, {v!r})")
+                raise EdgeError(e, "weight is not finite")
             if w < 0.0:
-                raise GraphError(f"negative weight on edge ({u!r}, {v!r})")
+                raise EdgeError(e, "weight is negative")
+            degree[rank[h]] += 1
+            degree[rank[t]] += 1
+            if precision is not None:
+                weights[e] = w = float(f"{w:.{precision}f}")
             if not w and math.copysign(1.0, w) < 0.0:
                 negative_zero = True
-            heads.append(i)
-            tails.append(j)
-            degree[i] += 1
-            degree[j] += 1
-            edge_weights.append(w if precision is None else float(f"{w:.{precision}f}"))
-        del index
-        edge_weights, self.scale = _fixed_point(edge_weights, None if negative_zero else precision)
+        # A product below 2**32 - 0.5 rounds to at most 2**32 - 1 units, and
+        # the largest weight has the most units.
+        fixed = (precision is not None and 0 <= precision <= 22 and not negative_zero
+                 and max(weights, default=0.0) * 10.0 ** precision < 2**32 - 0.5)
+        self.scale = scale = 10.0 ** precision if fixed else 1.0
         self.offsets = offsets = array("q", accumulate(degree, initial=0))
+        del degree
         typecode = index_typecode(n)
         self.targets = targets = array(typecode, [0]) * offsets[-1]
-        self.weights = weights = array(edge_weights.typecode, [0]) * offsets[-1]
+        self.weights = stored = array("I" if fixed else "d", [0]) * offsets[-1]
         cursor = offsets[:-1]
-        for i, j, w in zip(heads, tails, edge_weights):
+        units = map(round, map(scale.__mul__, weights)) if fixed else weights
+        for h, t, w in zip(heads, tails, units):
+            i, j = rank[h], rank[t]
             a, b = cursor[i], cursor[j]
-            targets[a], weights[a], cursor[i] = j, w, a + 1
-            targets[b], weights[b], cursor[j] = i, w, b + 1
+            targets[a], stored[a], cursor[i] = j, w, a + 1
+            targets[b], stored[b], cursor[j] = i, w, b + 1
         # Sort each row on its own by neighbor.  A repeated pair (i, j), i < j,
         # shows as equal neighbors side by side in rows i and j; scanning the
         # rows in index order meets it first in row i, so the pair reported
@@ -137,18 +143,42 @@ class WeightedGraph:
                 continue
             order = sorted(range(start, end), key=targets.__getitem__)
             row = array(typecode, map(targets.__getitem__, order))
-            for a, b in pairwise(row):
-                if a == b:
-                    raise DuplicateEdgeError((self.nodes[i], self.nodes[a]))
+            for a, j in pairwise(row):
+                if a == j:
+                    given = (e for e, (h, t) in enumerate(zip(heads, tails))
+                             if {rank[h], rank[t]} == {i, j})
+                    raise EdgeError(next(islice(given, 1, None)),
+                                    f"duplicate edge {(nodes[i], nodes[j])!r}")
             targets[start:end] = row
-            weights[start:end] = array(weights.typecode, map(weights.__getitem__, order))
-        as_weight = self.scale.__rtruediv__  # a stored value m -> its weight m / scale
-        self.strengths = array("d", (_finite_sum(map(as_weight, weights[offsets[i]:offsets[i + 1]]),
-                                                 f"strength of {self.nodes[i]!r}")
+            stored[start:end] = array(stored.typecode, map(stored.__getitem__, order))
+        as_weight = scale.__rtruediv__  # a stored value m -> its weight m / scale
+        self.strengths = array("d", (_finite_sum(map(as_weight, stored[offsets[i]:offsets[i + 1]]),
+                                                 f"strength of {nodes[i]!r}")
                                      for i in range(n)))
-        self.total_weight = _finite_sum(map(as_weight, edge_weights), "total weight")
+        # ``weights`` holds the snapped values, which the units give back exactly.
+        self.total_weight = _finite_sum(weights, "total weight")
         if not math.isfinite(2.0 * self.total_weight):
             raise GraphError("twice the total weight overflows a float")
+
+    @classmethod
+    def from_edges(cls, nodes: Iterable[str], weighted_edges: Iterable[tuple[str, str, float]],
+                   *, precision: int | None = None) -> "WeightedGraph":
+        """The graph on ``nodes`` whose edges are ``(u, v, weight)`` id
+        triples, each pair once in either order; ``precision`` as in the
+        constructor.  An id that is not in ``nodes`` raises GraphError."""
+        ids = tuple(nodes)
+        index = {u: i for i, u in enumerate(ids)}
+        heads, tails, weights = array("i"), array("i"), array("d")
+        for u, v, w in weighted_edges:
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
+            heads.append(i)
+            tails.append(j)
+            weights.append(w)
+        del index
+        return cls(ids, heads, tails, weights, precision=precision)
 
     def unit_weights(self) -> "WeightedGraph":
         """The structural graph on this graph's edges: every weight 1.
@@ -179,8 +209,8 @@ class WeightedGraph:
     def row(self, i: int) -> Iterator[tuple[int, float]]:
         """``(neighbor index, weight)`` pairs of the node with index ``i``,
         in increasing neighbor index, each weight a float: the stored value
-        divided by ``scale``.  Every reader of a graph's edges outside this
-        class goes through here."""
+        divided by ``scale``.  Outside this class, a graph's edges are read
+        through here and :meth:`edge_indices` only."""
         start, end = self.offsets[i], self.offsets[i + 1]
         return zip(self.targets[start:end], map(self.scale.__rtruediv__, self.weights[start:end]))
 
@@ -189,21 +219,15 @@ class WeightedGraph:
         nodes = self.nodes
         return tuple((nodes[j], w) for j, w in self.row(self.index_of(node)))
 
-    def strength(self, node: str) -> float:
-        """Weighted degree: sum of incident edge weights."""
-        return self.strengths[self.index_of(node)]
-
     def edge_indices(self) -> Iterator[tuple[int, int, float]]:
-        """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``, sorted."""
+        """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``,
+        sorted: each row from just past its diagonal."""
+        offsets, targets, weights = self.offsets, self.targets, self.weights
+        as_weight = self.scale.__rtruediv__
         for i in range(len(self.nodes)):
-            for j, w in self.row(i):
-                if j > i:
-                    yield i, j, w
-
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        """Canonical edge tuples (min id first, sorted)."""
-        nodes = self.nodes
-        return tuple((nodes[i], nodes[j], w) for i, j, w in self.edge_indices())
+            end = offsets[i + 1]
+            start = bisect_right(targets, i, offsets[i], end)
+            yield from zip(repeat(i), targets[start:end], map(as_weight, weights[start:end]))
 
     def write_csv(self, path, precision: int = 6) -> None:
         """``u,v,weight`` lines; isolated nodes appear as ``u,,`` so the
@@ -215,49 +239,39 @@ class WeightedGraph:
 
     @classmethod
     def read_csv(cls, path, *, precision: int | None = None) -> "WeightedGraph":
-        """Load a graph written by :meth:`write_csv`.  An edge given twice is
-        a ParseError naming the line that repeats it; a file with no line is
-        one naming the file."""
+        """Load a graph written by :meth:`write_csv`.
+
+        Lines are parsed here, their fields counted, their ids checked and
+        their weights read as numbers; the edges are checked by the
+        constructor, and an edge it rejects is a ParseError naming the
+        edge's line.  A file with no line is one naming the file."""
         names: dict[str, int] = {}  # each id, numbered in order of first appearance
         heads, tails, weights = array("i"), array("i"), array("d")
         for where, line in read_lines(path):
             fields = line.split(",")
             if len(fields) != 3:
                 raise ParseError(f"{where}: expected 'u,v,weight'")
-            u = node_id(fields[0], where)
-            i = names.setdefault(u, len(names))
+            i = names.setdefault(node_id(fields[0], where), len(names))
             if not fields[1].strip() and not fields[2].strip():
-                continue
-            v = node_id(fields[1], where)
-            if v == u:
-                raise ParseError(f"{where}: self-loop at {u!r}")
-            j = names.setdefault(v, len(names))
+                continue  # an isolated node's line
+            j = names.setdefault(node_id(fields[1], where), len(names))
             try:
-                w = float(fields[2])
+                weights.append(float(fields[2]))
             except ValueError:
                 raise ParseError(f"{where}: weight is not a number") from None
-            if not math.isfinite(w):
-                raise ParseError(f"{where}: weight is not finite")
-            if w < 0.0:
-                raise ParseError(f"{where}: weight is negative")
             heads.append(i)
             tails.append(j)
-            weights.append(w)
         if not names:
             raise ParseError(f"{path}: empty graph file")
         ids = list(names)
-        edges = ((ids[u], ids[v], w) for u, v, w in zip(heads, tails, weights))
-        # The generator alone now holds the parsed arrays, and frees them once
-        # the constructor has drawn every edge, before it allocates the rows.
-        del heads, tails, weights
+        del names
         try:
-            return cls(ids, edges, precision=precision)
-        except DuplicateEdgeError as exc:
-            # Looked for only now, so valid input pays for no set of edges seen.
-            naming = (where for where, line in read_lines(path)
-                      if sorted(f.strip() for f in line.split(",")[:2]) == list(exc.pair))
-            next(naming)
-            raise ParseError(f"{next(naming)}: {exc}") from None
+            return cls(ids, heads, tails, weights, precision=precision)
+        except EdgeError as exc:
+            # Looked for only now, so valid input pays for no line numbers kept.
+            edge_lines = (where for where, line in read_lines(path)
+                          if any(field.strip() for field in line.split(",")[1:]))
+            raise ParseError(f"{next(islice(edge_lines, exc.position, None))}: {exc}") from None
 
 
 def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str, str], float],
@@ -272,12 +286,12 @@ def build_weighted_graph(edges: EdgeList, nodes: Sequence[str], s: Callable[[str
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha!r}")
-    return WeightedGraph(nodes, ((u, v, alpha * s(u, v) + (1.0 - alpha) * sv(u, v))
-                                 for u, v in edges), precision=precision)
+    return WeightedGraph.from_edges(nodes, ((u, v, alpha * s(u, v) + (1.0 - alpha) * sv(u, v))
+                                            for u, v in edges), precision=precision)
 
 
 def structural_graph(edges: Iterable[tuple[str, str]], nodes: Sequence[str]) -> WeightedGraph:
     """Unit-weight graph on a structural edge set: an :class:`EdgeList` or
     any other iterable of ``(u, v)`` pairs.  Its weights are whole units,
     stored as in :meth:`WeightedGraph.unit_weights`."""
-    return WeightedGraph(nodes, ((u, v, 1.0) for u, v in edges), precision=0)
+    return WeightedGraph.from_edges(nodes, ((u, v, 1.0) for u, v in edges), precision=0)

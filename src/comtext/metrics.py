@@ -89,10 +89,6 @@ def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     return QualityReport(q, total, stats)
 
 
-def modularity(g: WeightedGraph, p: Partition) -> float:
-    return quality_report(g, p).modularity
-
-
 def nmi(p1: Partition, p2: Partition) -> float:
     """Normalized mutual information (arithmetic-mean normalization).
 

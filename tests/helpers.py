@@ -12,7 +12,7 @@ The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
 oracle is the string-keyed form of center selection and expansion, which
-reads the graph only through ``strength`` and ``neighbors``.  The
+reads the graph only through ``neighbors``.  The
 whole-pipeline oracle, :func:`reference_run`, chains the long forms: the
 character-loop tokenizer, every pair scored from the dict forms of tf-idf,
 cosine and sentiment, an adjacency-dict graph, the string-keyed detection
@@ -35,10 +35,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from comtext.corpus import Corpus, Document, build_corpus
+from comtext.corpus import Corpus, Document, EdgeList, build_corpus
 from comtext.detect import Partition
 from comtext.errors import UndefinedModularityError
+from comtext.fixtures import KARATE_EDGES
 from comtext.graph import WeightedGraph
+from comtext.metrics import quality_report
 from comtext.pipeline import RunConfig
 from comtext.sentiment import NEUTRAL_ANGLE
 
@@ -58,6 +60,32 @@ def traced(fn: Callable[..., Any], *args) -> tuple[Any, int, int]:
     finally:
         tracemalloc.stop()
     return result, retained, peak
+
+
+# Reads of the package's types that only the tests use.
+
+def id_edges(g: WeightedGraph) -> tuple[tuple[str, str, float], ...]:
+    """Canonical edge tuples of ``g``: smaller id first, sorted.  It reads
+    ``nodes`` and ``neighbors`` only, so it serves a ``ReferenceGraph`` too."""
+    return tuple((u, v, w) for u in sorted(g.nodes) for v, w in g.neighbors(u) if u < v)
+
+
+def node_strength(g: WeightedGraph, node: str) -> float:
+    """Weighted degree of ``node``: the sum of its incident edge weights."""
+    return g.strengths[g.index_of(node)]
+
+
+def modularity(g: WeightedGraph, p: Partition) -> float:
+    return quality_report(g, p).modularity
+
+
+def karate_edge_list() -> EdgeList:
+    return EdgeList.from_pairs(KARATE_EDGES)
+
+
+def endpoints(edges: EdgeList) -> tuple[str, ...]:
+    """Every id an edge list names, sorted."""
+    return tuple(sorted({u for edge in edges.edges for u in edge}))
 
 
 def user_terms(corpus: Corpus, user: str) -> tuple[str, ...]:
@@ -183,7 +211,7 @@ def random_weighted_graph(rng: random.Random, max_nodes: int = 12) -> WeightedGr
                 edges.append((nodes[i], nodes[j], rng.randint(1, 16) / 16))
     if not edges:
         edges.append((nodes[0], nodes[1], 1.0))
-    return WeightedGraph(nodes, edges)
+    return WeightedGraph.from_edges(nodes, edges)
 
 
 def block_graph(rng: random.Random, n: int = 2000, blocks: int = 16, degree: int = 20,
@@ -204,11 +232,11 @@ def block_graph(rng: random.Random, n: int = 2000, blocks: int = 16, degree: int
     edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
     rng.shuffle(edges)
     rng.shuffle(nodes)
-    return WeightedGraph(nodes, edges)
+    return WeightedGraph.from_edges(nodes, edges)
 
 
 def scaled(g: WeightedGraph, factor: float) -> WeightedGraph:
-    return WeightedGraph(g.nodes, [(u, v, w * factor) for u, v, w in g.edges()])
+    return WeightedGraph.from_edges(g.nodes, [(u, v, w * factor) for u, v, w in id_edges(g)])
 
 
 def random_partition(rng: random.Random, nodes) -> Partition:
@@ -227,13 +255,13 @@ def random_partition(rng: random.Random, nodes) -> Partition:
 def pairsum_modularity(g: WeightedGraph, p: Partition) -> float:
     """Ordered-pair form: (1/2L) * sum_ij [A_ij - s_i s_j / 2L] delta(c_i, c_j)."""
     adjacency: dict[tuple[str, str], float] = {}
-    for u, v, w in g.edges():
+    for u, v, w in id_edges(g):
         adjacency[(u, v)] = w
         adjacency[(v, u)] = w
     strength = {
         u: sum(adjacency.get((u, v), 0.0) for v in g.nodes) for u in g.nodes
     }
-    total = sum(w for _, _, w in g.edges())
+    total = sum(w for _, _, w in id_edges(g))
     acc = 0.0
     for u in g.nodes:
         for v in g.nodes:
@@ -309,10 +337,15 @@ def dense_similarity_oracle(corpus: Corpus) -> np.ndarray:
     return out
 
 
+def reference_strength(g: WeightedGraph, u: str) -> float:
+    """The strength of ``u`` summed from its ``neighbors``."""
+    return math.fsum(w for _, w in g.neighbors(u))
+
+
 def reference_select_centers(g: WeightedGraph, k: int) -> list[str]:
     """String-keyed center selection: strongest node not adjacent to a
     chosen center, else the strongest remaining; ties by smaller id."""
-    strength = {u: g.strength(u) for u in g.nodes}
+    strength = {u: reference_strength(g, u) for u in g.nodes}
     remaining = set(g.nodes)
     blocked: set[str] = set()
     centers: list[str] = []
@@ -371,7 +404,7 @@ def reference_expand_communities(g: WeightedGraph, centers: list[str]) -> Partit
 
 class ReferenceGraph:
     """Adjacency-dict graph with only the reads the reference detection and
-    modularity make: ``nodes``, ``strength``, ``neighbors`` and ``edges``."""
+    modularity make: ``nodes`` and ``neighbors``."""
 
     def __init__(self, nodes: list[str], weighted_edges: list[tuple[str, str, float]]):
         self.nodes = list(nodes)
@@ -379,15 +412,8 @@ class ReferenceGraph:
         for u, v, w in weighted_edges:
             self.adjacency[u][v] = self.adjacency[v][u] = w
 
-    def strength(self, u: str) -> float:
-        return math.fsum(self.adjacency[u].values())
-
     def neighbors(self, u: str) -> tuple[tuple[str, float], ...]:
         return tuple(sorted(self.adjacency[u].items()))
-
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        return tuple(sorted((u, v, w) for u in self.nodes
-                            for v, w in self.adjacency[u].items() if u < v))
 
 
 def reference_polar(tokens, scores: dict[str, float]) -> SentimentVector:
@@ -504,7 +530,7 @@ def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tup
             {"index": c, "size": len(group),
              "intra_weight": math.fsum(w for u, v, w in weighted
                                        if p.assignment[u] == p.assignment[v] == c),
-             "degree_sum": math.fsum(g.strength(u) for u in group)}
+             "degree_sum": math.fsum(reference_strength(g, u) for u in group)}
             for c, group in enumerate(members)]}
         write(f"quality_k{k}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
         rows.append((k, q))

@@ -18,7 +18,7 @@ from comtext.corpus import (
 )
 from comtext.errors import ParseError
 from comtext.fixtures import default_spec, generate
-from helpers import reference_tokenize, traced, user_terms, wide_corpus
+from helpers import endpoints, reference_tokenize, traced, user_terms, wide_corpus
 
 # Characters at the edges of the rule: combining marks, CJK, digits and
 # other numbers, astral letters, "İ" (whose lowercase gains a combining
@@ -109,6 +109,12 @@ class TestLoadCorpus:
     @pytest.mark.parametrize("line, message", [
         ("[1]", "expected a JSON object"),
         ('{"text": "a"}', "missing 'user_id'"),
+        ('{"user_id": 1, "text": "a"}', "'user_id' must be a string"),
+        ('{"user_id": null, "text": "a"}', "'user_id' must be a string"),
+        ('{"user_id": ["u2"], "text": "a"}', "'user_id' must be a string"),
+        ('{"user_id": "u2"}', "missing 'text'"),
+        ('{"user_id": "u2", "text": 1}', "'text' must be a string"),
+        ('{"user_id": "u2", "text": null}', "'text' must be a string"),
     ])
     def test_line_that_is_no_document_names_line(self, tmp_path, line, message):
         path = self._write(tmp_path, ['{"user_id": "u1", "text": "a"}', line])
@@ -306,7 +312,7 @@ class TestLoadEdges:
 
     def test_endpoints(self):
         edges = EdgeList.from_pairs([("b", "a"), ("c", "b")])
-        assert edges.endpoints() == ("a", "b", "c")
+        assert endpoints(edges) == ("a", "b", "c")
 
     def test_load_peak_bytes_per_edge(self, tmp_path):
         """Each line's pair goes into the edge set as it is read: about

@@ -20,6 +20,9 @@ from comtext.graph import WeightedGraph
 from comtext.metrics import quality_report
 from helpers import (
     block_graph,
+    id_edges,
+    karate_edge_list,
+    node_strength,
     random_weighted_graph,
     reference_expand_communities,
     reference_select_centers,
@@ -27,7 +30,7 @@ from helpers import (
     traced,
 )
 
-from comtext.fixtures import KARATE_NODES, karate_edge_list
+from comtext.fixtures import KARATE_NODES
 from comtext.graph import structural_graph
 
 # The module, which the package's ``detect`` function shadows as an attribute.
@@ -40,7 +43,7 @@ def two_triangles():
         ("a1", "a2", 1.0), ("a2", "a3", 1.0), ("a1", "a3", 1.0),
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
-    return WeightedGraph(nodes, edges)
+    return WeightedGraph.from_edges(nodes, edges)
 
 
 def two_cliques(size):
@@ -50,7 +53,7 @@ def two_cliques(size):
         for i in range(size):
             for j in range(i + 1, size):
                 edges.append((f"{prefix}{i}", f"{prefix}{j}", 1.0))
-    return WeightedGraph(nodes, edges)
+    return WeightedGraph.from_edges(nodes, edges)
 
 
 class TestSelectCenters:
@@ -58,7 +61,7 @@ class TestSelectCenters:
         assert select_centers(two_triangles(), 2) == ["a1", "b1"]
 
     def test_k_one_picks_max_strength_smallest_id(self):
-        g = WeightedGraph(
+        g = WeightedGraph.from_edges(
             ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 0.5)]
         )
         # strengths: a=1.5, b=2.0, c=1.5
@@ -82,7 +85,7 @@ class TestSelectCenters:
         # path x--y--z: strongest is y; the second center avoids y's
         # neighbors, so it cannot be x or z... but both are adjacent,
         # so the fallback picks the strongest remaining (x by id).
-        g = WeightedGraph(["x", "y", "z"], [("x", "y", 1.0), ("y", "z", 1.0)])
+        g = WeightedGraph.from_edges(["x", "y", "z"], [("x", "y", 1.0), ("y", "z", 1.0)])
         assert select_centers(g, 2) == ["y", "x"]
 
 
@@ -92,18 +95,18 @@ class TestExpandCommunities:
         assert p.communities() == [["a1", "a2", "a3"], ["b1", "b2", "b3"]]
 
     def test_path_single_center(self):
-        g = WeightedGraph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
+        g = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
         p = expand_communities(g, ["a"])
         assert p.communities() == [["a", "b", "c"]]
 
     def test_isolated_node_becomes_singleton(self):
-        g = WeightedGraph(["a", "b", "iso"], [("a", "b", 1.0)])
+        g = WeightedGraph.from_edges(["a", "b", "iso"], [("a", "b", 1.0)])
         p = expand_communities(g, ["a"])
         assert p.m == 2
         assert p.communities() == [["a", "b"], ["iso"]]
 
     def test_zero_weight_edges_do_not_carry_membership(self):
-        g = WeightedGraph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.0)])
+        g = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.0)])
         p = expand_communities(g, ["a"])
         assert p.communities() == [["a", "b"], ["c"]]
 
@@ -132,7 +135,7 @@ class TestExpandCommunities:
             g = random_weighted_graph(rng)
             components = _components(g)
             centers = [
-                min(comp, key=lambda u: (-g.strength(u), u)) for comp in components
+                min(comp, key=lambda u: (-node_strength(g, u), u)) for comp in components
             ]
             p = expand_communities(g, centers)
             for members in p.communities():
@@ -237,7 +240,7 @@ def tie_heavy_graph(rng, weights=(0.0, 0.5, 1.0, 1.0)):
             if rng.random() < density:
                 w = rng.choice(weights)
                 edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
-    return WeightedGraph(nodes, edges)
+    return WeightedGraph.from_edges(nodes, edges)
 
 
 class TestReferenceOracle:
@@ -319,9 +322,9 @@ class TestReferenceOracle:
 
 
 class RowsOnly(WeightedGraph):
-    """A graph whose edges can be read only through :meth:`row`: its
-    ``offsets``, ``targets``, ``weights`` and ``scale`` are None, and each
-    row is read from a real graph."""
+    """A graph whose edges can be read only through :meth:`row` and
+    :meth:`edge_indices`: its ``offsets``, ``targets``, ``weights`` and
+    ``scale`` are None, and both read from a real graph."""
 
     __slots__ = ("source",)
 
@@ -334,6 +337,9 @@ class RowsOnly(WeightedGraph):
     def row(self, i):
         return self.source.row(i)
 
+    def edge_indices(self):
+        return self.source.edge_indices()
+
 
 class TestRowBoundary:
     def test_detection_and_scoring_read_rows_through_row(self):
@@ -341,7 +347,7 @@ class TestRowBoundary:
         units and the unit view are the real graph's."""
         rng = random.Random(131)
         graphs = [tie_heavy_graph(rng) for _ in range(60)] + [block_graph(rng)]
-        graphs += [WeightedGraph(g.nodes, g.edges(), precision=3) for g in graphs[:20]]
+        graphs += [WeightedGraph.from_edges(g.nodes, id_edges(g), precision=3) for g in graphs[:20]]
         graphs += [g.unit_weights() for g in graphs[:10]]
         for g in graphs:
             rows_only = RowsOnly(g)

@@ -10,13 +10,12 @@ from comtext.fixtures import (
     SyntheticSpec,
     default_spec,
     generate,
-    karate_edge_list,
     karate_partition,
     write_karate,
 )
 from comtext.graph import structural_graph
 from comtext.sentiment import load_lexicon
-from helpers import user_terms
+from helpers import karate_edge_list, node_strength, user_terms
 
 
 class TestKarate:
@@ -27,7 +26,7 @@ class TestKarate:
 
     def test_handshake_sum_is_doubled_edge_count(self):
         g = structural_graph(karate_edge_list(), KARATE_NODES)
-        assert math.fsum(g.strength(u) for u in g.nodes) == 156.0
+        assert math.fsum(node_strength(g, u) for u in g.nodes) == 156.0
 
     def test_two_factions(self):
         p = karate_partition()

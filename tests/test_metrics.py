@@ -8,10 +8,11 @@ from networkx.algorithms.community import modularity as nx_modularity
 from comtext.detect import Partition, detect
 from comtext.errors import GraphError, UndefinedModularityError
 from comtext.graph import WeightedGraph, structural_graph
-from comtext.metrics import modularity, nmi, quality_report
-from helpers import pairsum_modularity, random_partition, random_weighted_graph, scaled
+from comtext.metrics import nmi, quality_report
+from helpers import (id_edges, karate_edge_list, modularity, node_strength, pairsum_modularity,
+                     random_partition, random_weighted_graph, scaled)
 
-from comtext.fixtures import KARATE_NODES, karate_edge_list, karate_partition
+from comtext.fixtures import KARATE_NODES, karate_partition
 
 
 def whole_graph_partition(g):
@@ -24,7 +25,7 @@ def two_triangles_split():
         ("a1", "a2", 1.0), ("a2", "a3", 1.0), ("a1", "a3", 1.0),
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
-    g = WeightedGraph(nodes, edges)
+    g = WeightedGraph.from_edges(nodes, edges)
     p = Partition({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
     return g, p
 
@@ -77,7 +78,7 @@ class TestModularity:
                 assert modularity(scaled(g, factor), p) == pytest.approx(q, abs=1e-9)
 
     def test_zero_weight_error(self):
-        g = WeightedGraph(["a", "b"], [("a", "b", 0.0)])
+        g = WeightedGraph.from_edges(["a", "b"], [("a", "b", 0.0)])
         with pytest.raises(UndefinedModularityError):
             modularity(g, whole_graph_partition(g))
 
@@ -105,7 +106,7 @@ class TestModularity:
 def to_networkx(g):
     h = nx.Graph()
     h.add_nodes_from(g.nodes)
-    h.add_weighted_edges_from(g.edges())
+    h.add_weighted_edges_from(id_edges(g))
     return h
 
 
@@ -136,7 +137,7 @@ class TestNetworkxOracle:
         for g in graphs:
             h = to_networkx(g)
             for u in g.nodes:
-                assert g.strength(u) == pytest.approx(h.degree(u, weight="weight"), abs=1e-12)
+                assert node_strength(g, u) == pytest.approx(h.degree(u, weight="weight"), abs=1e-12)
 
 
 class TestQualityReport:

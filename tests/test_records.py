@@ -20,7 +20,7 @@ from comtext.pipeline import CompareResult, RunConfig, RunResult
 from comtext.sentiment import SentimentLexicon
 
 # WeightedGraph compares by identity, so the results share one graph.
-GRAPH = WeightedGraph(("a", "b"), [("a", "b", 1.0)])
+GRAPH = WeightedGraph.from_edges(("a", "b"), [("a", "b", 1.0)])
 STATS = (CommunityStats(0, 1, 0.0, 1.0), CommunityStats(1, 1, 0.0, 1.0))
 
 
