@@ -64,9 +64,14 @@ def traced(fn: Callable[..., Any], *args) -> tuple[Any, int, int]:
 
 # Reads of the package's types that only the tests use.
 
-def id_edges(g: WeightedGraph) -> tuple[tuple[str, str, float], ...]:
-    """Canonical edge tuples of ``g``: smaller id first, sorted.  It reads
-    ``nodes`` and ``neighbors`` only, so it serves a ``ReferenceGraph`` too."""
+def id_edges(g) -> tuple[tuple[str, str, float], ...]:
+    """Canonical edge tuples of ``g``: smaller id first, sorted.  A
+    ``WeightedGraph``'s are read through ``edge_indices``, the package's
+    canonical edge reader; any other graph's, a ``ReferenceGraph``'s, through
+    ``nodes`` and ``neighbors``."""
+    if isinstance(g, WeightedGraph):
+        nodes = g.nodes
+        return tuple((nodes[i], nodes[j], w) for i, j, w in g.edge_indices())
     return tuple((u, v, w) for u in sorted(g.nodes) for v, w in g.neighbors(u) if u < v)
 
 

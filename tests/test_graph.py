@@ -286,8 +286,8 @@ class TestWeightedGraph:
                 assert [(g.nodes[j], w) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == node_strength(g, u) == math.fsum(
                     w for _, w in g.neighbors(u))
-            assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == list(
-                id_edges(g))
+            assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == [
+                (u, v, w) for u in g.nodes for v, w in g.neighbors(u) if u < v]
             assert g.total_weight == math.fsum(w for _, _, w in id_edges(g))
 
     def test_retained_bytes_per_edge(self):
