@@ -19,7 +19,7 @@ from .errors import ParameterError, ParseError
 from .pipeline import RunConfig, StageError
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON file mirroring these flags")
+    parser.add_argument("--config", help="JSON file mirroring these flags")
     parser.add_argument("--edges", help="edge CSV file (id_a,id_b per line)")
     parser.add_argument("--corpus", help="JSON-lines corpus file")
     parser.add_argument("--lexicon", help="TSV sentiment lexicon")
@@ -30,7 +30,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="run only; compare runs both")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--precision", type=int, help="decimal places in exports")
-    parser.add_argument("--token-delim", dest="token_delim",
+    parser.add_argument("--token-delim",
                         help="corpus text is already segmented: split it on this string")
     parser.add_argument("--no-matrices", dest="no_matrices", action="store_true",
                         default=None, help="skip matrix CSV exports")
@@ -57,8 +57,19 @@ def _text(value) -> str:
     return value
 
 
-def _input_path(value) -> Path | None:
-    return Path(value) if _text(value) else None
+def _path(value) -> Path:
+    if not _text(value):
+        raise ParameterError("empty path")
+    return Path(value)
+
+
+def _given(where: str, value, convert=_path):
+    """``convert(value)``; a ValueError's message gains ``where``, the flag
+    or config-file key that gave the value."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 def _int(value) -> int:
@@ -78,17 +89,18 @@ def _switch(value) -> bool:
 # Flag (and config-file key) -> (RunConfig field, converter).  A converter
 # takes the flag's value or the file's JSON value: a JSON string is read as
 # the flag's text would be, switches take only JSON booleans, and a boolean
-# is never a number.  Defaults live in RunConfig only: a key set neither by
-# flag nor by file is left out.
+# is never a number.  Every path, given by flag or by file, goes through
+# _path, so none may be empty.  Defaults live in RunConfig only: a key set
+# neither by flag nor by file is left out.
 _RUN_FIELDS = {
-    "edges": ("edges", _input_path),
-    "corpus": ("corpus", _input_path),
-    "lexicon": ("lexicon", _input_path),
-    "graph": ("graph_path", _input_path),
+    "edges": ("edges", _path),
+    "corpus": ("corpus", _path),
+    "lexicon": ("lexicon", _path),
+    "graph": ("graph_path", _path),
     "k": ("k_values", _parse_k),
     "alpha": ("alpha", _float),
     "mode": ("mode", _text),
-    "out": ("out_dir", lambda value: Path(_text(value))),
+    "out": ("out_dir", _path),
     "precision": ("precision", _int),
     "token_delim": ("token_delim", _text),
     "no_matrices": ("export_matrices", lambda value: not _switch(value)),
@@ -97,30 +109,27 @@ _RUN_FIELDS = {
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """Flag value, else config-file value, else the ``RunConfig`` default.
-    ``compare`` runs both modes, so it takes a mode from neither."""
+    Every flag is converted before the config file is read.  ``compare``
+    runs both modes, so it takes a mode from neither."""
+    fields = {name: _given("--" + key.replace("_", "-"), getattr(args, key), convert)
+              for key, (name, convert) in _RUN_FIELDS.items() if getattr(args, key) is not None}
+    config = None if args.config is None else _given("--config", args.config)
     file_values: dict = {}
-    if args.config is not None:
+    if config is not None:
         try:
-            file_values = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+            file_values = json.loads(config.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"config file {args.config}: {exc}") from exc
+            raise ParseError(f"config file {config}: {exc}") from exc
         if not isinstance(file_values, dict):
-            raise ParseError(f"config file {args.config}: expected a JSON object")
+            raise ParseError(f"config file {config}: expected a JSON object")
         unknown = set(file_values) - set(_RUN_FIELDS)
         if unknown:
-            raise ParseError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+            raise ParseError(f"config file {config}: unknown keys {sorted(unknown)}")
     if args.command == "compare" and (args.mode is not None or "mode" in file_values):
         raise ParameterError("compare runs both modes: it takes no --mode or 'mode' key")
-    fields = {}
     for key, (name, convert) in _RUN_FIELDS.items():
-        value = getattr(args, key)
-        if value is not None:
-            fields[name] = convert(value)
-        elif key in file_values:
-            try:
-                fields[name] = convert(file_values[key])
-            except ValueError as exc:
-                raise ParseError(f"config file {args.config}: key {key!r}: {exc}") from None
+        if name not in fields and key in file_values:
+            fields[name] = _given(f"config file {config}: key {key!r}", file_values[key], convert)
     return RunConfig(**fields)
 
 
@@ -141,20 +150,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# generate's flags that are default_spec's parameters; default_spec holds
+# their defaults, so only the flags given are passed on.
+_SPEC_FLAGS = ("groups", "nodes_per_group", "p_in", "p_out", "rng_seed", "tokens_per_user")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
+    out = _given("--out", args.out)
     if args.karate:
         edge_path, _ = fixtures.write_karate(out)
         print(f"wrote {edge_path} and {out / 'karate_factions.txt'}")
         return 0
-    spec = fixtures.default_spec(
-        groups=args.groups,
-        nodes_per_group=args.nodes_per_group,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        rng_seed=args.seed,
-        tokens_per_user=args.tokens_per_user,
-    )
+    spec = fixtures.default_spec(**{
+        name: getattr(args, name) for name in _SPEC_FLAGS if getattr(args, name) is not None})
     fixture = fixtures.generate(spec, out)
     print(f"wrote {fixture.corpus_path}, {fixture.edges_path}, {fixture.lexicon_path}")
     print(f"ground truth: {fixture.truth_path}")
@@ -162,11 +170,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    report = pipeline.score(Path(args.graph), Path(args.partition))
+    graph, partition = _given("--graph", args.graph), _given("--partition", args.partition)
+    out = None if args.out is None else _given("--out", args.out)
+    report = pipeline.score(graph, partition)
     print(f"modularity {report.modularity:.6f}")
-    if args.out:
-        report.write_json(Path(args.out))
-        print(f"report written to {args.out}")
+    if out is not None:
+        report.write_json(out)
+        print(f"report written to {out}")
     return 0
 
 
@@ -189,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.add_argument("--karate", action="store_true",
                        help="write the bundled karate club data instead")
-    gen_p.add_argument("--seed", type=int, default=42)
-    gen_p.add_argument("--groups", type=int, default=2)
-    gen_p.add_argument("--nodes-per-group", dest="nodes_per_group", type=int, default=10)
-    gen_p.add_argument("--p-in", dest="p_in", type=float, default=0.8)
-    gen_p.add_argument("--p-out", dest="p_out", type=float, default=0.02)
-    gen_p.add_argument("--tokens-per-user", dest="tokens_per_user", type=int, default=30)
+    gen_p.add_argument("--seed", dest="rng_seed", type=int)
+    gen_p.add_argument("--groups", type=int)
+    gen_p.add_argument("--nodes-per-group", type=int)
+    gen_p.add_argument("--p-in", type=float)
+    gen_p.add_argument("--p-out", type=float)
+    gen_p.add_argument("--tokens-per-user", type=int)
     gen_p.set_defaults(handler=_cmd_generate)
 
     score_p = sub.add_parser("score", help="re-score exported graph + partition files")

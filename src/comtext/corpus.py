@@ -65,7 +65,9 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
     ``lines`` may be any iterable, a generator included; each line is
     written as it is drawn.  Every text file comtext writes goes through
-    here: no byte-order mark, and no CR whatever the platform.
+    here, no byte-order mark and no CR whatever the platform, except the
+    two matrix CSVs: ``SymmetricMatrix`` places their cells by byte offset,
+    the one binary write.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in lines)

@@ -84,7 +84,7 @@ class SyntheticSpec(Record, frozen=True):
     vocab_per_group: tuple[tuple[str, ...], ...]
     sentiment_per_group: tuple[float, ...]
     rng_seed: int
-    tokens_per_user: int = 30
+    tokens_per_user: int
 
     def _check(self):
         if self.groups < 2 or self.nodes_per_group < 1:

@@ -55,13 +55,13 @@ class TestSyntheticSpec:
             SyntheticSpec(
                 groups=2, nodes_per_group=2, p_in=0.5, p_out=0.1,
                 vocab_per_group=(("a",), ("a",)),  # overlap
-                sentiment_per_group=(0.5, -0.5), rng_seed=1,
+                sentiment_per_group=(0.5, -0.5), rng_seed=1, tokens_per_user=30,
             )
         with pytest.raises(ParameterError):
             SyntheticSpec(
                 groups=2, nodes_per_group=2, p_in=0.5, p_out=0.1,
                 vocab_per_group=(("a",), ("b",)),
-                sentiment_per_group=(0.5, -1.5), rng_seed=1,
+                sentiment_per_group=(0.5, -1.5), rng_seed=1, tokens_per_user=30,
             )
         with pytest.raises(ParameterError):
             default_spec(tokens_per_user=0)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from helpers import id_edges, node_strength, traced
+from test_golden import tree_digest
 
 from comtext import cli, pipeline
 from comtext.corpus import load_corpus, load_edges
@@ -889,3 +890,80 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "karate_edges.csv").exists()
         assert (tmp_path / "karate_factions.txt").exists()
+
+
+_TEXT_FLAGS = {"edges": "edges.csv", "corpus": "corpus.jsonl", "lexicon": "lexicon.tsv",
+               "out": "out"}
+
+
+def _flags(values: dict) -> list[str]:
+    return [arg for key, value in values.items() for arg in (f"--{key}", value)]
+
+
+def _path_cases():
+    """(config-file object or None, argv, name the error gives) for every
+    path a command takes, given as ""."""
+    for command in ("run", "compare"):
+        for key in _TEXT_FLAGS:
+            others = {k: v for k, v in _TEXT_FLAGS.items() if k != key}
+            yield pytest.param(None, [command, "--k", "2", *_flags({**_TEXT_FLAGS, key: ""})],
+                               f"--{key}", id=f"{command} --{key}")
+            yield pytest.param({key: ""}, [command, "--k", "2", *_flags(others)],
+                               f"key {key!r}", id=f"{command} key {key}")
+        yield pytest.param(None, [command, "--graph", "", "--k", "2", "--out", "out"],
+                           "--graph", id=f"{command} --graph")
+        yield pytest.param({"graph": ""}, [command, "--k", "2", "--out", "out"],
+                           "key 'graph'", id=f"{command} key graph")
+        yield pytest.param(None, [command, "--k", "2", *_flags(_TEXT_FLAGS), "--config", ""],
+                           "--config", id=f"{command} --config")
+    yield pytest.param(None, ["generate", "--out", ""], "--out", id="generate --out")
+    score = {"graph": "graph.csv", "partition": "partition.txt", "out": "report.json"}
+    for key in score:
+        yield pytest.param(None, ["score", *_flags({**score, key: ""})], f"--{key}",
+                           id=f"score --{key}")
+
+
+class TestPathRule:
+    @pytest.mark.parametrize("config, argv, name", _path_cases())
+    def test_empty_path_rejected_before_any_read_or_write(self, inputs, capsys, monkeypatch,
+                                                          config, argv, name):
+        monkeypatch.chdir(inputs["tmp"])
+        # Valid files to score, so that only the empty path can fail.
+        Path("graph.csv").write_text("u1,u2,1.0\nu3,u4,1.0\nu2,u3,1.0\n", encoding="utf-8")
+        Path("partition.txt").write_text("k_requested=2\nm=2\n0:u1,u2\n1:u3,u4\n",
+                                         encoding="utf-8")
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", "config.json"]
+        listing = sorted(Path(".").rglob("*"))
+        assert cli.main(argv) == 1
+        where = name if config is None else f"config file config.json: {name}"
+        assert capsys.readouterr().err == f"error: {where}: empty path\n"
+        assert sorted(Path(".").rglob("*")) == listing
+
+
+# sha256 of the tree `comtext generate` writes, pinned before the defaults
+# moved from the flags to default_spec alone.
+_GENERATE_DIGESTS = {
+    "defaults": ([], "85f62eef9718c488b59bac292c2b7f62ce0ae5d2778138c8f413113f44e49765"),
+    "seed": (["--seed", "7"],
+             "8ee7c4ccac1eb7939bffd8b95cc16a77f5155ff4e645670266a6e274124fb268"),
+    "groups": (["--groups", "3"],
+               "351fbfbd9df7fe51a4991cba3e7966a0329f2384b8f41a6ab05f4a92997ec0a7"),
+    "nodes-per-group": (["--nodes-per-group", "4"],
+                        "920f6a70ccbf2b3ae692882a45d355d1e36795ae93d440e3de39b863395dc042"),
+    "p-in": (["--p-in", "0.6"],
+             "2e9c33c00883e80d092d95fa7eb5334134bea782f5159348063fb492f712551f"),
+    "p-out": (["--p-out", "0.1"],
+              "1b4b44c2c39a03d678f449606321d0b50a5b5c2eaf4d6f6d29a3f817593bbb48"),
+    "tokens-per-user": (["--tokens-per-user", "5"],
+                        "3e06902c57985769ba94a168627dd26236e418de6e542718d9100e8cba4611fa"),
+    "karate": (["--karate"], "0f540acb2c8cab83cbce1b76d549a7df334a8d10e7386052feb8950bc2388db6"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GENERATE_DIGESTS))
+def test_generate_bytes_unchanged(tmp_path, case):
+    argv, digest = _GENERATE_DIGESTS[case]
+    assert cli.main(["generate", "--out", str(tmp_path / "g"), *argv]) == 0
+    assert tree_digest(tmp_path / "g") == digest
