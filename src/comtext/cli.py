@@ -73,11 +73,15 @@ def _given(where: str, value, convert=_path):
 
 
 def _int(value) -> int:
-    return value if type(value) is int else int(_text(value))
+    if type(value) is int or isinstance(value, str):  # a bool is not an int here
+        return int(value)
+    raise ParameterError(f"expected an integer, got {value!r}")
 
 
 def _float(value) -> float:
-    return float(value if type(value) in (int, float) else _text(value))
+    if type(value) in (int, float) or isinstance(value, str):
+        return float(value)
+    raise ParameterError(f"expected a number, got {value!r}")
 
 
 def _switch(value) -> bool:

@@ -14,15 +14,23 @@ singleton communities.  Assignment is one-shot: nodes are never moved
 after they attach.
 
 Each community keeps its candidates in a heap of int keys, one per score
-it pushed: the score's IEEE-754 bits above the node-index bits, so one int
-orders by score and then by smaller index.  Scores only rise, so a popped
-key is current exactly when its node is still unassigned; the others are
-skipped, and a heap that outgrows its live candidates is rebuilt from them.
+it pushed: the score above the node-index bits, so one int orders by score
+and then by smaller index.  On a graph whose weights are stored as units
+(every fixed-point graph and the unit view), the score is the exact int sum
+of its edges' units: candidates whose decimal weights sum to the same value
+tie, and the smaller index wins.  Such a key is a two-digit int while it
+stays below 2**60; 6-place weights on 10,000 nodes need about 40 bits.  On
+a graph of doubles, the score is the float sum of the weights, and its key
+holds the sum's IEEE-754 bits, which order non-negative doubles as the
+doubles do.  Scores only rise, so a popped key is current exactly when its
+node is still unassigned; the others are skipped, and a heap that outgrows
+its live candidates is rebuilt from them.
 
 The rotation keeps one strong seed from starving the others, which a
 single global best-first queue does on hub-dominated graphs.  Every choice
 is deterministic, and the procedure depends on weights only through
-comparisons, so rescaling all weights leaves the partition unchanged.
+comparisons, so rescaling all weights leaves the partition unchanged
+wherever the rescaled sums stay exact.
 """
 
 from __future__ import annotations
@@ -97,25 +105,26 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         raise ParameterError("duplicate centers")
     seeds = [g.index_of(c) for c in centers]
 
-    row, nodes = g.row, g.nodes
+    stored_row, nodes = g.stored_row, g.nodes
     assignment = [-1] * g.n  # community of each node index; -1 while unassigned
     for community, seed in enumerate(seeds):
         assignment[seed] = community
-    # A candidate's score and index are one int key: the score's IEEE-754
-    # bits, which order non-negative doubles as the doubles do, shifted left
+    # A candidate's score and index are one int key: the score shifted left
     # by ``shift``, OR ``mask - index`` for the tie on the smaller index, all
-    # negated for the min-heap.  ``as_float`` and ``as_bits`` view one
-    # 8-byte buffer as a double and as its bits.
+    # negated for the min-heap.  An int stored value is a count of units, and
+    # the score their exact sum; a float's score is the bits of the float
+    # sum.  ``as_float`` and ``as_bits`` view one 8-byte buffer as a double
+    # and as its bits.
     shift = g.n.bit_length()
     mask = (1 << shift) - 1
     as_float = memoryview(bytearray(8)).cast("d")
     as_bits = as_float.cast("B").cast("Q")
     heappush, heappop, heapify = heapq.heappush, heapq.heappop, heapq.heapify
     # Each community maps a candidate's id to the key it pushed last, and
-    # its heap holds those same ints.  Scores only rise (a relaxation below
-    # half an ulp pushes an equal key), so the first key popped for a node
-    # carries its current score: a popped key is valid exactly when its node
-    # is unassigned.  Both are set to None once the community retires.
+    # its heap holds those same ints.  Scores only rise (a float relaxation
+    # below half an ulp pushes an equal key), so the first key popped for a
+    # node carries its current score: a popped key is valid exactly when its
+    # node is unassigned.  Both are set to None once the community retires.
     keys: list[dict[str, int] | None] = [{} for _ in centers]
     heaps: list[list[int] | None] = [[] for _ in centers]
     # Heap size at each community's last compaction.  A heap that outgrows
@@ -126,16 +135,20 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     def attach(node: int, community: int) -> None:
         """Relax the community's scores of ``node``'s unassigned neighbors."""
         key_of, heap = keys[community], heaps[community]
-        for v, w in row(node):
-            if assignment[v] < 0 and w > 0.0:
+        for v, w in stored_row(node):
+            if assignment[v] < 0 and w > 0:
                 u = nodes[v]
                 old = key_of.get(u)
-                if old is None:
-                    as_float[0] = w
+                if w.__class__ is int:
+                    score = w if old is None else (-old >> shift) + w
                 else:
-                    as_bits[0] = -old >> shift
-                    as_float[0] += w
-                key = -((as_bits[0] << shift) | (mask - v))
+                    if old is None:
+                        as_float[0] = w
+                    else:
+                        as_bits[0] = -old >> shift
+                        as_float[0] += w
+                    score = as_bits[0]
+                key = -((score << shift) | (mask - v))
                 key_of[u] = key
                 heappush(heap, key)
         size = compacted[community]

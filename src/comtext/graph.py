@@ -65,7 +65,8 @@ class WeightedGraph:
     is the double nearest ``m / 10**precision``, which is the snapped weight.
     Otherwise ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight
     of -0.0 keeps the doubles, whose sign the units cannot hold.
-    :meth:`row` yields a node's neighbors with the division applied, and
+    :meth:`stored_row` yields a node's neighbors with their stored values,
+    :meth:`row` the same with the division applied, and
     :meth:`edge_indices` each edge once; no other module reads ``offsets``,
     ``targets``, ``weights`` or ``scale``.
 
@@ -206,13 +207,21 @@ class WeightedGraph:
             raise GraphError(f"unknown node {node!r}")
         return i
 
-    def row(self, i: int) -> Iterator[tuple[int, float]]:
-        """``(neighbor index, weight)`` pairs of the node with index ``i``,
-        in increasing neighbor index, each weight a float: the stored value
-        divided by ``scale``.  Outside this class, a graph's edges are read
-        through here and :meth:`edge_indices` only."""
+    def stored_row(self, i: int) -> Iterator[tuple[int, int | float]]:
+        """``(neighbor index, stored value)`` pairs of the node with index
+        ``i``, in increasing neighbor index.  A stored value is the weight
+        times ``scale``: an ``int`` count of units on a fixed-point graph and
+        on the unit view, a float on a graph of doubles.  Outside this class,
+        a graph's edges are read through here, :meth:`row` and
+        :meth:`edge_indices` only."""
         start, end = self.offsets[i], self.offsets[i + 1]
-        return zip(self.targets[start:end], map(self.scale.__rtruediv__, self.weights[start:end]))
+        return zip(self.targets[start:end], self.weights[start:end])
+
+    def row(self, i: int) -> Iterator[tuple[int, float]]:
+        """``(neighbor index, weight)`` pairs of the node with index ``i``:
+        :meth:`stored_row` with each stored value divided by ``scale``."""
+        scale = self.scale
+        return ((j, m / scale) for j, m in self.stored_row(i))
 
     def neighbors(self, node: str) -> tuple[tuple[str, float], ...]:
         """``(neighbor, weight)`` pairs, sorted by neighbor id."""

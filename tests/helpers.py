@@ -30,6 +30,7 @@ import tracemalloc
 import unicodedata
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -363,14 +364,19 @@ def reference_select_centers(g: WeightedGraph, k: int) -> list[str]:
     return centers
 
 
-def reference_expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
-    """String-keyed balanced-rotation expansion with (-score, node id) heaps."""
+def reference_expand_communities(g: WeightedGraph, centers: list[str], *,
+                                 exact: bool = False) -> Partition:
+    """String-keyed balanced-rotation expansion with (-score, node id) heaps.
+    With ``exact``, a score is the exact sum of the decimals that the
+    weights' shortest reprs spell, as for fixed-point graphs; without, the
+    float sum of the weights."""
     assignment = {c: i for i, c in enumerate(centers)}
     scores: list[dict[str, float]] = [{} for _ in centers]
     heaps: list[list[tuple[float, str]]] = [[] for _ in centers]
+    value = (lambda w: Fraction(repr(w))) if exact else float
 
     def relax(node: str, community: int, weight: float) -> None:
-        score = scores[community].get(node, 0.0) + weight
+        score = scores[community].get(node, 0) + value(weight)
         scores[community][node] = score
         heapq.heappush(heaps[community], (-score, node))
 

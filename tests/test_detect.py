@@ -212,6 +212,38 @@ class TestDetect:
             for factor in (0.25, 0.5, 2.0, 3.0, 10.0):
                 assert detect(scaled(g, factor), k).assignment == baseline.assignment
 
+    def test_exact_unit_sums_tie_to_the_smaller_index(self):
+        """On a fixed-point graph a score is the exact sum of its units: n3's
+        0.2 + 0.1 ties n2's 0.3 for community 0, and n2, the smaller index,
+        attaches first.  As doubles, 0.2 + 0.1 reads 0.30000000000000004
+        and would take n3.  Weights ten times larger at one more place give
+        the same partition."""
+        nodes = [f"n{i}" for i in range(6)]
+        edges = [("n0", "n1", 0.3), ("n0", "n3", 0.1), ("n1", "n2", 0.3), ("n1", "n3", 0.2),
+                 ("n2", "n3", 0.3), ("n3", "n5", 0.1), ("n4", "n5", 0.2)]
+        expected = [["n0", "n1", "n2"], ["n3", "n4", "n5"]]
+        g = WeightedGraph.from_edges(nodes, edges, precision=1)
+        assert detect(g, 2).communities() == expected
+        tenfold = WeightedGraph.from_edges(nodes, [(u, v, 10 * w) for u, v, w in edges],
+                                           precision=2)
+        assert detect(tenfold, 2).communities() == expected
+
+    def test_unit_keys_fit_two_digits(self, monkeypatch):
+        """A unit sum shifted past the node index stays below 2**60, so each
+        key is a two-digit int: 23 to 33 bits here.  Keys holding a
+        double's bits take 73 to 74 bits, three digits, on this graph."""
+        pushed = []
+        recording = SimpleNamespace(heappush=lambda heap, key: pushed.append(key)
+                                    or heapq.heappush(heap, key),
+                                    heappop=heapq.heappop, heapify=heapq.heapify)
+        monkeypatch.setattr(detect_module, "heapq", recording)
+        rng = random.Random(137)
+        g = block_graph(rng, weights=tuple(rng.random() for _ in range(64)))
+        g = WeightedGraph.from_edges(g.nodes, id_edges(g), precision=6)
+        detect(g, 64)
+        assert pushed
+        assert max((-key).bit_length() for key in pushed) <= 60
+
     def test_peak_bytes_per_edge_at_large_k(self):
         """Each candidate score is one int key shared by its dict and heap,
         and compacted heaps hold about one key per live candidate: about
@@ -303,6 +335,20 @@ class TestReferenceOracle:
                 assert centers == reference_select_centers(g, k)
                 self.assert_same(g, centers)
 
+    def test_fixed_point_graphs_sum_units_exactly(self):
+        """On fixed-point graphs the partitions are the reference's with
+        every score an exact decimal sum, ties broken by smaller node id."""
+        rng = random.Random(139)
+        tenths = tuple(i / 10 for i in range(11))
+        for _ in range(300):
+            g = tie_heavy_graph(rng, weights=tenths)
+            g = WeightedGraph.from_edges(g.nodes, id_edges(g), precision=rng.choice((1, 3)))
+            for k in sorted({1, 2, 3, g.n // 2, g.n} & set(range(1, g.n + 1))):
+                centers = select_centers(g, k)
+                assert centers == reference_select_centers(g, k)
+                expected = reference_expand_communities(g, centers, exact=True)
+                assert expand_communities(g, centers) == expected
+
     def test_compacted_heaps_on_block_graphs(self, monkeypatch):
         """Graphs large enough that every k compacts its heaps."""
         heapify_calls = []
@@ -322,9 +368,10 @@ class TestReferenceOracle:
 
 
 class RowsOnly(WeightedGraph):
-    """A graph whose edges can be read only through :meth:`row` and
-    :meth:`edge_indices`: its ``offsets``, ``targets``, ``weights`` and
-    ``scale`` are None, and both read from a real graph."""
+    """A graph whose edges can be read only through :meth:`stored_row`,
+    :meth:`row` and :meth:`edge_indices`: its ``offsets``, ``targets``,
+    ``weights`` and ``scale`` are None, and all three read from a real
+    graph."""
 
     __slots__ = ("source",)
 
@@ -333,6 +380,9 @@ class RowsOnly(WeightedGraph):
         self.nodes, self.strengths = source.nodes, source.strengths
         self.total_weight = source.total_weight
         self.offsets = self.targets = self.weights = self.scale = None
+
+    def stored_row(self, i):
+        return self.source.stored_row(i)
 
     def row(self, i):
         return self.source.row(i)

@@ -842,6 +842,18 @@ class TestCli:
         assert f"config file {config_path}: key {key!r}" in capsys.readouterr().err
         assert not (inputs["tmp"] / "typed").exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("alpha", "expected a number, got True"),
+        ("precision", "expected an integer, got True"),
+    ])
+    def test_config_file_boolean_is_not_a_number(self, inputs, capsys, key, message):
+        config_path = inputs["tmp"] / "config.json"
+        config_path.write_text(json.dumps({key: True}), encoding="utf-8")
+        code = cli.main(["run", *self._base_args(inputs, "typed"), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config_path}: key {key!r}: {message}\n")
+
     def test_config_file_strings_read_as_flag_text(self, inputs):
         config_path = inputs["tmp"] / "config.json"
         config_path.write_text(json.dumps({"k": "2,3", "precision": "3", "alpha": "0.25",
