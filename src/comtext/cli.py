@@ -4,7 +4,10 @@ Subcommands: ``run`` (one pipeline pass), ``compare`` (weighted vs
 structural side by side), ``generate`` (bundled/synthetic fixtures) and
 ``score`` (re-score exported graph + partition files).  Every ``run`` /
 ``compare`` flag can also be supplied through a JSON config file
-(``--config``); explicit flags override file values.
+(``--config``); explicit flags override file values.  argparse checks only
+the shape of a command line and takes every value as text; each value is
+checked by one converter, the one its config key uses, so a bad value exits
+1 naming its flag or key.
 """
 
 from __future__ import annotations
@@ -17,24 +20,6 @@ from pathlib import Path
 from . import fixtures, pipeline
 from .errors import ParameterError, ParseError
 from .pipeline import RunConfig, StageError
-
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file mirroring these flags")
-    parser.add_argument("--edges", help="edge CSV file (id_a,id_b per line)")
-    parser.add_argument("--corpus", help="JSON-lines corpus file")
-    parser.add_argument("--lexicon", help="TSV sentiment lexicon")
-    parser.add_argument("--graph", help="reload a previously exported graph CSV")
-    parser.add_argument("--k", help="comma-separated center counts, e.g. 2,3,4")
-    parser.add_argument("--alpha", type=float, help="content-similarity weight share")
-    parser.add_argument("--mode", choices=("weighted", "structural"),
-                        help="run only; compare runs both")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--precision", type=int, help="decimal places in exports")
-    parser.add_argument("--token-delim",
-                        help="corpus text is already segmented: split it on this string")
-    parser.add_argument("--no-matrices", dest="no_matrices", action="store_true",
-                        default=None, help="skip matrix CSV exports")
-
 
 def _parse_k(value) -> tuple[int, ...]:
     if isinstance(value, str):
@@ -90,33 +75,65 @@ def _switch(value) -> bool:
     return value
 
 
-# Flag (and config-file key) -> (RunConfig field, converter).  A converter
-# takes the flag's value or the file's JSON value: a JSON string is read as
-# the flag's text would be, switches take only JSON booleans, and a boolean
-# is never a number.  Every path, given by flag or by file, goes through
-# _path, so none may be empty.  Defaults live in RunConfig only: a key set
-# neither by flag nor by file is left out.
+# Flag (and config-file key) -> (RunConfig field, converter, help).  This
+# table is the one declaration of run's and compare's value flags, and its
+# converters their one check: argparse takes every value as text.  A
+# converter takes the flag's text or the file's JSON value: a JSON string is
+# read as the flag's text would be, switches take only JSON booleans, and a
+# boolean is never a number.  Every path, given by flag or by file, goes
+# through _path, so none may be empty.  Defaults live in RunConfig only: a
+# key set neither by flag nor by file is left out.
 _RUN_FIELDS = {
-    "edges": ("edges", _path),
-    "corpus": ("corpus", _path),
-    "lexicon": ("lexicon", _path),
-    "graph": ("graph_path", _path),
-    "k": ("k_values", _parse_k),
-    "alpha": ("alpha", _float),
-    "mode": ("mode", _text),
-    "out": ("out_dir", _path),
-    "precision": ("precision", _int),
-    "token_delim": ("token_delim", _text),
-    "no_matrices": ("export_matrices", lambda value: not _switch(value)),
+    "edges": ("edges", _path, "edge CSV file (id_a,id_b per line)"),
+    "corpus": ("corpus", _path, "JSON-lines corpus file"),
+    "lexicon": ("lexicon", _path, "TSV sentiment lexicon"),
+    "graph": ("graph_path", _path, "reload a previously exported graph CSV"),
+    "k": ("k_values", _parse_k, "comma-separated center counts, e.g. 2,3,4"),
+    "alpha": ("alpha", _float, "content-similarity weight share"),
+    "mode": ("mode", _text, "weighted or structural; run only, compare runs both"),
+    "out": ("out_dir", _path, "output directory"),
+    "precision": ("precision", _int, "decimal places in exports"),
+    "token_delim": ("token_delim", _text,
+                    "corpus text is already segmented: split it on this string"),
+    "no_matrices": ("export_matrices", lambda value: not _switch(value),
+                    "skip matrix CSV exports"),
 }
+
+# generate's fixture flags, a table of the same kind: flag -> (default_spec
+# parameter, converter, help).  default_spec holds their defaults, so only
+# the flags given are passed on.
+_SPEC_FIELDS = {
+    "seed": ("rng_seed", _int, "random seed"),
+    "groups": ("groups", _int, "number of planted groups"),
+    "nodes_per_group": ("nodes_per_group", _int, "users in each group"),
+    "p_in": ("p_in", _float, "edge probability within a group"),
+    "p_out": ("p_out", _float, "edge probability between groups"),
+    "tokens_per_user": ("tokens_per_user", _int, "tokens in each user's text"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: dict) -> None:
+    """One flag per key of ``table``; only ``--no-matrices`` is a switch."""
+    for key, (_, _, text) in table.items():
+        parser.add_argument(_flag(key), action="store_true" if key == "no_matrices" else "store",
+                            default=None, help=text)
+
+
+def _converted(args: argparse.Namespace, table: dict) -> dict:
+    """Each flag of ``table`` given in ``args``, converted, by field name."""
+    return {name: _given(_flag(key), getattr(args, key), convert)
+            for key, (name, convert, _) in table.items() if getattr(args, key) is not None}
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """Flag value, else config-file value, else the ``RunConfig`` default.
     Every flag is converted before the config file is read.  ``compare``
     runs both modes, so it takes a mode from neither."""
-    fields = {name: _given("--" + key.replace("_", "-"), getattr(args, key), convert)
-              for key, (name, convert) in _RUN_FIELDS.items() if getattr(args, key) is not None}
+    fields = _converted(args, _RUN_FIELDS)
     config = None if args.config is None else _given("--config", args.config)
     file_values: dict = {}
     if config is not None:
@@ -131,7 +148,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             raise ParseError(f"config file {config}: unknown keys {sorted(unknown)}")
     if args.command == "compare" and (args.mode is not None or "mode" in file_values):
         raise ParameterError("compare runs both modes: it takes no --mode or 'mode' key")
-    for key, (name, convert) in _RUN_FIELDS.items():
+    for key, (name, convert, _) in _RUN_FIELDS.items():
         if name not in fields and key in file_values:
             fields[name] = _given(f"config file {config}: key {key!r}", file_values[key], convert)
     return RunConfig(**fields)
@@ -154,20 +171,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# generate's flags that are default_spec's parameters; default_spec holds
-# their defaults, so only the flags given are passed on.
-_SPEC_FLAGS = ("groups", "nodes_per_group", "p_in", "p_out", "rng_seed", "tokens_per_user")
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = _given("--out", args.out)
+    spec_values = _converted(args, _SPEC_FIELDS)  # checked under --karate too
     if args.karate:
         edge_path, _ = fixtures.write_karate(out)
         print(f"wrote {edge_path} and {out / 'karate_factions.txt'}")
         return 0
-    spec = fixtures.default_spec(**{
-        name: getattr(args, name) for name in _SPEC_FLAGS if getattr(args, name) is not None})
-    fixture = fixtures.generate(spec, out)
+    fixture = fixtures.generate(fixtures.default_spec(**spec_values), out)
     print(f"wrote {fixture.corpus_path}, {fixture.edges_path}, {fixture.lexicon_path}")
     print(f"ground truth: {fixture.truth_path}")
     return 0
@@ -191,24 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="one pipeline pass (weighted or structural)")
-    _add_pipeline_flags(run_p)
-    run_p.set_defaults(handler=_cmd_run)
-
-    cmp_p = sub.add_parser("compare", help="weighted vs structural on the same inputs")
-    _add_pipeline_flags(cmp_p)
-    cmp_p.set_defaults(handler=_cmd_compare)
+    for command, handler, text in (
+            ("run", _cmd_run, "one pipeline pass (weighted or structural)"),
+            ("compare", _cmd_compare, "weighted vs structural on the same inputs")):
+        pipeline_p = sub.add_parser(command, help=text)
+        pipeline_p.add_argument("--config", help="JSON file mirroring these flags")
+        _add_flags(pipeline_p, _RUN_FIELDS)
+        pipeline_p.set_defaults(handler=handler)
 
     gen_p = sub.add_parser("generate", help="write bundled or synthetic fixtures")
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.add_argument("--karate", action="store_true",
                        help="write the bundled karate club data instead")
-    gen_p.add_argument("--seed", dest="rng_seed", type=int)
-    gen_p.add_argument("--groups", type=int)
-    gen_p.add_argument("--nodes-per-group", type=int)
-    gen_p.add_argument("--p-in", type=float)
-    gen_p.add_argument("--p-out", type=float)
-    gen_p.add_argument("--tokens-per-user", type=int)
+    _add_flags(gen_p, _SPEC_FIELDS)
     gen_p.set_defaults(handler=_cmd_generate)
 
     score_p = sub.add_parser("score", help="re-score exported graph + partition files")

@@ -73,10 +73,18 @@ def check_k(k: int, n: int) -> None:
 
 
 def select_centers(g: WeightedGraph, k: int) -> list[str]:
-    """Greedy strength-ranked, spread-out center selection (see module doc)."""
+    """Greedy strength-ranked, spread-out center selection (see module doc).
+
+    A node ranks by the exact sum of its stored values: its strength on a
+    graph of doubles, its count of units on a fixed-point graph and on the
+    unit view.  Ties go to the smaller id, so on a fixed-point graph two
+    nodes whose decimal strengths are equal tie however binary rounding
+    would order them."""
     check_k(k, g.n)
     # Strongest first; the sort is stable, so ties stay in index (= id) order.
-    ranked = sorted(range(g.n), key=g.strengths.__getitem__, reverse=True)
+    stored_row = g.stored_row
+    ranked = sorted(range(g.n), key=lambda i: math.fsum(w for _, w in stored_row(i)),
+                    reverse=True)
     taken = bytearray(g.n)
     blocked = bytearray(g.n)
     # A node once taken or blocked stays so, which lets each generator
@@ -92,7 +100,7 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
             best = next(fallback)
         centers.append(best)
         taken[best] = 1
-        for j, _ in g.row(best):
+        for j, _ in stored_row(best):
             blocked[j] = 1
     return [g.nodes[i] for i in centers]
 

@@ -38,15 +38,7 @@ class QualityReport(Record, frozen=True):
         return {
             "modularity": self.modularity,
             "total_weight": self.total_weight,
-            "communities": [
-                {
-                    "index": c.index,
-                    "size": c.size,
-                    "intra_weight": c.intra_weight,
-                    "degree_sum": c.degree_sum,
-                }
-                for c in self.per_community
-            ],
+            "communities": [dict(zip(c._fields, c._values())) for c in self.per_community],
         }
 
     def write_json(self, path) -> None:

@@ -33,8 +33,10 @@ exactly.  Corpus text is split by the Unicode rule of
 :func:`~comtext.corpus.tokenize`, or on ``RunConfig.token_delim`` when it is
 already segmented.  ``RunConfig`` rejects inconsistent parameters, such as
 an empty delimiter or one without a corpus, with a ``ParameterError``
-before anything is written.  A failing stage raises ``StageError`` naming
-it: edges, corpus, sentiment, graph, detect or metrics.
+before anything is written.  Every comtext error is a ``ValueError``, and
+any ``ValueError`` or ``OSError`` raised inside a stage surfaces as a
+``StageError`` naming the stage: edges, corpus, sentiment, graph, detect or
+metrics.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 from ._record import Record
 from .corpus import ensure_users, load_corpus, load_edges, write_lines
 from .detect import Partition, check_k, detect, load_partition, save_partition
-from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
+from .errors import GraphError, ParameterError
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, check_total_weight, quality_report
 from .sentiment import bias_matrix, bias_score, load_lexicon
@@ -112,11 +114,12 @@ class CompareResult(Record):
 
 
 @contextmanager
-def _stage(name: str, *errors: type[Exception]):
-    """Re-raise any of ``errors`` as a :class:`StageError` naming ``name``."""
+def _stage(name: str):
+    """Re-raise a ValueError, which every comtext error is, or an OSError as
+    a :class:`StageError` naming ``name``."""
     try:
         yield
-    except errors as exc:
+    except (ValueError, OSError) as exc:
         raise StageError(name, str(exc)) from exc
 
 
@@ -124,10 +127,10 @@ def _check(config: RunConfig, graph: WeightedGraph) -> None:
     """Fail on what detection or scoring would reject, a k above the node
     count or a zero total weight, with their messages but before anything
     is written."""
-    with _stage("detect", ParameterError):
+    with _stage("detect"):
         for k in config.k_values:
             check_k(k, graph.n)
-    with _stage("metrics", UndefinedModularityError):
+    with _stage("metrics"):
         check_total_weight(graph)
 
 
@@ -137,18 +140,18 @@ def _front_half(config: RunConfig) -> WeightedGraph:
     export matrix into ``config.out_dir``; and return the graph.  The
     per-user vectors are dropped on return."""
     if config.graph_path is not None:
-        with _stage("graph", ParseError, GraphError, OSError):
+        with _stage("graph"):
             graph = WeightedGraph.read_csv(config.graph_path, precision=config.precision)
         if config.mode == "structural":
             graph = graph.unit_weights()
         _check(config, graph)
         return graph
-    with _stage("edges", ParseError, OSError):
+    with _stage("edges"):
         edge_list = load_edges(config.edges)
 
     corp = None
     if config.corpus is not None:
-        with _stage("corpus", ValueError, OSError):
+        with _stage("corpus"):
             corp = load_corpus(config.corpus, config.token_delim)
     elif config.mode == "weighted":
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
@@ -165,7 +168,7 @@ def _front_half(config: RunConfig) -> WeightedGraph:
         corp = ensure_users(corp, nodes)
     s = sv = None
     if config.lexicon is not None:
-        with _stage("sentiment", ValueError, OSError):
+        with _stage("sentiment"):
             lexicon = load_lexicon(config.lexicon, config.token_delim)
         sv = bias_score(corp, lexicon) if scored else None
         del lexicon  # the polar vectors keep what they need
@@ -203,9 +206,9 @@ def _back_half(config: RunConfig, graph: WeightedGraph) -> RunResult:
     reports: dict[int, QualityReport] = dict.fromkeys(config.k_values)
     # Largest k first: detection's working set grows with k, so the rest reuse its memory.
     for k in sorted(config.k_values, reverse=True):
-        with _stage("detect", ParameterError, GraphError):
+        with _stage("detect"):
             partition = detect(graph, k)
-        with _stage("metrics", GraphError, UndefinedModularityError):
+        with _stage("metrics"):
             report = quality_report(graph, partition)
         save_partition(partition, out / f"partition_k{k}.txt", report.modularity)
         report.write_json(out / f"quality_k{k}.json")
@@ -244,11 +247,11 @@ def compare(config: RunConfig) -> CompareResult:
 
 def score(graph_path, partition_path) -> QualityReport:
     """Recompute the quality report for exported graph + partition files."""
-    with _stage("graph", ParseError, GraphError, OSError):
+    with _stage("graph"):
         graph = WeightedGraph.read_csv(graph_path)
-    with _stage("detect", ValueError, OSError):
+    with _stage("detect"):
         partition, _ = load_partition(partition_path)
-    with _stage("metrics", GraphError, UndefinedModularityError):
+    with _stage("metrics"):
         try:
             return quality_report(graph, partition)
         except GraphError as exc:  # the partition does not cover the graph

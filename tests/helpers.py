@@ -348,10 +348,16 @@ def reference_strength(g: WeightedGraph, u: str) -> float:
     return math.fsum(w for _, w in g.neighbors(u))
 
 
-def reference_select_centers(g: WeightedGraph, k: int) -> list[str]:
+def reference_select_centers(g: WeightedGraph, k: int, *, exact: bool = False) -> list[str]:
     """String-keyed center selection: strongest node not adjacent to a
-    chosen center, else the strongest remaining; ties by smaller id."""
-    strength = {u: reference_strength(g, u) for u in g.nodes}
+    chosen center, else the strongest remaining; ties by smaller id.  With
+    ``exact``, a strength is the exact sum of the decimals that the weights'
+    shortest reprs spell, as for fixed-point graphs; without, the
+    ``math.fsum`` of the weights."""
+    if exact:
+        strength = {u: sum(Fraction(repr(w)) for _, w in g.neighbors(u)) for u in g.nodes}
+    else:
+        strength = {u: reference_strength(g, u) for u in g.nodes}
     remaining = set(g.nodes)
     blocked: set[str] = set()
     centers: list[str] = []

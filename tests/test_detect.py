@@ -228,6 +228,15 @@ class TestDetect:
                                            precision=2)
         assert detect(tenfold, 2).communities() == expected
 
+    def test_exact_unit_strengths_rank_ties_by_id(self):
+        """A center ranks by its exact unit sum: b's 0.1 + 0.2 ties a's 0.3,
+        and a, the smaller id, is the first center.  As doubles, b's
+        strength reads 0.30000000000000004 and b is first."""
+        nodes = ["a", "b", "x", "y", "z"]
+        edges = [("a", "x", 0.3), ("b", "y", 0.1), ("b", "z", 0.2)]
+        assert select_centers(WeightedGraph.from_edges(nodes, edges, precision=1), 1) == ["a"]
+        assert select_centers(WeightedGraph.from_edges(nodes, edges), 1) == ["b"]
+
     def test_unit_keys_fit_two_digits(self, monkeypatch):
         """A unit sum shifted past the node index stays below 2**60, so each
         key is a two-digit int: 23 to 33 bits here.  Keys holding a
@@ -336,8 +345,9 @@ class TestReferenceOracle:
                 self.assert_same(g, centers)
 
     def test_fixed_point_graphs_sum_units_exactly(self):
-        """On fixed-point graphs the partitions are the reference's with
-        every score an exact decimal sum, ties broken by smaller node id."""
+        """On fixed-point graphs the centers and partitions are the
+        reference's with every strength and score an exact decimal sum, ties
+        broken by smaller node id."""
         rng = random.Random(139)
         tenths = tuple(i / 10 for i in range(11))
         for _ in range(300):
@@ -345,7 +355,7 @@ class TestReferenceOracle:
             g = WeightedGraph.from_edges(g.nodes, id_edges(g), precision=rng.choice((1, 3)))
             for k in sorted({1, 2, 3, g.n // 2, g.n} & set(range(1, g.n + 1))):
                 centers = select_centers(g, k)
-                assert centers == reference_select_centers(g, k)
+                assert centers == reference_select_centers(g, k, exact=True)
                 expected = reference_expand_communities(g, centers, exact=True)
                 assert expand_communities(g, centers) == expected
 

@@ -954,6 +954,84 @@ class TestPathRule:
         assert sorted(Path(".").rglob("*")) == listing
 
 
+_FLOAT_X = "could not convert string to float: 'x'"
+_INT_X = "invalid literal for int() with base 10: 'x'"
+
+
+def _value_cases():
+    """(argv, flag, value, converter message) for a value each converter rejects."""
+    for command in ("run", "compare"):
+        yield pytest.param([command, "--k", "2", *_flags(_TEXT_FLAGS)], "alpha", "x", _FLOAT_X,
+                           id=f"{command} --alpha")
+        yield pytest.param([command, "--k", "2", *_flags(_TEXT_FLAGS)], "precision", "1.5",
+                           "invalid literal for int() with base 10: '1.5'",
+                           id=f"{command} --precision")
+    for flag in ("groups", "p-in", "seed"):
+        yield pytest.param(["generate", "--out", "fixture"], flag, "x",
+                           _FLOAT_X if flag == "p-in" else _INT_X, id=f"generate --{flag}")
+    yield pytest.param(["generate", "--karate", "--out", "fixture"], "groups", "x", _INT_X,
+                       id="generate --karate --groups")
+
+
+class TestValueFlags:
+    """A flag's value is checked by its converter alone, the one its
+    config-file key uses: a bad value exits 1 naming the flag."""
+
+    @pytest.mark.parametrize("argv, key, value, message", _value_cases())
+    def test_bad_value_names_its_flag(self, inputs, capsys, monkeypatch, argv, key, value,
+                                      message):
+        monkeypatch.chdir(inputs["tmp"])
+        listing = sorted(Path(".").rglob("*"))
+        assert cli.main([*argv, f"--{key}", value]) == 1
+        assert capsys.readouterr().err == f"error: --{key}: {message}\n"
+        assert sorted(Path(".").rglob("*")) == listing
+        if argv[0] != "generate":
+            Path("config.json").write_text(json.dumps({key: value}), encoding="utf-8")
+            assert cli.main([*argv, "--config", "config.json"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: config file config.json: key {key!r}: {message}\n")
+
+    def test_unknown_mode_gets_run_configs_message(self, inputs, capsys):
+        out = inputs["tmp"] / "out"
+        assert cli.main(["run", "--edges", str(inputs["edges"]), "--mode", "bogus",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: mode must be one of ('weighted', 'structural'), got 'bogus'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, table, fixed", [
+        ("run", cli._RUN_FIELDS, ["--config", "c.json"]),
+        ("compare", cli._RUN_FIELDS, ["--config", "c.json"]),
+        ("generate", cli._SPEC_FIELDS, ["--out", "fixture", "--karate"]),
+    ], ids=["run", "compare", "generate"])
+    def test_one_flag_per_table_key(self, command, table, fixed):
+        """Each table key is one flag whose text argparse leaves unconverted,
+        beside the command's fixed flags."""
+        argv = [command, *fixed]
+        for key in table:
+            argv += ["--no-matrices"] if key == "no_matrices" else [
+                "--" + key.replace("_", "-"), key]
+        args = cli.build_parser().parse_args(argv)
+        fixed_keys = {arg[2:] for arg in fixed if arg.startswith("--")}
+        assert set(vars(args)) == {"command", "handler", *fixed_keys, *table}
+        assert {key: getattr(args, key) for key in table} == {
+            key: True if key == "no_matrices" else key for key in table}
+
+
+def test_plain_value_error_in_a_stage_names_it(inputs, capsys, monkeypatch):
+    def failing_detect(graph, k):
+        raise ValueError("no centers")
+
+    monkeypatch.setattr(pipeline, "detect", failing_detect)
+    with pytest.raises(StageError) as info:
+        run(config_for(inputs))
+    assert info.value.stage == "detect"
+    assert str(info.value) == "stage detect: no centers"
+    monkeypatch.chdir(inputs["tmp"])
+    assert cli.main(["run", *_flags(_TEXT_FLAGS)]) == 1
+    assert capsys.readouterr().err == "error: stage detect: no centers\n"
+
+
 # sha256 of the tree `comtext generate` writes, pinned before the defaults
 # moved from the flags to default_spec alone.
 _GENERATE_DIGESTS = {
