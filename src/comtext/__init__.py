@@ -20,7 +20,7 @@ from .corpus import (
 )
 from .detect import Partition, detect, expand_communities, select_centers
 from .errors import GraphError, ParameterError, ParseError, UndefinedModularityError
-from .fixtures import SyntheticSpec, default_spec, generate, karate_partition
+from .fixtures import SyntheticSpec, generate, karate_partition
 from .graph import WeightedGraph, build_weighted_graph, structural_graph
 from .metrics import QualityReport, nmi, quality_report
 from .pipeline import CompareResult, RunConfig, RunResult, StageError, compare, run

@@ -99,9 +99,9 @@ _RUN_FIELDS = {
                     "skip matrix CSV exports"),
 }
 
-# generate's fixture flags, a table of the same kind: flag -> (default_spec
-# parameter, converter, help).  default_spec holds their defaults, so only
-# the flags given are passed on.
+# generate's fixture flags, a table of the same kind: flag -> (SyntheticSpec
+# field, converter, help).  SyntheticSpec holds their defaults, so only the
+# flags given are passed on.
 _SPEC_FIELDS = {
     "seed": ("rng_seed", _int, "random seed"),
     "groups": ("groups", _int, "number of planted groups"),
@@ -178,7 +178,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         edge_path, _ = fixtures.write_karate(out)
         print(f"wrote {edge_path} and {out / 'karate_factions.txt'}")
         return 0
-    fixture = fixtures.generate(fixtures.default_spec(**spec_values), out)
+    fixture = fixtures.generate(fixtures.SyntheticSpec(**spec_values), out)
     print(f"wrote {fixture.corpus_path}, {fixture.edges_path}, {fixture.lexicon_path}")
     print(f"ground truth: {fixture.truth_path}")
     return 0

@@ -82,9 +82,7 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
     would order them."""
     check_k(k, g.n)
     # Strongest first; the sort is stable, so ties stay in index (= id) order.
-    stored_row = g.stored_row
-    ranked = sorted(range(g.n), key=lambda i: math.fsum(w for _, w in stored_row(i)),
-                    reverse=True)
+    ranked = sorted(range(g.n), key=g.stored_sum, reverse=True)
     taken = bytearray(g.n)
     blocked = bytearray(g.n)
     # A node once taken or blocked stays so, which lets each generator
@@ -100,7 +98,7 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
             best = next(fallback)
         centers.append(best)
         taken[best] = 1
-        for j, _ in stored_row(best):
+        for j, _ in g.stored_row(best):
             blocked[j] = 1
     return [g.nodes[i] for i in centers]
 
@@ -147,14 +145,12 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
             if assignment[v] < 0 and w > 0:
                 u = nodes[v]
                 old = key_of.get(u)
+                score = 0 if old is None else -old >> shift  # 0 is also +0.0's bits
                 if w.__class__ is int:
-                    score = w if old is None else (-old >> shift) + w
+                    score += w
                 else:
-                    if old is None:
-                        as_float[0] = w
-                    else:
-                        as_bits[0] = -old >> shift
-                        as_float[0] += w
+                    as_bits[0] = score
+                    as_float[0] += w
                     score = as_bits[0]
                 key = -((score << shift) | (mask - v))
                 key_of[u] = key

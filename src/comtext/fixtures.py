@@ -6,8 +6,10 @@ often cited with 156 edges, which is the doubled directed count of the same
 78 unordered pairs.
 
 The synthetic generator stands in for platform data that cannot be
-redistributed.  It plants ``groups`` communities: users in one group share
-a private vocabulary and a common sentiment polarity, intra-group edges
+redistributed.  One :class:`SyntheticSpec` is its whole recipe, and its
+field defaults are ``comtext generate``'s.  It plants ``groups``
+communities: users in one group share a private vocabulary and a common
+sentiment polarity, both derived from the group index, intra-group edges
 appear with probability ``p_in`` and inter-group edges with ``p_out``.  All
 randomness comes from one ``random.Random(rng_seed)`` (the stdlib Mersenne
 Twister, stable across Python releases), consumed in a fixed order: token
@@ -68,71 +70,44 @@ def write_karate(out_dir) -> tuple[Path, Partition]:
     return edge_path, factions
 
 
-# Polarity palette for default group sentiments: alternating signs so that
+# Polarity palette for the group sentiments: alternating signs so that
 # adjacent groups repel, magnitudes kept away from 0 so every group has a
 # definite tendency.
 _POLARITY_PALETTE = (0.8, -0.8, 0.4, -0.4, 0.6, -0.6, 0.2, -0.2)
 
 
 class SyntheticSpec(Record, frozen=True):
-    """Recipe for one planted fixture; identical specs generate identical bytes."""
+    """Recipe for one planted fixture; identical specs generate identical bytes.
 
-    groups: int
-    nodes_per_group: int
-    p_in: float
-    p_out: float
-    vocab_per_group: tuple[tuple[str, ...], ...]
-    sentiment_per_group: tuple[float, ...]
-    rng_seed: int
-    tokens_per_user: int
+    Group ``g``'s private words are ``topic{g}term0`` to ``topic{g}term7``
+    and its polarity is ``_POLARITY_PALETTE[g % 8]``.  Both follow from the
+    group index, so they are read through :attr:`vocab_per_group` and
+    :attr:`sentiment_per_group`, not set."""
+
+    groups: int = 2
+    nodes_per_group: int = 10
+    p_in: float = 0.8
+    p_out: float = 0.02
+    rng_seed: int = 42
+    tokens_per_user: int = 30
 
     def _check(self):
         if self.groups < 2 or self.nodes_per_group < 1:
             raise ParameterError("need at least 2 groups with at least 1 node each")
-        if len(self.vocab_per_group) != self.groups:
-            raise ParameterError("vocab_per_group must have one entry per group")
-        if len(self.sentiment_per_group) != self.groups:
-            raise ParameterError("sentiment_per_group must have one entry per group")
         if not all(0.0 <= p <= 1.0 for p in (self.p_in, self.p_out)):
             raise ParameterError("edge probabilities must be in [0, 1]")
-        if any(not vocab for vocab in self.vocab_per_group):
-            raise ParameterError("group vocabularies must be non-empty")
-        seen: set[str] = set()
-        for vocab in self.vocab_per_group:
-            if seen.intersection(vocab):
-                raise ParameterError("group vocabularies must be pairwise disjoint")
-            seen.update(vocab)
-        if any(not -1.0 <= s <= 1.0 for s in self.sentiment_per_group):
-            raise ParameterError("group sentiments must be in [-1, 1]")
         if self.tokens_per_user < 1:
             raise ParameterError("tokens_per_user must be positive")
 
+    @property
+    def vocab_per_group(self) -> tuple[tuple[str, ...], ...]:
+        """Each group's private words, pairwise disjoint."""
+        return tuple(tuple(f"topic{g}term{t}" for t in range(8)) for g in range(self.groups))
 
-def default_spec(
-    groups: int = 2,
-    nodes_per_group: int = 10,
-    p_in: float = 0.8,
-    p_out: float = 0.02,
-    rng_seed: int = 42,
-    tokens_per_user: int = 30,
-) -> SyntheticSpec:
-    """Spec with auto-built disjoint vocabularies and palette sentiments."""
-    vocab = tuple(
-        tuple(f"topic{g}term{t}" for t in range(8)) for g in range(groups)
-    )
-    sentiments = tuple(
-        _POLARITY_PALETTE[g % len(_POLARITY_PALETTE)] for g in range(groups)
-    )
-    return SyntheticSpec(
-        groups=groups,
-        nodes_per_group=nodes_per_group,
-        p_in=p_in,
-        p_out=p_out,
-        vocab_per_group=vocab,
-        sentiment_per_group=sentiments,
-        rng_seed=rng_seed,
-        tokens_per_user=tokens_per_user,
-    )
+    @property
+    def sentiment_per_group(self) -> tuple[float, ...]:
+        """Each group's polarity, in [-1, 1]."""
+        return tuple(_POLARITY_PALETTE[g % len(_POLARITY_PALETTE)] for g in range(self.groups))
 
 
 class GeneratedFixture(Record, frozen=True):
@@ -157,19 +132,21 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.rng_seed)
     users = _user_ids(spec)
+    # Each property builds its tuple anew, so it is read once, not per token.
+    vocab, sentiment = spec.vocab_per_group, spec.sentiment_per_group
 
     corpus_path = out / "corpus.jsonl"
     write_lines(corpus_path, (
         json.dumps({"user_id": user, "text": " ".join(
-            rng.choice(spec.vocab_per_group[group]) for _ in range(spec.tokens_per_user))})
+            rng.choice(vocab[group]) for _ in range(spec.tokens_per_user))})
         for user, group in users
     ))
 
     lexicon_path = out / "lexicon.tsv"
     term_scores = {
-        term: spec.sentiment_per_group[g]
+        term: sentiment[g]
         for g in range(spec.groups)
-        for term in spec.vocab_per_group[g]
+        for term in vocab[g]
     }
     write_lines(lexicon_path, (f"{term}\t{term_scores[term]:.4f}" for term in sorted(term_scores)))
 
@@ -190,13 +167,13 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
 # Recorded fixture recipes used by the regression and acceptance suites.
 # Seeds are part of the recorded contract: changing one invalidates the
 # frozen expectations downstream.
-RECOVERY_SPEC = default_spec(
+RECOVERY_SPEC = SyntheticSpec(
     groups=2, nodes_per_group=10, p_in=0.8, p_out=0.02, rng_seed=42
 )
-TREND_SPEC = default_spec(
+TREND_SPEC = SyntheticSpec(
     groups=4, nodes_per_group=8, p_in=0.8, p_out=0.05, rng_seed=7
 )
-SCALE_SPEC = default_spec(
+SCALE_SPEC = SyntheticSpec(
     groups=5, nodes_per_group=17, p_in=0.5, p_out=0.02, rng_seed=11,
     tokens_per_user=200,
 )

@@ -17,7 +17,7 @@ from comtext.corpus import (
     write_lines,
 )
 from comtext.errors import ParseError
-from comtext.fixtures import default_spec, generate
+from comtext.fixtures import SyntheticSpec, generate
 from helpers import endpoints, reference_tokenize, traced, user_terms, wide_corpus
 
 # Characters at the edges of the rule: combining marks, CJK, digits and
@@ -162,7 +162,7 @@ class TestLoadCorpus:
     def _load_traced(self, tmp_path):
         """Load a 400-user, 120,000-token corpus under tracemalloc; return its
         token count and the bytes at the peak and at the end."""
-        path = generate(default_spec(10, 40, rng_seed=3, tokens_per_user=300),
+        path = generate(SyntheticSpec(10, 40, rng_seed=3, tokens_per_user=300),
                         tmp_path).corpus_path
         corpus, retained, peak = traced(load_corpus, path)
         tokens = sum(map(len, corpus.docs_by_user.values()))

@@ -379,9 +379,9 @@ class TestReferenceOracle:
 
 class RowsOnly(WeightedGraph):
     """A graph whose edges can be read only through :meth:`stored_row`,
-    :meth:`row` and :meth:`edge_indices`: its ``offsets``, ``targets``,
-    ``weights`` and ``scale`` are None, and all three read from a real
-    graph."""
+    :meth:`stored_sum`, :meth:`row` and :meth:`edge_indices`: its
+    ``offsets``, ``targets``, ``weights`` and ``scale`` are None, and all
+    four read from a real graph."""
 
     __slots__ = ("source",)
 
@@ -393,6 +393,9 @@ class RowsOnly(WeightedGraph):
 
     def stored_row(self, i):
         return self.source.stored_row(i)
+
+    def stored_sum(self, i):
+        return self.source.stored_sum(i)
 
     def row(self, i):
         return self.source.row(i)

@@ -8,7 +8,6 @@ from comtext.fixtures import (
     KARATE_EDGES,
     KARATE_NODES,
     SyntheticSpec,
-    default_spec,
     generate,
     karate_partition,
     write_karate,
@@ -45,44 +44,34 @@ class TestKarate:
 
 class TestSyntheticSpec:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            default_spec(groups=1)
-        with pytest.raises(ParameterError):
-            default_spec(nodes_per_group=0)
-        with pytest.raises(ParameterError):
-            default_spec(p_in=1.2)
-        with pytest.raises(ParameterError):
-            SyntheticSpec(
-                groups=2, nodes_per_group=2, p_in=0.5, p_out=0.1,
-                vocab_per_group=(("a",), ("a",)),  # overlap
-                sentiment_per_group=(0.5, -0.5), rng_seed=1, tokens_per_user=30,
-            )
-        with pytest.raises(ParameterError):
-            SyntheticSpec(
-                groups=2, nodes_per_group=2, p_in=0.5, p_out=0.1,
-                vocab_per_group=(("a",), ("b",)),
-                sentiment_per_group=(0.5, -1.5), rng_seed=1, tokens_per_user=30,
-            )
-        with pytest.raises(ParameterError):
-            default_spec(tokens_per_user=0)
         for field, value, message in (
-                ("vocab_per_group", (("a",),), "vocab_per_group must have one entry per group"),
-                ("sentiment_per_group", (0.5,), "sentiment_per_group must have one entry"),
-                ("vocab_per_group", (("a",), ()), "group vocabularies must be non-empty")):
+                ("groups", 1, "need at least 2 groups with at least 1 node each"),
+                ("nodes_per_group", 0, "need at least 2 groups with at least 1 node each"),
+                ("p_in", 1.2, "edge probabilities must be in"),
+                ("tokens_per_user", 0, "tokens_per_user must be positive")):
             with pytest.raises(ParameterError, match=message):
-                default_spec().replace(**{field: value})
+                SyntheticSpec(**{field: value})
 
-    def test_default_spec_shape(self):
-        spec = default_spec(groups=3)
-        assert len(spec.vocab_per_group) == 3
-        assert len(spec.sentiment_per_group) == 3
+    def test_fields_and_derived_groups(self):
+        spec = SyntheticSpec()
+        assert SyntheticSpec._fields == (
+            "groups", "nodes_per_group", "p_in", "p_out", "rng_seed", "tokens_per_user")
+        assert spec == SyntheticSpec(2, 10, 0.8, 0.02, 42, 30)
+        spec = SyntheticSpec(groups=10)
+        assert spec.vocab_per_group[3] == tuple(f"topic3term{t}" for t in range(8))
+        assert spec.sentiment_per_group == (0.8, -0.8, 0.4, -0.4, 0.6, -0.6, 0.2, -0.2, 0.8, -0.8)
         flat = [t for vocab in spec.vocab_per_group for t in vocab]
-        assert len(flat) == len(set(flat))
+        assert len(flat) == len(set(flat)) == 80
+        for name in ("vocab_per_group", "sentiment_per_group"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, ())
+            with pytest.raises(TypeError, match="unexpected"):
+                SyntheticSpec(**{name: ()})
 
 
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
-        spec = default_spec(rng_seed=5, nodes_per_group=4)
+        spec = SyntheticSpec(rng_seed=5, nodes_per_group=4)
         fx1 = generate(spec, tmp_path / "one")
         fx2 = generate(spec, tmp_path / "two")
         for a, b in [
@@ -95,19 +84,19 @@ class TestGenerate:
         assert fx1.truth == fx2.truth
 
     def test_different_seed_differs(self, tmp_path):
-        fx1 = generate(default_spec(rng_seed=5, nodes_per_group=4), tmp_path / "one")
-        fx2 = generate(default_spec(rng_seed=6, nodes_per_group=4), tmp_path / "two")
+        fx1 = generate(SyntheticSpec(rng_seed=5, nodes_per_group=4), tmp_path / "one")
+        fx2 = generate(SyntheticSpec(rng_seed=6, nodes_per_group=4), tmp_path / "two")
         assert fx1.corpus_path.read_bytes() != fx2.corpus_path.read_bytes()
 
     def test_zero_inter_probability_keeps_groups_disjoint(self, tmp_path):
-        spec = default_spec(p_out=0.0, nodes_per_group=6, rng_seed=9)
+        spec = SyntheticSpec(p_out=0.0, nodes_per_group=6, rng_seed=9)
         fx = generate(spec, tmp_path)
         truth = fx.truth.assignment
         for u, v in load_edges(fx.edges_path).edges:
             assert truth[u] == truth[v]
 
     def test_outputs_loadable_and_consistent(self, tmp_path):
-        spec = default_spec(nodes_per_group=5, rng_seed=3)
+        spec = SyntheticSpec(nodes_per_group=5, rng_seed=3)
         fx = generate(spec, tmp_path)
         corpus = load_corpus(fx.corpus_path)
         assert corpus.users == tuple(sorted(fx.truth.assignment))

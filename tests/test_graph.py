@@ -269,7 +269,8 @@ class TestWeightedGraph:
 
     def test_csr_arrays_match_the_public_api(self):
         """With and without fixed-point weights: a row entry's weight is
-        ``weights[a] / scale``."""
+        ``weights[a] / scale``, and a row's stored sum is the ``fsum`` of its
+        stored values, on the unit view too."""
         rng = random.Random(83)
         for _, precision in product(range(50), (None, 6)):
             g = random_weighted_graph(rng)
@@ -289,6 +290,9 @@ class TestWeightedGraph:
             assert [(g.nodes[i], g.nodes[j], w) for i, j, w in g.edge_indices()] == [
                 (u, v, w) for u in g.nodes for v, w in g.neighbors(u) if u < v]
             assert g.total_weight == math.fsum(w for _, _, w in id_edges(g))
+            for view in (g, g.unit_weights()):
+                assert [view.stored_sum(i) for i in range(g.n)] == [
+                    math.fsum(w for _, w in view.stored_row(i)) for i in range(g.n)]
 
     def test_retained_bytes_per_edge(self):
         """Compressed sparse rows cost two 2-byte neighbor indices and two

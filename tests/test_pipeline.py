@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -8,10 +9,10 @@ from helpers import id_edges, node_strength, traced
 from test_golden import tree_digest
 
 from comtext import cli, pipeline
-from comtext.corpus import load_corpus, load_edges
+from comtext.corpus import load_corpus, load_edges, write_lines
 from comtext.detect import detect
 from comtext.errors import ParameterError
-from comtext.fixtures import RECOVERY_SPEC, default_spec, generate, write_karate
+from comtext.fixtures import RECOVERY_SPEC, SyntheticSpec, generate, write_karate
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
 from comtext.similarity import PackedVector, SymmetricMatrix
@@ -283,7 +284,7 @@ class TestTermNumbering:
         """Terms are numbered by first appearance, so reversing a corpus that
         holds one line per user renumbers them; at 17 places any sum whose
         rounding hung on that numbering would show in the trees."""
-        fx = generate(default_spec(3, 8, rng_seed=7), tmp_path / "inputs")
+        fx = generate(SyntheticSpec(3, 8, rng_seed=7), tmp_path / "inputs")
         lines = fx.corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
         reversed_path = tmp_path / "reversed.jsonl"
         reversed_path.write_text("".join(reversed(lines)), encoding="utf-8")
@@ -394,14 +395,24 @@ class TestFrontHalfMemory:
         about 16.3 B/token here (matrices off).  4-byte ranks and vector
         terms peaked at about 19.9, and every token held as an 8-byte term
         reference, beside an idf dict and all the vectors, at about 34."""
-        groups = 6
-        spec = default_spec(groups, 20, rng_seed=5, tokens_per_user=300).replace(
-            vocab_per_group=tuple(tuple(f"g{g}w{t}" for t in range(400)) for g in range(groups)))
-        fx = generate(spec, tmp_path)
-        config = RunConfig(edges=fx.edges_path, corpus=fx.corpus_path, lexicon=fx.lexicon_path,
-                           out_dir=tmp_path / "out", export_matrices=False)
+        # Planted as ``generate`` plants, but with 400 private terms per group.
+        groups, users, tokens = 6, 20, 300
+        rng = random.Random(5)
+        ids = [(f"g{g:02d}u{i:03d}", g) for g in range(groups) for i in range(users)]
+        vocab = [[f"g{g}w{t}" for t in range(400)] for g in range(groups)]
+        polarity = SyntheticSpec(groups).sentiment_per_group
+        write_lines(tmp_path / "corpus.jsonl", (json.dumps({"user_id": u, "text": " ".join(
+            rng.choice(vocab[g]) for _ in range(tokens))}) for u, g in ids))
+        write_lines(tmp_path / "lexicon.tsv", sorted(
+            f"{term}\t{polarity[g]:.4f}" for g in range(groups) for term in vocab[g]))
+        write_lines(tmp_path / "edges.csv", (
+            f"{u},{v}" for i, (u, g) in enumerate(ids) for v, h in ids[i + 1:]
+            if rng.random() < (0.8 if g == h else 0.02)))
+        config = RunConfig(edges=tmp_path / "edges.csv", corpus=tmp_path / "corpus.jsonl",
+                           lexicon=tmp_path / "lexicon.tsv", out_dir=tmp_path / "out",
+                           export_matrices=False)
         _, _, peak = traced(pipeline._front_half, config)
-        assert peak / (groups * 20 * 300) < 18
+        assert peak / (groups * users * tokens) < 18
 
     def test_no_vector_alive_during_detect(self, inputs, monkeypatch):
         """The matrices are written and the vectors freed before detection."""
@@ -484,6 +495,27 @@ class TestCli:
         assert code == 1
         assert "stage sentiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        *(pytest.param(["generate", flag, value], message, id=f"generate {flag} {value}")
+          for flag, value, message in (
+              ("--groups", "1", "need at least 2 groups with at least 1 node each"),
+              ("--p-in", "1.5", "edge probabilities must be in [0, 1]"),
+              ("--tokens-per-user", "0", "tokens_per_user must be positive"))),
+        *(pytest.param([command, "--edges", "edges.csv", "--k", "2", *given],
+                       f"stage {stage}: weighted mode requires a {missing} file (--{missing})",
+                       id=f"{command} without --{missing}")
+          for command in ("run", "compare")
+          for given, missing, stage in ((["--lexicon", "lexicon.tsv"], "corpus", "corpus"),
+                                        (["--corpus", "corpus.jsonl"], "lexicon", "sentiment"))),
+    ])
+    def test_rejected_input_writes_nothing(self, inputs, capsys, monkeypatch, argv, message):
+        """A fixture spec that fails its checks and a weighted run missing a
+        text input exit 1 with the check's message before any write."""
+        monkeypatch.chdir(inputs["tmp"])
+        assert cli.main([*argv, "--out", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_graph_weight_rejected(self, tmp_path, capsys, weight):
         graph = tmp_path / "graph.csv"
@@ -512,7 +544,7 @@ class TestCli:
             edges, _ = write_karate(tmp_path)
             args, n, k = ["run", "--mode", "structural", "--edges", str(edges)], 34, "2,50"
         elif case == "compare":
-            fx = generate(default_spec(rng_seed=1), tmp_path)
+            fx = generate(SyntheticSpec(rng_seed=1), tmp_path)
             args = ["compare", "--edges", str(fx.edges_path), "--corpus", str(fx.corpus_path),
                     "--lexicon", str(fx.lexicon_path)]
             n, k = 20, "2,99"
@@ -1032,8 +1064,8 @@ def test_plain_value_error_in_a_stage_names_it(inputs, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: stage detect: no centers\n"
 
 
-# sha256 of the tree `comtext generate` writes, pinned before the defaults
-# moved from the flags to default_spec alone.
+# sha256 of the tree `comtext generate` writes, pinned while the flags still
+# held their own defaults.
 _GENERATE_DIGESTS = {
     "defaults": ([], "85f62eef9718c488b59bac292c2b7f62ce0ae5d2778138c8f413113f44e49765"),
     "seed": (["--seed", "7"],

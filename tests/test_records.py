@@ -13,7 +13,7 @@ import pytest
 from comtext.corpus import Document, EdgeList, build_corpus
 from comtext.detect import Partition
 from comtext.errors import ParameterError
-from comtext.fixtures import GeneratedFixture, default_spec
+from comtext.fixtures import GeneratedFixture, SyntheticSpec
 from comtext.graph import WeightedGraph
 from comtext.metrics import CommunityStats, QualityReport
 from comtext.pipeline import CompareResult, RunConfig, RunResult
@@ -38,7 +38,7 @@ RECORDS = {
     "SentimentLexicon": (lambda: SentimentLexicon({"good": 1.0}), "scores"),
     "CommunityStats": (lambda: CommunityStats(0, 2, 1.0, 2.0), "size"),
     "QualityReport": (lambda: QualityReport(-0.5, 1.0, STATS), "modularity"),
-    "SyntheticSpec": (lambda: default_spec(groups=3, rng_seed=5), "groups"),
+    "SyntheticSpec": (lambda: SyntheticSpec(groups=3, rng_seed=5), "groups"),
     "GeneratedFixture": (lambda: GeneratedFixture(Path("c"), Path("e"), Path("l"), Path("t"),
                                                   Partition({"a": 0}, 1, 1)), "truth_path"),
     "RunConfig": (lambda: RunConfig(edges=Path("edges.csv"), k_values=(2, 3)), "alpha"),
@@ -148,7 +148,7 @@ class TestReplace:
             config.replace(alpha=2.0)
 
     def test_synthetic_spec_check_runs_again(self):
-        spec = default_spec()
+        spec = SyntheticSpec()
         with pytest.raises(ParameterError, match="at least 2 groups"):
             spec.replace(groups=1)
 
