@@ -5,10 +5,9 @@ an optional default, and :class:`Record` turns the fields into
 ``__slots__``.  Every record built without a field shares its default
 object, so defaults are immutable values.  A record is built positionally or by keyword, then checked
 by its class's :meth:`~Record._check`.  It compares and prints field by
-field.  ``frozen=True`` in the class statement makes assignment raise
-AttributeError and hashes the record by its field values; other records do
-not hash.  :meth:`~Record.replace` builds a changed copy through the
-constructor, so the check runs again.
+field, and hashes by its field values.  Assignment to a field, and
+deletion, raise AttributeError; :meth:`~Record.replace` builds a changed
+copy through the constructor, so the check runs again.
 
 ``dataclasses`` would generate the same methods, but importing it loads
 ``inspect``, ``ast`` and ``dis`` and compiles each class's methods with
@@ -18,24 +17,12 @@ constructor, so the check runs again.
 from __future__ import annotations
 
 
-def _frozen(self, name, *value):
-    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-
-def _hash(self):
-    return hash(self._values())
-
-
 class _RecordType(type):
-    def __new__(mcls, name, bases, namespace, frozen=False):
+    def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["_fields"] = namespace["__slots__"] = fields
-        cls = super().__new__(mcls, name, bases, namespace)
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _frozen
-            cls.__hash__ = _hash
-        return cls
+        return super().__new__(mcls, name, bases, namespace)
 
 
 class Record(metaclass=_RecordType):
@@ -69,10 +56,18 @@ class Record(metaclass=_RecordType):
         """A copy with ``changes`` made to its fields, checked again."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -107,12 +107,12 @@ def index_typecode(n: int) -> str:
     return "H" if n <= 65536 else "i"
 
 
-class Document(Record, frozen=True):
+class Document(Record):
     user_id: str
     text: str
 
 
-class Corpus(Record, frozen=True):
+class Corpus(Record):
     """Per-user merged token sequences over a vocabulary.
 
     ``users`` is sorted (the determinism anchor for every matrix built on
@@ -131,11 +131,6 @@ class Corpus(Record, frozen=True):
     docs_by_user: dict[str, array]
     vocabulary: tuple[str, ...]
     doc_frequency: array
-
-    @property
-    def n_documents(self) -> int:
-        # One merged document per user, empty ones included.
-        return len(self.users)
 
 
 def build_corpus(documents: Iterable[Document], token_delim: str | None = None) -> Corpus:
@@ -219,7 +214,7 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
     return Corpus(users, docs, corpus.vocabulary, corpus.doc_frequency)
 
 
-class EdgeList(Record, frozen=True):
+class EdgeList(Record):
     """Canonical undirected edge set: min-id first, sorted, no self-loops."""
 
     edges: tuple[tuple[str, str], ...]

@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import islice
 
 from ._record import Record
 from .corpus import node_id, read_lines, write_lines
@@ -45,7 +46,7 @@ from .errors import ParameterError, ParseError
 from .graph import WeightedGraph
 
 
-class Partition(Record, frozen=True):
+class Partition(Record):
     """Node -> community assignment with contiguous indices 0..m-1."""
 
     assignment: dict[str, int]
@@ -83,23 +84,19 @@ def select_centers(g: WeightedGraph, k: int) -> list[str]:
     check_k(k, g.n)
     # Strongest first; the sort is stable, so ties stay in index (= id) order.
     ranked = sorted(range(g.n), key=g.stored_sum, reverse=True)
-    taken = bytearray(g.n)
+    # Every node no earlier center is adjacent to, strongest first; then
+    # the strongest nodes not taken fill any shortfall.
     blocked = bytearray(g.n)
-    # A node once taken or blocked stays so, which lets each generator
-    # resume where it last stopped: ``spread`` yields the strongest node
-    # neither taken nor adjacent to a center, ``fallback`` the strongest
-    # node not taken.
-    spread = (i for i in ranked if not (taken[i] or blocked[i]))
-    fallback = (i for i in ranked if not taken[i])
     centers: list[int] = []
-    for _ in range(k):
-        best = next(spread, None)
-        if best is None:
-            best = next(fallback)
-        centers.append(best)
-        taken[best] = 1
-        for j, _ in g.stored_row(best):
-            blocked[j] = 1
+    for i in ranked:
+        if len(centers) == k:
+            break
+        if not blocked[i]:
+            centers.append(i)
+            for j, _ in g.stored_row(i):
+                blocked[j] = 1
+    taken = set(centers)
+    centers += islice((i for i in ranked if i not in taken), k - len(centers))
     return [g.nodes[i] for i in centers]
 
 
@@ -200,8 +197,8 @@ def detect(g: WeightedGraph, k: int) -> Partition:
     return expand_communities(g, select_centers(g, k))
 
 
-def format_partition(p: Partition, modularity: float | None = None) -> str:
-    """Stable text form: header lines, then one ``index:members`` line each.
+def save_partition(p: Partition, path, modularity: float | None = None) -> None:
+    """Write header lines, then one ``index:members`` line per community.
 
     ``modularity`` is written with full float precision so the file
     round-trips exactly; it may be omitted.
@@ -209,14 +206,8 @@ def format_partition(p: Partition, modularity: float | None = None) -> str:
     lines = [f"k_requested={p.k_requested}", f"m={p.m}"]
     if modularity is not None:
         lines.append(f"modularity={modularity!r}")
-    for index, members in enumerate(p.communities()):
-        lines.append(f"{index}:" + ",".join(members))
-    return "\n".join(lines) + "\n"
-
-
-def save_partition(p: Partition, path, modularity: float | None = None) -> None:
-    # format_partition's text ends in the LF that write_lines adds back.
-    write_lines(path, [format_partition(p, modularity)[:-1]])
+    lines += (f"{index}:" + ",".join(members) for index, members in enumerate(p.communities()))
+    write_lines(path, lines)
 
 
 def load_partition(path) -> tuple[Partition, float | None]:

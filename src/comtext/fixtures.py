@@ -76,7 +76,7 @@ def write_karate(out_dir) -> tuple[Path, Partition]:
 _POLARITY_PALETTE = (0.8, -0.8, 0.4, -0.4, 0.6, -0.6, 0.2, -0.2)
 
 
-class SyntheticSpec(Record, frozen=True):
+class SyntheticSpec(Record):
     """Recipe for one planted fixture; identical specs generate identical bytes.
 
     Group ``g``'s private words are ``topic{g}term0`` to ``topic{g}term7``
@@ -110,7 +110,7 @@ class SyntheticSpec(Record, frozen=True):
         return tuple(_POLARITY_PALETTE[g % len(_POLARITY_PALETTE)] for g in range(self.groups))
 
 
-class GeneratedFixture(Record, frozen=True):
+class GeneratedFixture(Record):
     corpus_path: Path
     edges_path: Path
     lexicon_path: Path
@@ -163,17 +163,3 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
     save_partition(truth, truth_path)
     return GeneratedFixture(corpus_path, edges_path, lexicon_path, truth_path, truth)
 
-
-# Recorded fixture recipes used by the regression and acceptance suites.
-# Seeds are part of the recorded contract: changing one invalidates the
-# frozen expectations downstream.
-RECOVERY_SPEC = SyntheticSpec(
-    groups=2, nodes_per_group=10, p_in=0.8, p_out=0.02, rng_seed=42
-)
-TREND_SPEC = SyntheticSpec(
-    groups=4, nodes_per_group=8, p_in=0.8, p_out=0.05, rng_seed=7
-)
-SCALE_SPEC = SyntheticSpec(
-    groups=5, nodes_per_group=17, p_in=0.5, p_out=0.02, rng_seed=11,
-    tokens_per_user=200,
-)

@@ -66,9 +66,9 @@ class WeightedGraph:
     Otherwise ``weights`` is an ``array('d')`` and ``scale`` 1.0.  A weight
     of -0.0 keeps the doubles, whose sign the units cannot hold.
     :meth:`stored_row` yields a node's neighbors with their stored values,
-    :meth:`stored_sum` sums them, :meth:`row` yields the neighbors with the
-    division applied, and :meth:`edge_indices` each edge once; no other
-    module reads ``offsets``, ``targets``, ``weights`` or ``scale``.
+    :meth:`stored_sum` sums them, and :meth:`edge_indices` yields each edge
+    once; no other module reads ``offsets``, ``targets``, ``weights`` or
+    ``scale``.
 
     :meth:`unit_weights` gives the structural graph on the same edges as a
     view: it shares ``nodes``, ``offsets`` and ``targets`` with this graph
@@ -212,8 +212,8 @@ class WeightedGraph:
         ``i``, in increasing neighbor index.  A stored value is the weight
         times ``scale``: an ``int`` count of units on a fixed-point graph and
         on the unit view, a float on a graph of doubles.  Outside this class,
-        a graph's edges are read through here, :meth:`stored_sum`,
-        :meth:`row` and :meth:`edge_indices` only."""
+        a graph's edges are read through here, :meth:`stored_sum` and
+        :meth:`edge_indices` only."""
         start, end = self.offsets[i], self.offsets[i + 1]
         return zip(self.targets[start:end], self.weights[start:end])
 
@@ -223,16 +223,10 @@ class WeightedGraph:
         view, its strength on a graph of doubles."""
         return math.fsum(self.weights[self.offsets[i]:self.offsets[i + 1]])
 
-    def row(self, i: int) -> Iterator[tuple[int, float]]:
-        """``(neighbor index, weight)`` pairs of the node with index ``i``:
-        :meth:`stored_row` with each stored value divided by ``scale``."""
-        scale = self.scale
-        return ((j, m / scale) for j, m in self.stored_row(i))
-
     def neighbors(self, node: str) -> tuple[tuple[str, float], ...]:
         """``(neighbor, weight)`` pairs, sorted by neighbor id."""
-        nodes = self.nodes
-        return tuple((nodes[j], w) for j, w in self.row(self.index_of(node)))
+        nodes, scale = self.nodes, self.scale
+        return tuple((nodes[j], m / scale) for j, m in self.stored_row(self.index_of(node)))
 
     def edge_indices(self) -> Iterator[tuple[int, int, float]]:
         """Canonical edges as ``(i, j, weight)`` index triples, ``i < j``,

@@ -22,14 +22,14 @@ from .errors import GraphError, UndefinedModularityError
 from .graph import WeightedGraph
 
 
-class CommunityStats(Record, frozen=True):
+class CommunityStats(Record):
     index: int
     size: int
     intra_weight: float
     degree_sum: float
 
 
-class QualityReport(Record, frozen=True):
+class QualityReport(Record):
     modularity: float
     total_weight: float
     per_community: tuple[CommunityStats, ...]

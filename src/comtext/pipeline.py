@@ -64,7 +64,7 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {message}")
 
 
-class RunConfig(Record, frozen=True):
+class RunConfig(Record):
     edges: Path | None = None
     out_dir: Path = Path("out")
     corpus: Path | None = None

@@ -22,7 +22,7 @@ from .similarity import SymmetricMatrix
 NEUTRAL_ANGLE = math.pi / 2
 
 
-class SentimentLexicon(Record, frozen=True):
+class SentimentLexicon(Record):
     """Term -> score map with scores in [-1, 1]."""
 
     scores: dict[str, float]

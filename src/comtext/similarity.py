@@ -152,7 +152,8 @@ def user_vectors(corpus: Corpus, *, consume: bool = False) -> dict[str, PackedVe
     as its vector is packed, so the tokens and the vectors never all exist
     at once, and the corpus is left with no documents.
     """
-    n_docs, freq, docs = corpus.n_documents, corpus.doc_frequency, corpus.docs_by_user
+    # One merged document per user, empty ones included.
+    n_docs, freq, docs = len(corpus.users), corpus.doc_frequency, corpus.docs_by_user
     vectors = {}
     for u in corpus.users:
         ranks = docs.pop(u) if consume else docs[u]

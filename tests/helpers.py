@@ -22,6 +22,7 @@ implementations they check beyond the ``Partition`` container.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -39,11 +40,25 @@ import numpy as np
 from comtext.corpus import Corpus, Document, EdgeList, build_corpus
 from comtext.detect import Partition
 from comtext.errors import UndefinedModularityError
-from comtext.fixtures import KARATE_EDGES
+from comtext.fixtures import KARATE_EDGES, SyntheticSpec
 from comtext.graph import WeightedGraph
 from comtext.metrics import quality_report
 from comtext.pipeline import RunConfig
 from comtext.sentiment import NEUTRAL_ANGLE
+
+# Recorded fixture recipes used by the regression and acceptance suites.
+# Seeds are part of the recorded contract: changing one invalidates the
+# frozen expectations downstream.
+RECOVERY_SPEC = SyntheticSpec(
+    groups=2, nodes_per_group=10, p_in=0.8, p_out=0.02, rng_seed=42
+)
+TREND_SPEC = SyntheticSpec(
+    groups=4, nodes_per_group=8, p_in=0.8, p_out=0.05, rng_seed=7
+)
+SCALE_SPEC = SyntheticSpec(
+    groups=5, nodes_per_group=17, p_in=0.5, p_out=0.02, rng_seed=11,
+    tokens_per_user=200,
+)
 
 # Sparse tf-idf vector: term -> positive weight.
 TermVector = dict[str, float]
@@ -52,7 +67,12 @@ TermVector = dict[str, float]
 def traced(fn: Callable[..., Any], *args) -> tuple[Any, int, int]:
     """Call ``fn(*args)`` under tracemalloc; return its result, the bytes it
     left allocated and the peak it reached, both counted from the bytes
-    traced just before the call."""
+    traced just before the call.  The cyclic collector runs once before the
+    call and is held off during it, so its phase, which earlier work sets,
+    cannot move the peak."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -60,6 +80,8 @@ def traced(fn: Callable[..., Any], *args) -> tuple[Any, int, int]:
         retained, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
     return result, retained, peak
 
 
@@ -101,7 +123,7 @@ def user_terms(corpus: Corpus, user: str) -> tuple[str, ...]:
 
 def inverse_document_frequency(corpus: Corpus) -> dict[str, float]:
     """ln(corpus size / document frequency) for every vocabulary term."""
-    n_docs = corpus.n_documents
+    n_docs = len(corpus.users)
     return {t: math.log(n_docs / df) for t, df in zip(corpus.vocabulary, corpus.doc_frequency)}
 
 
@@ -319,7 +341,7 @@ def dense_similarity_oracle(corpus: Corpus) -> np.ndarray:
     index = {t: i for i, t in enumerate(vocab)}
     doc_frequency = dict(zip(vocab, corpus.doc_frequency))
     idf = np.array(
-        [np.log(corpus.n_documents / doc_frequency[t]) for t in vocab]
+        [np.log(len(corpus.users) / doc_frequency[t]) for t in vocab]
     )
     vectors = []
     for u in corpus.users:

@@ -12,19 +12,15 @@ import time
 
 import pytest
 
-from comtext.detect import Partition, detect, format_partition
-from comtext.fixtures import (
-    KARATE_NODES,
-    RECOVERY_SPEC,
-    SCALE_SPEC,
-    TREND_SPEC,
-    generate,
-    karate_partition,
-)
+from comtext.detect import Partition, detect
+from comtext.fixtures import KARATE_NODES, generate, karate_partition
 from comtext.graph import WeightedGraph, structural_graph
 from comtext.metrics import nmi
 from comtext.pipeline import RunConfig, compare, run
 from helpers import (
+    RECOVERY_SPEC,
+    SCALE_SPEC,
+    TREND_SPEC,
     SentimentVector,
     bias_value,
     compose,
@@ -118,7 +114,7 @@ def test_criterion_4_karate_regression():
     start = time.perf_counter()
     partition = detect(g, 2)
     single_run = time.perf_counter() - start
-    serialized = {format_partition(detect(g, 2)) for _ in range(10)}
+    serialized = {repr(detect(g, 2)) for _ in range(10)}
     q = modularity(g, partition)
     faction_q = pairsum_modularity(g, karate_partition())
     ok = (

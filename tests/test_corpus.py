@@ -232,7 +232,6 @@ class TestLoadCorpus:
         # empty documents change no term statistic, so both are shared
         assert extended.vocabulary is corpus.vocabulary
         assert extended.doc_frequency is corpus.doc_frequency
-        assert extended.n_documents == 3
         # no-op when nothing is missing
         assert ensure_users(corpus, ["u2"]) is corpus
 

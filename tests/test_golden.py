@@ -13,9 +13,10 @@ import shutil
 from pathlib import Path
 
 import pytest
+from helpers import RECOVERY_SPEC, TREND_SPEC
 
 from comtext import cli
-from comtext.fixtures import RECOVERY_SPEC, TREND_SPEC, generate, write_karate
+from comtext.fixtures import generate, write_karate
 
 # (case id, argv); text cases also get the fixture's input flags, and
 # "{graph}" is the graph.csv that the spec's "run" case exported.

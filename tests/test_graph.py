@@ -283,7 +283,6 @@ class TestWeightedGraph:
                 assert g.index_of(u) == i
                 start, end = g.offsets[i], g.offsets[i + 1]
                 row = [(j, w / g.scale) for j, w in zip(g.targets[start:end], g.weights[start:end])]
-                assert list(g.row(i)) == row
                 assert [(g.nodes[j], w) for j, w in row] == list(g.neighbors(u))
                 assert g.strengths[i] == node_strength(g, u) == math.fsum(
                     w for _, w in g.neighbors(u))

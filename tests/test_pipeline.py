@@ -5,14 +5,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import id_edges, node_strength, traced
+from helpers import RECOVERY_SPEC, id_edges, node_strength, traced
 from test_golden import tree_digest
 
 from comtext import cli, pipeline
 from comtext.corpus import load_corpus, load_edges, write_lines
 from comtext.detect import detect
 from comtext.errors import ParameterError
-from comtext.fixtures import RECOVERY_SPEC, SyntheticSpec, generate, write_karate
+from comtext.fixtures import SyntheticSpec, generate, write_karate
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, StageError, compare, run, score
 from comtext.similarity import PackedVector, SymmetricMatrix
