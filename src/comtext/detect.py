@@ -31,39 +31,79 @@ single global best-first queue does on hub-dominated graphs.  Every choice
 is deterministic, and the procedure depends on weights only through
 comparisons, so rescaling all weights leaves the partition unchanged
 wherever the rescaled sums stay exact.
+
+A :class:`Partition` lives in index space: it shares the graph's sorted
+``nodes`` tuple and owns one array of community indices, 2 bytes per node,
+so a sweep over many k keeps no id dict per k.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
-from itertools import islice
+from itertools import islice, pairwise
+from typing import Mapping
 
 from ._record import Record
-from .corpus import node_id, read_lines, write_lines
+from .corpus import index_typecode, node_id, read_lines, write_lines
 from .errors import ParameterError, ParseError
 from .graph import WeightedGraph
 
 
 class Partition(Record):
-    """Node -> community assignment with contiguous indices 0..m-1."""
+    """A community index for every node, over the nodes in sorted order.
 
-    assignment: dict[str, int]
+    ``nodes`` is a tuple of distinct ids in sorted order, and
+    ``community[i]`` is the community of ``nodes[i]``, an index in 0..m-1,
+    each index used at least once.  ``community`` is an ``array`` of the
+    typecode :func:`~comtext.corpus.index_typecode` gives for ``m``: 2 bytes
+    per node up to 65,536 communities.  :func:`expand_communities` passes
+    the graph's own ``nodes`` tuple, so a partition from :func:`detect`
+    owns only its ``community`` array; :meth:`from_assignment` builds one
+    from an id -> index mapping.
+    """
+
+    nodes: tuple[str, ...]
+    community: array
     m: int
     k_requested: int
 
     def _check(self):
-        if set(self.assignment.values()) != set(range(self.m)):
+        if len(self.community) != len(self.nodes):
+            raise ValueError("one community index per node is required")
+        if any(a >= b for a, b in pairwise(self.nodes)):
+            raise ValueError("nodes must be distinct and sorted")
+        # The sizes first, so a huge m builds no range set.
+        used = set(self.community)
+        if len(used) != max(self.m, 0) or used != set(range(self.m)):
             raise ValueError("community indices must be contiguous and all non-empty")
         if not 1 <= self.k_requested <= self.m:
             raise ValueError("k_requested must be in 1..m")
 
+    @classmethod
+    def from_assignment(cls, assignment: Mapping[str, int], m: int,
+                        k_requested: int) -> "Partition":
+        """The partition that puts each id of ``assignment`` in its community."""
+        nodes = tuple(sorted(assignment))
+        try:
+            community = array(index_typecode(m), map(assignment.__getitem__, nodes))
+        except OverflowError:  # an index no array of m's typecode holds is out of 0..m-1
+            raise ValueError("community indices must be contiguous and all non-empty") from None
+        return cls(nodes, community, m, k_requested)
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        """A new id -> community index dict, built on each read: about 30
+        bytes per node against the 2 of ``community``."""
+        return dict(zip(self.nodes, self.community))
+
     def communities(self) -> list[list[str]]:
         """Member lists per community index, each sorted by node id."""
         groups: list[list[str]] = [[] for _ in range(self.m)]
-        for node in sorted(self.assignment):
-            groups[self.assignment[node]].append(node)
+        for node, community in zip(self.nodes, self.community):
+            groups[community].append(node)
         return groups
 
 
@@ -109,7 +149,8 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
     seeds = [g.index_of(c) for c in centers]
 
     stored_row, nodes = g.stored_row, g.nodes
-    assignment = [-1] * g.n  # community of each node index; -1 while unassigned
+    # The community of each node index, -1 while unassigned: 4 bytes a node.
+    assignment = array("i", [-1]) * g.n
     for community, seed in enumerate(seeds):
         assignment[seed] = community
     # A candidate's score and index are one int key: the score shifted left
@@ -189,7 +230,8 @@ def expand_communities(g: WeightedGraph, centers: list[str]) -> Partition:
         if community < 0:
             assignment[i] = m
             m += 1
-    return Partition(dict(zip(g.nodes, assignment)), m, len(centers))
+    # The graph's own nodes tuple, shared: the partition owns only its array.
+    return Partition(g.nodes, array(index_typecode(m), assignment), m, len(centers))
 
 
 def detect(g: WeightedGraph, k: int) -> Partition:
@@ -250,7 +292,7 @@ def load_partition(path) -> tuple[Partition, float | None]:
     if "k_requested" not in header or "m" not in header:
         raise ParseError(f"{path}: missing the k_requested or m header line")
     try:
-        partition = Partition(assignment, header["m"], header["k_requested"])
+        partition = Partition.from_assignment(assignment, header["m"], header["k_requested"])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return partition, header.get("modularity")

@@ -56,7 +56,7 @@ def karate_partition() -> Partition:
     assignment = {
         u: (0 if u in KARATE_INSTRUCTOR_FACTION else 1) for u in KARATE_NODES
     }
-    return Partition(assignment, 2, 2)
+    return Partition.from_assignment(assignment, 2, 2)
 
 
 def write_karate(out_dir) -> tuple[Path, Partition]:
@@ -158,7 +158,7 @@ def generate(spec: SyntheticSpec, out_dir) -> GeneratedFixture:
         if rng.random() < (spec.p_in if group_a == group_b else spec.p_out)
     ))
 
-    truth = Partition({u: g for u, g in users}, spec.groups, spec.groups)
+    truth = Partition.from_assignment(dict(users), spec.groups, spec.groups)
     truth_path = out / "ground_truth.txt"
     save_partition(truth, truth_path)
     return GeneratedFixture(corpus_path, edges_path, lexicon_path, truth_path, truth)

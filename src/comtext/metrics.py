@@ -7,6 +7,10 @@ This is the weighted generalization of the count-based formula (counts are
 the all-weights-one special case) and equals the pair-sum form over all
 ordered node pairs, which the tests use as an independent oracle.  Q lies
 in [-0.5, 1] for any partition.
+
+Both scores read a partition in index space: its sorted ``nodes`` tuple
+must equal the graph's (or the other partition's), and its ``community``
+array is read by position, with no per-node dict lookup.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ def check_total_weight(g: WeightedGraph) -> None:
 
 def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     """Per-community intra weight / strength sums plus the modularity score."""
-    # Equal sizes and every graph node listed mean the same node set.
-    if len(p.assignment) != g.n or not all(u in p.assignment for u in g.nodes):
-        nodes, listed = set(g.nodes), set(p.assignment)
+    # Both tuples are sorted and distinct, so equal tuples mean the same
+    # node set; a partition from detect() holds the graph's own tuple.
+    if p.nodes != g.nodes:
+        nodes, listed = set(g.nodes), set(p.nodes)
         named = [f"{what} {min(diff)!r}" for what, diff in
                  (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
         raise GraphError("partition does not cover exactly the graph's nodes: "
@@ -65,7 +70,7 @@ def quality_report(g: WeightedGraph, p: Partition) -> QualityReport:
     intra = [0.0] * p.m
     degree_sum = [0.0] * p.m
     size = [0] * p.m
-    community_of = [p.assignment[u] for u in g.nodes]
+    community_of = p.community  # node index -> community index, as g's nodes are ordered
     for community, strength in zip(community_of, g.strengths):
         size[community] += 1
         degree_sum[community] += strength
@@ -88,12 +93,12 @@ def nmi(p1: Partition, p2: Partition) -> float:
     degenerate both-single-block case); 0 when one partition carries no
     information about the other.
     """
-    if set(p1.assignment) != set(p2.assignment):
+    if p1.nodes != p2.nodes:  # sorted and distinct: equal exactly when the sets are
         raise GraphError("partitions cover different node sets")
-    n = len(p1.assignment)
-    joint = Counter((p1.assignment[u], p2.assignment[u]) for u in p1.assignment)
-    rows = Counter(p1.assignment.values())
-    cols = Counter(p2.assignment.values())
+    n = len(p1.nodes)
+    joint = Counter(zip(p1.community, p2.community))
+    rows = Counter(p1.community)
+    cols = Counter(p2.community)
 
     def entropy(counts: Counter) -> float:
         return -math.fsum((c / n) * math.log(c / n) for c in counts.values())

@@ -83,7 +83,9 @@ class SymmetricMatrix:
         order, and one rule places a band: every row from the band's top row
         down gets one piece at the band's first column, holding the band's
         cells left of that row's diagonal and, for a row inside the band,
-        its diagonal and the cells right of it, which end the line.
+        its diagonal and the cells right of it, which end the line.  A band
+        row's cells below the band go into the band's transpose, one strided
+        slice per byte of a cell, so a later row's piece is one slice of it.
         """
         nodes, score, n = self.nodes, self._score, len(self.nodes)
         spec = f"%.{precision}f,".encode()
@@ -99,25 +101,41 @@ class SymmetricMatrix:
             firsts.append(offset)
             offset += n * width
         zero = spec % 0.0
+
+        def cells(i: int) -> bytes:
+            """Row i's cells right of its diagonal, each pair scored once;
+            the row's values are freed as it returns."""
+            u = nodes[i]
+            # + 0.0 makes a -0.0 0.0, as wide as every other cell.
+            values = tuple(score(u, v) + 0.0 for v in nodes[i + 1:])
+            bad = next((x for x in values if not 0.0 <= x <= 1.0), None)
+            if bad is not None:
+                raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
+            return (spec * len(values)) % values
+
         for top in range(0, n, _BAND):
-            # band[h]: row top + h's cells right of its diagonal; column c
-            # starts at byte (c - top - h - 1) * width.
-            band = []
-            for i in range(top, min(top + _BAND, n)):
-                u = nodes[i]
-                # + 0.0 makes a -0.0 0.0, as wide as every other cell.
-                values = tuple(score(u, v) + 0.0 for v in nodes[i + 1:])
-                bad = next((x for x in values if not 0.0 <= x <= 1.0), None)
-                if bad is not None:
-                    raise ValueError(f"matrix value out of [0, 1]: {bad!r}")
-                band.append((spec * len(values)) % values)
-            for m in range(top, n):
-                k = m - top  # row m's diagonal is the band's column k
-                piece = b"".join([row[(k - h - 1) * width:(k - h) * width]
-                                  for h, row in enumerate(band[:k])])
-                if k < len(band):
-                    piece = (piece + zero + band[k])[:-1] + b"\n"
-                yield firsts[m] + top * width, piece
+            rows = min(_BAND, n - top)
+            # inside[h]: row top + h's cells right of its diagonal and inside
+            # the band; column c starts at byte (c - top - h - 1) * width.
+            # below: the band transposed, one piece of ``stride`` bytes per
+            # later row, holding that row's cell from each band row in order.
+            inside, stride = [], rows * width
+            below = bytearray((n - top - rows) * stride)
+            for h in range(rows):
+                row = cells(top + h)
+                piece = b"".join([above[(h - j - 1) * width:(h - j) * width]
+                                  for j, above in enumerate(inside)])
+                yield firsts[top + h] + top * width, (piece + zero + row)[:-1] + b"\n"
+                cut = (rows - h - 1) * width
+                inside.append(row[:cut])
+                # One strided slice per byte of a cell, not one slice per cell.
+                for b in range(width):
+                    below[h * width + b::stride] = row[cut + b::width]
+                del row  # freed before the next row is built
+            for m in range(top + rows, n):
+                at = (m - top - rows) * stride
+                yield firsts[m] + top * width, below[at:at + stride]
+            del below  # freed before the next band's is allocated
 
 
 class PackedVector:

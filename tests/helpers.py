@@ -12,7 +12,9 @@ The oracles deliberately take the long way round: the modularity oracle
 sums over all ordered node pairs from an adjacency dict, the similarity
 oracle builds dense vocabulary-length numpy vectors, and the detection
 oracle is the string-keyed form of center selection and expansion, which
-reads the graph only through ``neighbors``.  The
+reads the graph only through ``neighbors``.  ``reference_quality_report``,
+``reference_nmi`` and ``reference_partition_text`` read a partition as an
+id -> community dict: the oracle for the index-space forms.  The
 whole-pipeline oracle, :func:`reference_run`, chains the long forms: the
 character-loop tokenizer, every pair scored from the dict forms of tf-idf,
 cosine and sentiment, an adjacency-dict graph, the string-keyed detection
@@ -39,10 +41,10 @@ import numpy as np
 
 from comtext.corpus import Corpus, Document, EdgeList, build_corpus
 from comtext.detect import Partition
-from comtext.errors import UndefinedModularityError
+from comtext.errors import GraphError, UndefinedModularityError
 from comtext.fixtures import KARATE_EDGES, SyntheticSpec
 from comtext.graph import WeightedGraph
-from comtext.metrics import quality_report
+from comtext.metrics import CommunityStats, QualityReport, quality_report
 from comtext.pipeline import RunConfig
 from comtext.sentiment import NEUTRAL_ANGLE
 
@@ -277,7 +279,7 @@ def random_partition(rng: random.Random, nodes) -> Partition:
         if label not in remap:
             remap[label] = len(remap)
         assignment[node] = remap[label]
-    return Partition(assignment, len(remap), 1)
+    return Partition.from_assignment(assignment, len(remap), 1)
 
 
 def pairsum_modularity(g: WeightedGraph, p: Partition) -> float:
@@ -290,14 +292,73 @@ def pairsum_modularity(g: WeightedGraph, p: Partition) -> float:
         u: sum(adjacency.get((u, v), 0.0) for v in g.nodes) for u in g.nodes
     }
     total = sum(w for _, _, w in id_edges(g))
+    assignment = p.assignment  # built on each read
     acc = 0.0
     for u in g.nodes:
         for v in g.nodes:
-            if p.assignment[u] != p.assignment[v]:
+            if assignment[u] != assignment[v]:
                 continue
             a = adjacency.get((u, v), 0.0) if u != v else 0.0
             acc += a - strength[u] * strength[v] / (2.0 * total)
     return acc / (2.0 * total)
+
+
+def reference_quality_report(g: WeightedGraph, assignment: Mapping[str, int],
+                             m: int) -> QualityReport:
+    """``quality_report`` read from an id -> community dict, one lookup per
+    node, with the same sums in the same order, so the floats are equal."""
+    if len(assignment) != g.n or not all(u in assignment for u in g.nodes):
+        nodes, listed = set(g.nodes), set(assignment)
+        named = [f"{what} {min(diff)!r}" for what, diff in
+                 (("missing", nodes - listed), ("extra", listed - nodes)) if diff]
+        raise GraphError("partition does not cover exactly the graph's nodes: "
+                         + ", ".join(named))
+    if g.total_weight <= 0.0:
+        raise UndefinedModularityError("modularity is undefined for zero total weight")
+    total = g.total_weight
+    intra, degree_sum, size = [0.0] * m, [0.0] * m, [0] * m
+    for u, strength in zip(g.nodes, g.strengths):
+        size[assignment[u]] += 1
+        degree_sum[assignment[u]] += strength
+    for u, v, w in id_edges(g):
+        if assignment[u] == assignment[v]:
+            intra[assignment[u]] += w
+    q = math.fsum(intra[c] / total - (degree_sum[c] / (2.0 * total)) ** 2 for c in range(m))
+    return QualityReport(q, total, tuple(
+        CommunityStats(c, size[c], intra[c], degree_sum[c]) for c in range(m)))
+
+
+def reference_nmi(a1: Mapping[str, int], a2: Mapping[str, int]) -> float:
+    """``nmi`` from two id -> community dicts; every sum is a ``math.fsum``,
+    which is exact whatever the order, so the floats are equal."""
+    if set(a1) != set(a2):
+        raise GraphError("partitions cover different node sets")
+    n = len(a1)
+    joint = Counter((a1[u], a2[u]) for u in a1)
+    rows, cols = Counter(a1.values()), Counter(a2.values())
+
+    def entropy(counts: Counter) -> float:
+        return -math.fsum((c / n) * math.log(c / n) for c in counts.values())
+
+    h1, h2 = entropy(rows), entropy(cols)
+    if h1 + h2 == 0.0:
+        return 1.0
+    info = math.fsum(
+        (c / n) * (math.log(c / n) - math.log(rows[a] / n) - math.log(cols[b] / n))
+        for (a, b), c in joint.items()
+    )
+    return min(1.0, max(0.0, 2.0 * info / (h1 + h2)))
+
+
+def reference_partition_text(assignment: Mapping[str, int], m: int, k_requested: int,
+                             modularity: float | None = None) -> str:
+    """The file ``save_partition`` writes, from an id -> community dict."""
+    header = f"k_requested={k_requested}\nm={m}\n"
+    if modularity is not None:
+        header += f"modularity={modularity!r}\n"
+    return header + "".join(
+        f"{c}:" + ",".join(sorted(u for u, d in assignment.items() if d == c)) + "\n"
+        for c in range(m))
 
 
 def matrix_csv_cells(matrix, path: Path) -> dict[tuple[str, str], float]:
@@ -438,7 +499,7 @@ def reference_expand_communities(g: WeightedGraph, centers: list[str], *,
     for node in sorted(u for u in g.nodes if u not in assignment):
         assignment[node] = m
         m += 1
-    return Partition({u: assignment[u] for u in sorted(assignment)}, m, len(centers))
+    return Partition.from_assignment(assignment, m, len(centers))
 
 
 class ReferenceGraph:
@@ -562,13 +623,12 @@ def reference_run(config: RunConfig, matrix_dir: Path | None = None) -> list[tup
     for k in config.k_values:
         p = reference_expand_communities(g, reference_select_centers(g, k))
         q = pairsum_modularity(g, p)
-        members = p.communities()
-        write(f"partition_k{k}.txt", f"k_requested={k}\nm={p.m}\nmodularity={q!r}\n"
-              + "".join(f"{c}:" + ",".join(group) + "\n" for c, group in enumerate(members)))
+        members, assignment = p.communities(), p.assignment
+        write(f"partition_k{k}.txt", reference_partition_text(assignment, p.m, k, q))
         report = {"modularity": q, "total_weight": total, "communities": [
             {"index": c, "size": len(group),
              "intra_weight": math.fsum(w for u, v, w in weighted
-                                       if p.assignment[u] == p.assignment[v] == c),
+                                       if assignment[u] == assignment[v] == c),
              "degree_sum": math.fsum(reference_strength(g, u) for u in group)}
             for c, group in enumerate(members)]}
         write(f"quality_k{k}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -93,13 +93,13 @@ def test_criterion_3_hand_checkable_modularity():
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
     g = WeightedGraph.from_edges(nodes, edges)
-    split = Partition({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
+    split = Partition.from_assignment({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
     ok = abs(modularity(g, split) - 0.5) <= 1e-12
     rng = random.Random(303)
     worst = 0.0
     for _ in range(50):
         h = random_weighted_graph(rng)
-        whole = Partition({u: 0 for u in h.nodes}, 1, 1)
+        whole = Partition.from_assignment({u: 0 for u in h.nodes}, 1, 1)
         worst = max(worst, abs(modularity(h, whole)))
     _criterion(
         3,

@@ -2,6 +2,7 @@ import heapq
 import importlib
 import random
 import re
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -263,6 +264,22 @@ class TestDetect:
         _, _, peak = traced(detect, g, 64)
         assert peak / edges < 32
 
+    def test_kept_partition_bytes_per_node(self):
+        """A partition shares the graph's node tuple and owns a 2-byte
+        community index per node: about 2.1 B/node kept per k of a sweep.
+        An id -> index dict per partition kept about 26.  The sweep with one
+        k is subtracted because ``traced``'s ``gc.collect()`` empties the
+        interpreter's free lists, which detection then refills."""
+        g = block_graph(random.Random(113))
+
+        def sweep(ks):
+            return [detect(g, k) for k in ks]
+
+        _, one, _ = traced(sweep, (128,))
+        partitions, three, _ = traced(sweep, (128, 16, 2))
+        assert (three - one) / 2 / g.n < 4
+        assert all(p.nodes is g.nodes for p in partitions)
+
 
 def tie_heavy_graph(rng, weights=(0.0, 0.5, 1.0, 1.0)):
     """Nodes given in shuffled order, ids whose sorted order differs from
@@ -291,7 +308,7 @@ class TestReferenceOracle:
         expected = reference_expand_communities(g, centers)
         actual = expand_communities(g, centers)
         assert actual == expected
-        assert list(actual.assignment) == list(expected.assignment)
+        assert actual.nodes is g.nodes
 
     def test_tie_heavy_graphs(self):
         rng = random.Random(97)
@@ -430,16 +447,27 @@ def partition_file(tmp_path, text):
 class TestPartition:
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):
-            Partition({"a": 0, "b": 2}, 3, 1)
+            Partition.from_assignment({"a": 0, "b": 2}, 3, 1)
         with pytest.raises(ValueError):
-            Partition({"a": 0}, 1, 2)
+            Partition.from_assignment({"a": 0}, 1, 2)
+
+    def test_fields_are_checked(self):
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            Partition(("b", "a"), array("H", [0, 0]), 1, 1)
+        with pytest.raises(ValueError, match="distinct and sorted"):
+            Partition(("a", "a"), array("H", [0, 0]), 1, 1)
+        with pytest.raises(ValueError, match="one community index per node"):
+            Partition(("a", "b"), array("H", [0]), 1, 1)
+        p = Partition(("a", "b"), array("H", [1, 0]), 2, 2)
+        assert p == Partition.from_assignment({"b": 0, "a": 1}, 2, 2)
+        assert p.assignment == {"a": 1, "b": 0}
 
     def test_communities_sorted(self):
-        p = Partition({"b": 1, "a": 0, "c": 0}, 2, 2)
+        p = Partition.from_assignment({"b": 1, "a": 0, "c": 0}, 2, 2)
         assert p.communities() == [["a", "c"], ["b"]]
 
     def test_format_parse_round_trip(self, tmp_path):
-        p = Partition({"a": 0, "b": 1, "c": 0}, 2, 2)
+        p = Partition.from_assignment({"a": 0, "b": 1, "c": 0}, 2, 2)
         path = tmp_path / "partition.txt"
         save_partition(p, path, 0.123456789123)
         assert path.read_text(encoding="utf-8") == (
@@ -459,7 +487,9 @@ class TestPartition:
     @pytest.mark.parametrize("text", [
         "k_requested=1\nm=3\n0:a\n1:b\n",
         "k_requested=0\nm=1\n0:a,b\n",
-    ], ids=["m-above-indices", "k-requested-zero"])
+        "k_requested=1\nm=1\n70000:a\n",
+        "k_requested=1\nm=1000000000000\n0:a\n",
+    ], ids=["m-above-indices", "k-requested-zero", "index-above-two-bytes", "huge-m"])
     def test_load_names_file_on_invalid_partition(self, tmp_path, text):
         path = tmp_path / "partition.txt"
         path.write_text(text, encoding="utf-8")

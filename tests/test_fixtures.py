@@ -103,8 +103,9 @@ class TestGenerate:
         lexicon = load_lexicon(fx.lexicon_path)
         flat = {t for vocab in spec.vocab_per_group for t in vocab}
         assert set(lexicon.scores) == flat
+        truth = fx.truth.assignment
         for u in corpus.users:
-            group = fx.truth.assignment[u]
+            group = truth[u]
             vocab = set(spec.vocab_per_group[group])
             assert set(user_terms(corpus, u)) <= vocab
             assert len(corpus.docs_by_user[u]) == spec.tokens_per_user

@@ -5,18 +5,20 @@ import networkx as nx
 import pytest
 from networkx.algorithms.community import modularity as nx_modularity
 
-from comtext.detect import Partition, detect
+from comtext.detect import Partition, detect, load_partition, save_partition
 from comtext.errors import GraphError, UndefinedModularityError
 from comtext.graph import WeightedGraph, structural_graph
-from comtext.metrics import nmi, quality_report
+from comtext.metrics import QualityReport, nmi, quality_report
 from helpers import (id_edges, karate_edge_list, modularity, node_strength, pairsum_modularity,
-                     random_partition, random_weighted_graph, scaled)
+                     random_partition, random_weighted_graph, reference_nmi,
+                     reference_partition_text, reference_quality_report, scaled)
+from test_detect import tie_heavy_graph
 
 from comtext.fixtures import KARATE_NODES, karate_partition
 
 
 def whole_graph_partition(g):
-    return Partition({u: 0 for u in g.nodes}, 1, 1)
+    return Partition.from_assignment({u: 0 for u in g.nodes}, 1, 1)
 
 
 def two_triangles_split():
@@ -26,7 +28,7 @@ def two_triangles_split():
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
     g = WeightedGraph.from_edges(nodes, edges)
-    p = Partition({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
+    p = Partition.from_assignment({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
     return g, p
 
 
@@ -65,7 +67,7 @@ class TestModularity:
 
     def test_relabeling_invariance(self):
         g, p = two_triangles_split()
-        swapped = Partition({n: 1 - c for n, c in p.assignment.items()}, 2, 2)
+        swapped = Partition.from_assignment({n: 1 - c for n, c in p.assignment.items()}, 2, 2)
         assert modularity(g, p) == modularity(g, swapped)
 
     def test_weight_scaling_invariance(self):
@@ -84,7 +86,7 @@ class TestModularity:
 
     def test_node_mismatch_error(self):
         g, p = two_triangles_split()
-        bad = Partition({"x": 0}, 1, 1)
+        bad = Partition.from_assignment({"x": 0}, 1, 1)
         with pytest.raises(GraphError):
             modularity(g, bad)
 
@@ -100,7 +102,7 @@ class TestModularity:
         for assignment, message in cases:
             m = max(assignment.values()) + 1
             with pytest.raises(GraphError, match=message):
-                quality_report(g, Partition(assignment, m, m))
+                quality_report(g, Partition.from_assignment(assignment, m, m))
 
 
 def to_networkx(g):
@@ -170,7 +172,7 @@ class TestNmi:
         for index, members in enumerate(groups):
             for node in members:
                 assignment[node] = index
-        return Partition(assignment, len(groups), max(1, len(groups)))
+        return Partition.from_assignment(assignment, len(groups), max(1, len(groups)))
 
     def test_identity(self):
         p = self._partition([["a", "b"], ["c", "d"]])
@@ -217,3 +219,60 @@ class TestNmi:
         p2 = self._partition([["a", "c"]])
         with pytest.raises(GraphError):
             nmi(p1, p2)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (GraphError, UndefinedModularityError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIndexSpaceOracle:
+    """``quality_report``, ``nmi``, ``save_partition`` and ``load_partition``
+    on index-space partitions give what the dict forms in ``helpers`` give,
+    errors included: random labels in shuffled order over ids whose sorted
+    order differs from their creation order, isolated nodes, zero-weight
+    edges, and node sets that miss or add ids."""
+
+    def test_seeded_partitions(self, tmp_path):
+        rng = random.Random(211)
+        path = tmp_path / "partition.txt"
+        for trial in range(300):
+            g = tie_heavy_graph(rng)
+            ids = list(g.nodes)
+            rng.shuffle(ids)
+            if trial % 4 in (1, 3):  # missing ids
+                del ids[:rng.randint(1, max(1, len(ids) // 3))]
+            if trial % 4 in (2, 3):  # extra ids, which may sort anywhere
+                ids += [f"{rng.choice('abAB')}{g.n + j}" for j in range(rng.randint(1, 3))]
+            m = rng.randint(1, len(ids))
+            labels = list(range(m)) + [rng.randrange(m) for _ in range(len(ids) - m)]
+            rng.shuffle(labels)
+            assignment = dict(zip(ids, labels))
+            p = Partition.from_assignment(assignment, m, rng.randint(1, m))
+            found = detect(g, rng.randint(1, g.n))
+            assert found.nodes is g.nodes
+
+            report = outcome(quality_report, g, p)
+            assert report == outcome(reference_quality_report, g, assignment, m)
+            assert (outcome(quality_report, g, found)
+                    == outcome(reference_quality_report, g, found.assignment, found.m))
+            assert outcome(nmi, p, found) == outcome(reference_nmi, assignment, found.assignment)
+            assert nmi(found, found) == reference_nmi(found.assignment, found.assignment)
+
+            q = report.modularity if isinstance(report, QualityReport) else None
+            save_partition(p, path, q)
+            expected = reference_partition_text(assignment, m, p.k_requested, q)
+            assert path.read_text(encoding="utf-8") == expected
+            # Community lines, and the members on each, in shuffled order.
+            header, lines = expected.splitlines()[:2 + (q is not None)], []
+            for line in expected.splitlines()[len(header):]:
+                index, _, members = line.partition(":")
+                members = members.split(",")
+                rng.shuffle(members)
+                lines.append(f"{index}:" + ",".join(members))
+            rng.shuffle(lines)
+            path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+            assert load_partition(path) == (p, q)

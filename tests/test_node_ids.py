@@ -106,7 +106,7 @@ class TestByteOrderMark:
 
     def test_partition(self, tmp_path):
         path = self.write(tmp_path, "partition.txt", "k_requested=1\nm=1\n0:a,b\n")
-        assert load_partition(path) == (Partition({"a": 0, "b": 0}, 1, 1), None)
+        assert load_partition(path) == (Partition.from_assignment({"a": 0, "b": 0}, 1, 1), None)
 
     def test_corpus(self, tmp_path):
         text = "".join(json.dumps({"user_id": u, "text": "good talk"}) + "\n" for u in "ab")
@@ -232,7 +232,7 @@ class TestReaders:
 class TestPartitionReader:
     @pytest.mark.parametrize("brk", UNICODE_BREAKS, ids=repr)
     def test_round_trip_with_unicode_line_breaks(self, tmp_path, brk):
-        p = Partition({f"a{brk}b": 0, "c": 1, f"d{brk}e": 1}, 2, 2)
+        p = Partition.from_assignment({f"a{brk}b": 0, "c": 1, f"d{brk}e": 1}, 2, 2)
         save_partition(p, tmp_path / "partition.txt", 0.5)
         assert load_partition(tmp_path / "partition.txt") == (p, 0.5)
 
@@ -314,7 +314,7 @@ class TestIdProperties:
     @PROPERTY
     @given(st.lists(valid_ids, min_size=2, max_size=6, unique=True))
     def test_partition_round_trip(self, scratch, ids):
-        p = Partition({u: i % 2 for i, u in enumerate(ids)}, 2, 2)
+        p = Partition.from_assignment({u: i % 2 for i, u in enumerate(ids)}, 2, 2)
         path = scratch / "partition.txt"
         save_partition(p, path, -0.125)
         assert load_partition(path) == (p, -0.125)

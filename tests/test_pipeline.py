@@ -137,6 +137,18 @@ class TestRun:
         assert second.partitions[2].assignment == first.partitions[2].assignment
         assert not (second.out_dir / "similarity_matrix.csv").exists()
 
+    @pytest.mark.parametrize("command", [run, compare], ids=["run", "compare"])
+    def test_graph_reload_sweep_shares_the_node_tuple(self, inputs, command):
+        """Every kept partition holds its graph's own nodes tuple, not a copy
+        and not an id dict."""
+        first = run(config_for(inputs, "one"))
+        result = command(config_for(inputs, "reload", graph_path=first.out_dir / "graph.csv",
+                                    edges=None, corpus=None, lexicon=None, k_values=(3, 1, 2)))
+        sides = [result] if command is run else [result.weighted, result.structural]
+        for side in sides:
+            assert list(side.partitions) == [3, 1, 2]
+            assert all(p.nodes is side.graph.nodes for p in side.partitions.values())
+
     def test_no_matrices_flag(self, inputs):
         result = run(config_for(inputs, export_matrices=False))
         assert not (result.out_dir / "similarity_matrix.csv").exists()

@@ -25,7 +25,7 @@ STATS = (CommunityStats(0, 1, 0.0, 1.0), CommunityStats(1, 1, 0.0, 1.0))
 
 
 def _result() -> RunResult:
-    return RunResult(GRAPH, {2: Partition({"a": 0, "b": 1}, 2, 2)},
+    return RunResult(GRAPH, {2: Partition.from_assignment({"a": 0, "b": 1}, 2, 2)},
                      {2: QualityReport(-0.5, 1.0, STATS)}, [(2, -0.5)], Path("out"))
 
 
@@ -34,13 +34,13 @@ RECORDS = {
     "Document": (lambda: Document("u1", "some text"), "text"),
     "Corpus": (lambda: build_corpus([Document("u1", "a b"), Document("u2", "b")]), "users"),
     "EdgeList": (lambda: EdgeList.from_pairs([("b", "a"), ("a", "a")]), "edges"),
-    "Partition": (lambda: Partition({"a": 0, "b": 1}, 2, 2), "m"),
+    "Partition": (lambda: Partition.from_assignment({"a": 0, "b": 1}, 2, 2), "m"),
     "SentimentLexicon": (lambda: SentimentLexicon({"good": 1.0}), "scores"),
     "CommunityStats": (lambda: CommunityStats(0, 2, 1.0, 2.0), "size"),
     "QualityReport": (lambda: QualityReport(-0.5, 1.0, STATS), "modularity"),
     "SyntheticSpec": (lambda: SyntheticSpec(groups=3, rng_seed=5), "groups"),
     "GeneratedFixture": (lambda: GeneratedFixture(Path("c"), Path("e"), Path("l"), Path("t"),
-                                                  Partition({"a": 0}, 1, 1)), "truth_path"),
+                                                  Partition.from_assignment({"a": 0}, 1, 1)), "truth_path"),
     "RunConfig": (lambda: RunConfig(edges=Path("edges.csv"), k_values=(2, 3)), "alpha"),
     "RunResult": (_result, "out_dir"),
     "CompareResult": (lambda: CompareResult(_result(), _result(), [(2, -0.5, -0.5)]), "rows"),
@@ -117,7 +117,7 @@ def test_construction_runs_the_check():
     with pytest.raises(ParameterError, match="alpha"):
         RunConfig(edges=Path("e"), alpha=2.0)
     with pytest.raises(ValueError, match="contiguous"):
-        Partition({"a": 1}, 1, 1)
+        Partition.from_assignment({"a": 1}, 1, 1)
     with pytest.raises(ValueError, match="out of"):
         SentimentLexicon({"good": 2.0})
 
