@@ -83,9 +83,11 @@ class SymmetricMatrix:
         order, and one rule places a band: every row from the band's top row
         down gets one piece at the band's first column, holding the band's
         cells left of that row's diagonal and, for a row inside the band,
-        its diagonal and the cells right of it, which end the line.  A band
-        row's cells below the band go into the band's transpose, one strided
-        slice per byte of a cell, so a later row's piece is one slice of it.
+        its diagonal and the cells right of it, which end the line.  Each
+        band row goes whole into the band's transpose, which covers every
+        row from the top row down, one strided slice per byte of a cell.
+        The cells left of any row's diagonal are then one slice of it: all
+        of the band's for a row below the band, the first h for band row h.
         """
         nodes, score, n = self.nodes, self._score, len(self.nodes)
         spec = f"%.{precision}f,".encode()
@@ -115,25 +117,24 @@ class SymmetricMatrix:
 
         for top in range(0, n, _BAND):
             rows = min(_BAND, n - top)
-            # inside[h]: row top + h's cells right of its diagonal and inside
-            # the band; column c starts at byte (c - top - h - 1) * width.
             # below: the band transposed, one piece of ``stride`` bytes per
-            # later row, holding that row's cell from each band row in order.
-            inside, stride = [], rows * width
-            below = bytearray((n - top - rows) * stride)
+            # row from ``top`` down, holding that row's cell from each band
+            # row in order; band row h has filled pieces h + 1 onward.
+            stride = rows * width
+            below = bytearray((n - top) * stride)
             for h in range(rows):
                 row = cells(top + h)
-                piece = b"".join([above[(h - j - 1) * width:(h - j) * width]
-                                  for j, above in enumerate(inside)])
-                yield firsts[top + h] + top * width, (piece + zero + row)[:-1] + b"\n"
-                cut = (rows - h - 1) * width
-                inside.append(row[:cut])
+                at = h * stride
+                left = below[at:at + h * width]
+                yield firsts[top + h] + top * width, (left + zero + row)[:-1] + b"\n"
                 # One strided slice per byte of a cell, not one slice per cell.
+                # Each has one slot per cell of the row, so a start off by a
+                # whole piece is a ValueError.
                 for b in range(width):
-                    below[h * width + b::stride] = row[cut + b::width]
+                    below[at + stride + h * width + b::stride] = row[b::width]
                 del row  # freed before the next row is built
             for m in range(top + rows, n):
-                at = (m - top - rows) * stride
+                at = (m - top) * stride
                 yield firsts[m] + top * width, below[at:at + stride]
             del below  # freed before the next band's is allocated
 

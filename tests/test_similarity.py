@@ -381,10 +381,12 @@ class TestSymmetricMatrix:
         matrix.write_csv(path, precision=2)
         assert path.read_text(encoding="utf-8") == "node,a,b\na,0.00,0.12\nb,0.12,0.00\n"
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, _BAND, 17, 2 * _BAND, 40])
+    @pytest.mark.parametrize("n", range(3 * _BAND + 2))
     def test_write_csv_matches_get(self, tmp_path, n):
         """Byte for byte against a cell-by-cell build, with ids whose UTF-8
-        lengths differ (so do the row offsets), across more than two bands."""
+        lengths differ (so do the row offsets), at every size up to three
+        bands and two rows: every row offset in a band is checked in a full
+        first band, a full middle band and a one-row last band."""
         rng = random.Random(n)
         values = {(i, j): rng.random() for i in range(n) for j in range(i + 1, n)}
         values.update({(0, n - 1): 1.0, (1, n - 1): 0.0} if n > 2 else {})
