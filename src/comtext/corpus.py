@@ -15,6 +15,7 @@ import json
 import re
 import unicodedata
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from ._record import Record
@@ -215,26 +216,49 @@ def ensure_users(corpus: Corpus, user_ids: Iterable[str]) -> Corpus:
 
 
 class EdgeList(Record):
-    """Canonical undirected edge set: min-id first, sorted, no self-loops."""
+    """Canonical undirected edge set in index space, with no self-loops.
 
-    edges: tuple[tuple[str, str], ...]
+    ``ids`` holds every endpoint once, sorted.  Edge ``e`` joins
+    ``ids[heads[e]]`` and ``ids[tails[e]]``, with ``heads[e] < tails[e]``,
+    so its smaller id first; each pair appears once, and the edges are
+    sorted.  ``heads`` and ``tails`` are arrays of the typecode
+    :func:`index_typecode` gives for ``len(ids)``: the columns the
+    ``WeightedGraph`` constructor takes.
+    """
+
+    ids: tuple[str, ...]
+    heads: array
+    tails: array
     self_loops_dropped: int = 0
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge as an ``(id, id)`` pair, smaller id first, sorted;
+        built on each read."""
+        return tuple((self.ids[h], self.ids[t]) for h, t in zip(self.heads, self.tails))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "EdgeList":
-        canonical: set[tuple[str, str]] = set()
-        shared: dict[str, str] = {}  # one object per id, shared by every edge naming it
+        """The edge set of ``(id, id)`` pairs given in any order and either
+        orientation: a repeated pair is kept once, and a self-loop dropped and
+        counted.  Each pair is held as one packed int of its ids' numbers,
+        never as a tuple."""
+        names: dict[str, int] = {}  # each id, numbered in order of first appearance
+        keys = set()  # each pair once: the smaller id's number << 32 | the other's
         dropped = 0
         for a, b in pairs:
-            if a == b:
-                dropped += 1
-                continue
-            a, b = shared.setdefault(a, a), shared.setdefault(b, b)
-            canonical.add((a, b) if a < b else (b, a))
-        return cls(tuple(sorted(canonical)), dropped)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.edges)
+            dropped += a == b  # a self-loop is counted, not kept
+            if a != b:
+                a, b = (a, b) if a < b else (b, a)
+                keys.add(names.setdefault(a, len(names)) << 32 | names.setdefault(b, len(names)))
+        ids = tuple(sorted(names))
+        # An id's number -> its position in ids; names holds the ids in number order.
+        rank = array("i", (bisect_left(ids, u) for u in names))
+        del names
+        keys = sorted(rank[k >> 32] << 32 | rank[k & 0xFFFFFFFF] for k in keys)
+        typecode = index_typecode(len(ids))
+        return cls(ids, array(typecode, (k >> 32 for k in keys)),
+                   array(typecode, (k & 0xFFFFFFFF for k in keys)), dropped)
 
 
 def load_edges(path) -> EdgeList:
@@ -242,10 +266,14 @@ def load_edges(path) -> EdgeList:
 
     Self-loop lines are dropped and counted in ``self_loops_dropped``;
     anything that is not exactly two non-empty comma-separated fields is a
-    ParseError naming the line.  Each line's pair goes into the edge set as
-    it is read, so no list of the file's pairs is ever held.
+    ParseError naming the line, and a file with no edge left is one naming
+    the file.  Each line's pair goes into the edge set as it is read, so no
+    list of the file's pairs is ever held.
     """
-    return EdgeList.from_pairs(_read_pairs(path))
+    edges = EdgeList.from_pairs(_read_pairs(path))
+    if not edges.heads:
+        raise ParseError(f"{path}: no edge between two distinct ids")
+    return edges
 
 
 def _read_pairs(path) -> Iterator[tuple[str, str]]:

@@ -157,11 +157,7 @@ def _front_half(config: RunConfig) -> WeightedGraph:
         raise StageError("corpus", "weighted mode requires a corpus file (--corpus)")
 
     # One set of every id, freed once sorted into the node list.
-    ids = {u for edge in edge_list for u in edge}
-    if corp is not None:
-        ids.update(corp.users)
-    nodes = sorted(ids)
-    del ids
+    nodes = sorted(set(edge_list.ids).union(corp.users if corp is not None else ()))
     # Pairs of users are scored from their text, for the weighted graph or the export.
     scored = corp is not None and (config.mode == "weighted" or config.export_matrices)
     if scored:

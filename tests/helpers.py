@@ -31,6 +31,7 @@ import math
 import random
 import tracemalloc
 import unicodedata
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,9 +114,24 @@ def karate_edge_list() -> EdgeList:
     return EdgeList.from_pairs(KARATE_EDGES)
 
 
-def endpoints(edges: EdgeList) -> tuple[str, ...]:
-    """Every id an edge list names, sorted."""
-    return tuple(sorted({u for edge in edges.edges for u in edge}))
+def from_edges(nodes, weighted_edges, *, precision: int | None = None) -> WeightedGraph:
+    """The graph on ``nodes`` whose edges are ``(u, v, weight)`` id triples,
+    each pair once in either order, built by the constructor;
+    ``precision`` as there.  An id that is not in ``nodes`` raises
+    GraphError."""
+    ids = tuple(nodes)
+    index = {u: i for i, u in enumerate(ids)}
+    heads, tails, weights = array("i"), array("i"), array("d")
+    for u, v, w in weighted_edges:
+        try:
+            i, j = index[u], index[v]
+        except KeyError:
+            raise GraphError(f"edge ({u!r}, {v!r}) references an unknown node") from None
+        heads.append(i)
+        tails.append(j)
+        weights.append(w)
+    del index
+    return WeightedGraph(ids, heads, tails, weights, precision=precision)
 
 
 def user_terms(corpus: Corpus, user: str) -> tuple[str, ...]:
@@ -241,7 +257,7 @@ def random_weighted_graph(rng: random.Random, max_nodes: int = 12) -> WeightedGr
                 edges.append((nodes[i], nodes[j], rng.randint(1, 16) / 16))
     if not edges:
         edges.append((nodes[0], nodes[1], 1.0))
-    return WeightedGraph.from_edges(nodes, edges)
+    return from_edges(nodes, edges)
 
 
 def block_graph(rng: random.Random, n: int = 2000, blocks: int = 16, degree: int = 20,
@@ -262,11 +278,11 @@ def block_graph(rng: random.Random, n: int = 2000, blocks: int = 16, degree: int
     edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
     rng.shuffle(edges)
     rng.shuffle(nodes)
-    return WeightedGraph.from_edges(nodes, edges)
+    return from_edges(nodes, edges)
 
 
 def scaled(g: WeightedGraph, factor: float) -> WeightedGraph:
-    return WeightedGraph.from_edges(g.nodes, [(u, v, w * factor) for u, v, w in id_edges(g)])
+    return from_edges(g.nodes, [(u, v, w * factor) for u, v, w in id_edges(g)])
 
 
 def random_partition(rng: random.Random, nodes) -> Partition:

@@ -14,7 +14,7 @@ import pytest
 
 from comtext.detect import Partition, detect
 from comtext.fixtures import KARATE_NODES, generate, karate_partition
-from comtext.graph import WeightedGraph, structural_graph
+from comtext.graph import structural_graph
 from comtext.metrics import nmi
 from comtext.pipeline import RunConfig, compare, run
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     bias_value,
     compose,
     cosine_similarity,
+    from_edges,
     id_edges,
     karate_edge_list,
     modularity,
@@ -92,7 +93,7 @@ def test_criterion_3_hand_checkable_modularity():
         ("a1", "a2", 1.0), ("a2", "a3", 1.0), ("a1", "a3", 1.0),
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
-    g = WeightedGraph.from_edges(nodes, edges)
+    g = from_edges(nodes, edges)
     split = Partition.from_assignment({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
     ok = abs(modularity(g, split) - 0.5) <= 1e-12
     rng = random.Random(303)

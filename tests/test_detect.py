@@ -20,6 +20,7 @@ from comtext.graph import WeightedGraph
 from comtext.metrics import quality_report
 from helpers import (
     block_graph,
+    from_edges,
     id_edges,
     karate_edge_list,
     node_strength,
@@ -43,7 +44,7 @@ def two_triangles():
         ("a1", "a2", 1.0), ("a2", "a3", 1.0), ("a1", "a3", 1.0),
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
-    return WeightedGraph.from_edges(nodes, edges)
+    return from_edges(nodes, edges)
 
 
 def two_cliques(size):
@@ -53,7 +54,7 @@ def two_cliques(size):
         for i in range(size):
             for j in range(i + 1, size):
                 edges.append((f"{prefix}{i}", f"{prefix}{j}", 1.0))
-    return WeightedGraph.from_edges(nodes, edges)
+    return from_edges(nodes, edges)
 
 
 class TestSelectCenters:
@@ -61,7 +62,7 @@ class TestSelectCenters:
         assert select_centers(two_triangles(), 2) == ["a1", "b1"]
 
     def test_k_one_picks_max_strength_smallest_id(self):
-        g = WeightedGraph.from_edges(
+        g = from_edges(
             ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 0.5)]
         )
         # strengths: a=1.5, b=2.0, c=1.5
@@ -85,7 +86,7 @@ class TestSelectCenters:
         # path x--y--z: strongest is y; the second center avoids y's
         # neighbors, so it cannot be x or z... but both are adjacent,
         # so the fallback picks the strongest remaining (x by id).
-        g = WeightedGraph.from_edges(["x", "y", "z"], [("x", "y", 1.0), ("y", "z", 1.0)])
+        g = from_edges(["x", "y", "z"], [("x", "y", 1.0), ("y", "z", 1.0)])
         assert select_centers(g, 2) == ["y", "x"]
 
 
@@ -95,18 +96,18 @@ class TestExpandCommunities:
         assert p.communities() == [["a1", "a2", "a3"], ["b1", "b2", "b3"]]
 
     def test_path_single_center(self):
-        g = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
+        g = from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
         p = expand_communities(g, ["a"])
         assert p.communities() == [["a", "b", "c"]]
 
     def test_isolated_node_becomes_singleton(self):
-        g = WeightedGraph.from_edges(["a", "b", "iso"], [("a", "b", 1.0)])
+        g = from_edges(["a", "b", "iso"], [("a", "b", 1.0)])
         p = expand_communities(g, ["a"])
         assert p.m == 2
         assert p.communities() == [["a", "b"], ["iso"]]
 
     def test_zero_weight_edges_do_not_carry_membership(self):
-        g = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.0)])
+        g = from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.0)])
         p = expand_communities(g, ["a"])
         assert p.communities() == [["a", "b"], ["c"]]
 
@@ -222,10 +223,10 @@ class TestDetect:
         edges = [("n0", "n1", 0.3), ("n0", "n3", 0.1), ("n1", "n2", 0.3), ("n1", "n3", 0.2),
                  ("n2", "n3", 0.3), ("n3", "n5", 0.1), ("n4", "n5", 0.2)]
         expected = [["n0", "n1", "n2"], ["n3", "n4", "n5"]]
-        g = WeightedGraph.from_edges(nodes, edges, precision=1)
+        g = from_edges(nodes, edges, precision=1)
         assert detect(g, 2).communities() == expected
-        tenfold = WeightedGraph.from_edges(nodes, [(u, v, 10 * w) for u, v, w in edges],
-                                           precision=2)
+        tenfold = from_edges(nodes, [(u, v, 10 * w) for u, v, w in edges],
+                             precision=2)
         assert detect(tenfold, 2).communities() == expected
 
     def test_exact_unit_strengths_rank_ties_by_id(self):
@@ -234,8 +235,8 @@ class TestDetect:
         strength reads 0.30000000000000004 and b is first."""
         nodes = ["a", "b", "x", "y", "z"]
         edges = [("a", "x", 0.3), ("b", "y", 0.1), ("b", "z", 0.2)]
-        assert select_centers(WeightedGraph.from_edges(nodes, edges, precision=1), 1) == ["a"]
-        assert select_centers(WeightedGraph.from_edges(nodes, edges), 1) == ["b"]
+        assert select_centers(from_edges(nodes, edges, precision=1), 1) == ["a"]
+        assert select_centers(from_edges(nodes, edges), 1) == ["b"]
 
     def test_unit_keys_fit_two_digits(self, monkeypatch):
         """A unit sum shifted past the node index stays below 2**60, so each
@@ -248,7 +249,7 @@ class TestDetect:
         monkeypatch.setattr(detect_module, "heapq", recording)
         rng = random.Random(137)
         g = block_graph(rng, weights=tuple(rng.random() for _ in range(64)))
-        g = WeightedGraph.from_edges(g.nodes, id_edges(g), precision=6)
+        g = from_edges(g.nodes, id_edges(g), precision=6)
         detect(g, 64)
         assert pushed
         assert max((-key).bit_length() for key in pushed) <= 60
@@ -297,7 +298,7 @@ def tie_heavy_graph(rng, weights=(0.0, 0.5, 1.0, 1.0)):
             if rng.random() < density:
                 w = rng.choice(weights)
                 edges.append((u, v, w) if rng.random() < 0.5 else (v, u, w))
-    return WeightedGraph.from_edges(nodes, edges)
+    return from_edges(nodes, edges)
 
 
 class TestReferenceOracle:
@@ -371,7 +372,7 @@ class TestReferenceOracle:
         tenths = tuple(i / 10 for i in range(11))
         for _ in range(300):
             g = tie_heavy_graph(rng, weights=tenths)
-            g = WeightedGraph.from_edges(g.nodes, id_edges(g), precision=rng.choice((1, 3)))
+            g = from_edges(g.nodes, id_edges(g), precision=rng.choice((1, 3)))
             for k in sorted({1, 2, 3, g.n // 2, g.n} & set(range(1, g.n + 1))):
                 centers = select_centers(g, k)
                 assert centers == reference_select_centers(g, k, exact=True)
@@ -426,7 +427,7 @@ class TestRowBoundary:
         units and the unit view are the real graph's."""
         rng = random.Random(131)
         graphs = [tie_heavy_graph(rng) for _ in range(60)] + [block_graph(rng)]
-        graphs += [WeightedGraph.from_edges(g.nodes, id_edges(g), precision=3) for g in graphs[:20]]
+        graphs += [from_edges(g.nodes, id_edges(g), precision=3) for g in graphs[:20]]
         graphs += [g.unit_weights() for g in graphs[:10]]
         for g in graphs:
             rows_only = RowsOnly(g)

@@ -10,7 +10,7 @@ import pytest
 from comtext.corpus import EdgeList, load_edges
 from comtext.errors import GraphError, ParameterError, ParseError
 from comtext.graph import EdgeError, WeightedGraph, build_weighted_graph, structural_graph
-from helpers import (block_graph, id_edges, karate_edge_list, node_strength,
+from helpers import (block_graph, from_edges, id_edges, karate_edge_list, node_strength,
                      random_weighted_graph, traced)
 
 from comtext.fixtures import KARATE_NODES
@@ -108,7 +108,7 @@ class TestBuildWeightedGraph:
         assert node_strength(g, "c") == 0.0
 
     def test_nodes_are_sorted(self):
-        assert WeightedGraph.from_edges(["c", "a", "b"], []).nodes == ("a", "b", "c")
+        assert from_edges(["c", "a", "b"], []).nodes == ("a", "b", "c")
 
     def test_endpoints_share_the_node_objects(self):
         nodes = ["alice", "bob", "carol"]
@@ -153,7 +153,7 @@ class TestUnitWeights:
     @staticmethod
     def assert_unit_view(g):
         unit = g.unit_weights()
-        rebuilt = structural_graph([(u, v) for u, v, _ in id_edges(g)], g.nodes)
+        rebuilt = structural_graph(EdgeList.from_pairs((u, v) for u, v, _ in id_edges(g)), g.nodes)
         for name in ("nodes", "offsets", "targets"):
             assert getattr(unit, name) is getattr(g, name), name
         assert (unit.weights.typecode, unit.scale) == ("I", 1.0)
@@ -165,50 +165,50 @@ class TestUnitWeights:
 
     def test_seeded_graph_with_isolated_nodes(self):
         block = block_graph(random.Random(29), n=300, blocks=6, degree=6)
-        g = WeightedGraph.from_edges([*block.nodes, "iso-a", "iso-b"], id_edges(block))
+        g = from_edges([*block.nodes, "iso-a", "iso-b"], id_edges(block))
         assert sum(a == b for a, b in zip(g.offsets, g.offsets[1:])) >= 2
         assert set(g.weights) == {0.0, 0.5, 1.0}
         self.assert_unit_view(g)
 
     def test_four_byte_indices(self):
         nodes = [f"n{i:05d}" for i in range(65537)]
-        g = WeightedGraph.from_edges(nodes, [(nodes[0], nodes[1], 0.25), (nodes[0], nodes[-1], 0.5),
-                                  (nodes[1], nodes[-1], 0.0), (nodes[32768], nodes[-1], 2.0)])
+        g = from_edges(nodes, [(nodes[0], nodes[1], 0.25), (nodes[0], nodes[-1], 0.5),
+                               (nodes[1], nodes[-1], 0.0), (nodes[32768], nodes[-1], 2.0)])
         assert g.targets.typecode == "i"
         self.assert_unit_view(g)
 
 
 class TestWeightedGraph:
     def test_strength_cases(self):
-        triangle = WeightedGraph.from_edges(
+        triangle = from_edges(
             ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)]
         )
         assert node_strength(triangle, "a") == 2.0
-        g = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 0.5), ("a", "c", 0.3)])
+        g = from_edges(["a", "b", "c"], [("a", "b", 0.5), ("a", "c", 0.3)])
         assert node_strength(g, "a") == pytest.approx(0.8, abs=1e-12)
-        assert node_strength(WeightedGraph.from_edges(["a"], []), "a") == 0.0
+        assert node_strength(from_edges(["a"], []), "a") == 0.0
 
     def test_unknown_node_strength(self):
-        g = WeightedGraph.from_edges(["a"], [])
+        g = from_edges(["a"], [])
         with pytest.raises(GraphError):
             node_strength(g, "z")
 
     def test_constructor_validation(self):
         with pytest.raises(GraphError, match="self-loop"):
-            WeightedGraph.from_edges(["a"], [("a", "a", 1.0)])
+            from_edges(["a"], [("a", "a", 1.0)])
         for weights in ((1.0, 1.0), (1.0, 0.5)):
             with pytest.raises(GraphError, match="duplicate edge"):
-                WeightedGraph.from_edges(["a", "b"],
-                                         [("a", "b", weights[0]), ("b", "a", weights[1])])
+                from_edges(["a", "b"],
+                           [("a", "b", weights[0]), ("b", "a", weights[1])])
         with pytest.raises(GraphError, match="negative"):
-            WeightedGraph.from_edges(["a", "b"], [("a", "b", -0.1)])
+            from_edges(["a", "b"], [("a", "b", -0.1)])
         for weight in (math.nan, math.inf):
             with pytest.raises(GraphError, match="not finite"):
-                WeightedGraph.from_edges(["a", "b"], [("a", "b", weight)])
+                from_edges(["a", "b"], [("a", "b", weight)])
         with pytest.raises(GraphError, match="unknown"):
-            WeightedGraph.from_edges(["a"], [("a", "b", 1.0)])
+            from_edges(["a"], [("a", "b", 1.0)])
         with pytest.raises(GraphError, match="duplicate node"):
-            WeightedGraph.from_edges(["a", "a"], [])
+            from_edges(["a", "a"], [])
 
     def test_edge_error_carries_the_position(self):
         """The constructor maps column indices to ranks, so ``ids`` may come
@@ -241,7 +241,7 @@ class TestWeightedGraph:
         the first, and the second has a finite total but an infinite 2L."""
         edges = [("a", "b", weights[0]), ("b", "c", weights[1])]
         with pytest.raises(GraphError, match=message):
-            WeightedGraph.from_edges(["a", "b", "c"], edges)
+            from_edges(["a", "b", "c"], edges)
 
     def test_duplicate_error_names_the_smallest_pair(self):
         nodes = ["d", "B", "c", "a", "e"]  # ids sort as B < a < c < d < e
@@ -250,7 +250,7 @@ class TestWeightedGraph:
             repeated = pairs[:count]
             edges = [(u, v, 1.0) for u, v in repeated] + [(v, u, 0.5) for u, v in repeated]
             with pytest.raises(GraphError, match=re.escape(f"duplicate edge {smallest!r}")):
-                WeightedGraph.from_edges(nodes, edges)
+                from_edges(nodes, edges)
 
     def test_edges_canonical_and_adjacency_sorted(self):
         rng = random.Random(79)
@@ -259,8 +259,8 @@ class TestWeightedGraph:
             nodes = rng.sample(ids, 6)
             pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:] if rng.random() < 0.5]
             rng.shuffle(pairs)
-            g = WeightedGraph.from_edges(nodes, [(u, v, 0.5) if rng.random() < 0.5 else (v, u, 0.5)
-                                      for u, v in pairs])
+            g = from_edges(nodes, [(u, v, 0.5) if rng.random() < 0.5 else (v, u, 0.5)
+                                   for u, v in pairs])
             assert list(id_edges(g)) == sorted(id_edges(g))
             assert all(u < v for u, v, _ in id_edges(g))
             for u in g.nodes:
@@ -276,7 +276,7 @@ class TestWeightedGraph:
             g = random_weighted_graph(rng)
             nodes = list(g.nodes)
             rng.shuffle(nodes)
-            g = WeightedGraph.from_edges(nodes, id_edges(g), precision=precision)
+            g = from_edges(nodes, id_edges(g), precision=precision)
             assert g.weights.typecode == ("d" if precision is None else "I")
             assert len(g.offsets) == g.n + 1 and g.offsets[-1] == 2 * len(id_edges(g))
             for i, u in enumerate(g.nodes):
@@ -299,7 +299,7 @@ class TestWeightedGraph:
         indices read 26.5, and a tuple per edge and a pair per endpoint
         about 207."""
         nodes, edges = sparse_random_edges()
-        g, retained, _ = traced(WeightedGraph.from_edges, nodes, edges)
+        g, retained, _ = traced(from_edges, nodes, edges)
         assert len(id_edges(g)) == len(edges)
         assert retained / len(edges) < 24
 
@@ -308,7 +308,7 @@ class TestWeightedGraph:
         neighbor indices and two 4-byte weights per edge, about 14.5 B/edge
         with the per-node arrays, against 22.5 as doubles."""
         nodes, edges = sparse_random_edges()
-        g, retained, _ = traced(partial(WeightedGraph.from_edges, precision=6), nodes, edges)
+        g, retained, _ = traced(partial(from_edges, precision=6), nodes, edges)
         assert (g.weights.typecode, g.scale) == ("I", 1e6)
         assert retained / len(edges) < 16
 
@@ -320,7 +320,7 @@ class TestWeightedGraph:
         last = nodes[-1]
         edges = [(nodes[0], nodes[1], 1.0), (nodes[0], last, 0.5), (nodes[1], last, 0.25),
                  (nodes[n // 2], last, 0.125)]
-        g = WeightedGraph.from_edges(nodes, edges)
+        g = from_edges(nodes, edges)
         assert g.targets.itemsize == itemsize
         assert g.index_of(last) == n - 1
         assert id_edges(g) == tuple(edges)
@@ -381,11 +381,11 @@ class TestWeightedGraph:
             weights = [rng.uniform(0.0, top) for _ in pairs]
             weights[:3] = [float(f"{2**32 - 1}e-{p}"), 0.0, 10.0**-p]
             edges = [(u, v, w) for (u, v), w in zip(pairs, weights)]
-            fixed = WeightedGraph.from_edges(nodes, edges, precision=p)
+            fixed = from_edges(nodes, edges, precision=p)
             assert (fixed.weights.typecode, fixed.scale) == ("I", 10.0**p)
             assert max(fixed.weights) == 2**32 - 1
-            snapped = WeightedGraph.from_edges(nodes,
-                                               [(u, v, float(f"{w:.{p}f}")) for u, v, w in edges])
+            snapped = from_edges(nodes,
+                                 [(u, v, float(f"{w:.{p}f}")) for u, v, w in edges])
             assert snapped.weights.typecode == "d"
             self.assert_same_graph(fixed, snapped)
 
@@ -397,11 +397,11 @@ class TestWeightedGraph:
         2**32 units or a -0.0, whose sign units cannot hold: doubles, scale
         1.0, the same weights as one built from the snapped values."""
         edges = [("a", "b", weight), ("b", "c", 0.25)]
-        g = WeightedGraph.from_edges(["a", "b", "c"], edges, precision=precision)
+        g = from_edges(["a", "b", "c"], edges, precision=precision)
         assert (g.weights.typecode, g.scale) == ("d", 1.0)
         if precision is not None:
             edges = [(u, v, float(f"{w:.{precision}f}")) for u, v, w in edges]
-        self.assert_same_graph(g, WeightedGraph.from_edges(["a", "b", "c"], edges))
+        self.assert_same_graph(g, from_edges(["a", "b", "c"], edges))
         assert math.copysign(1.0, g.neighbors("a")[0][1]) == math.copysign(1.0, weight)
 
     def test_handshake_identity(self):
@@ -428,7 +428,7 @@ class TestWeightedGraph:
         assert len(set(out)) == 1
 
     def test_csv_round_trip_with_isolated_node(self, tmp_path):
-        g = WeightedGraph.from_edges(
+        g = from_edges(
             ["a", "b", "c", "z"], [("a", "b", 0.125), ("b", "c", 1.0)]
         )
         path = tmp_path / "graph.csv"
@@ -487,9 +487,9 @@ class TestWeightedGraph:
                 WeightedGraph.read_csv(path)
 
     def test_precision_snaps_weights_to_export_grid(self, tmp_path):
-        exact = WeightedGraph.from_edges(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])
+        exact = from_edges(["a", "b", "c"], [("a", "b", 1 / 3), ("b", "c", 0.5)])
         assert id_edges(exact)[0][2] == 1 / 3
-        snapped = WeightedGraph.from_edges(exact.nodes, id_edges(exact), precision=3)
+        snapped = from_edges(exact.nodes, id_edges(exact), precision=3)
         assert [w for _, _, w in id_edges(snapped)] == [0.333, 0.5]
         path = tmp_path / "graph.csv"
         exact.write_csv(path, precision=3)

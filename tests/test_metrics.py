@@ -7,10 +7,10 @@ from networkx.algorithms.community import modularity as nx_modularity
 
 from comtext.detect import Partition, detect, load_partition, save_partition
 from comtext.errors import GraphError, UndefinedModularityError
-from comtext.graph import WeightedGraph, structural_graph
+from comtext.graph import structural_graph
 from comtext.metrics import QualityReport, nmi, quality_report
-from helpers import (id_edges, karate_edge_list, modularity, node_strength, pairsum_modularity,
-                     random_partition, random_weighted_graph, reference_nmi,
+from helpers import (from_edges, id_edges, karate_edge_list, modularity, node_strength,
+                     pairsum_modularity, random_partition, random_weighted_graph, reference_nmi,
                      reference_partition_text, reference_quality_report, scaled)
 from test_detect import tie_heavy_graph
 
@@ -27,7 +27,7 @@ def two_triangles_split():
         ("a1", "a2", 1.0), ("a2", "a3", 1.0), ("a1", "a3", 1.0),
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
     ]
-    g = WeightedGraph.from_edges(nodes, edges)
+    g = from_edges(nodes, edges)
     p = Partition.from_assignment({n: (0 if n.startswith("a") else 1) for n in nodes}, 2, 2)
     return g, p
 
@@ -80,7 +80,7 @@ class TestModularity:
                 assert modularity(scaled(g, factor), p) == pytest.approx(q, abs=1e-9)
 
     def test_zero_weight_error(self):
-        g = WeightedGraph.from_edges(["a", "b"], [("a", "b", 0.0)])
+        g = from_edges(["a", "b"], [("a", "b", 0.0)])
         with pytest.raises(UndefinedModularityError):
             modularity(g, whole_graph_partition(g))
 

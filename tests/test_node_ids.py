@@ -21,7 +21,7 @@ from comtext.errors import ParseError
 from comtext.graph import WeightedGraph
 from comtext.pipeline import RunConfig, run
 from comtext.sentiment import load_lexicon
-from helpers import id_edges
+from helpers import from_edges, id_edges
 
 # Line boundaries of str.splitlines() that are not line ends in any input file.
 UNICODE_BREAKS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
@@ -304,7 +304,7 @@ class TestIdProperties:
     @given(st.lists(valid_ids, min_size=2, max_size=6, unique=True))
     def test_graph_csv_round_trip(self, scratch, ids):
         edges = [(u, v, 0.5) for u, v in zip(ids[:-2], ids[1:-1])]  # ids[-1] isolated
-        g = WeightedGraph.from_edges(ids, edges)
+        g = from_edges(ids, edges)
         path = scratch / "graph.csv"
         g.write_csv(path)
         loaded = WeightedGraph.read_csv(path)

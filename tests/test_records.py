@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,13 @@ from comtext.corpus import Document, EdgeList, build_corpus
 from comtext.detect import Partition
 from comtext.errors import ParameterError
 from comtext.fixtures import GeneratedFixture, SyntheticSpec
-from comtext.graph import WeightedGraph
 from comtext.metrics import CommunityStats, QualityReport
 from comtext.pipeline import CompareResult, RunConfig, RunResult
 from comtext.sentiment import SentimentLexicon
+from helpers import from_edges
 
 # WeightedGraph compares by identity, so the results share one graph.
-GRAPH = WeightedGraph.from_edges(("a", "b"), [("a", "b", 1.0)])
+GRAPH = from_edges(("a", "b"), [("a", "b", 1.0)])
 STATS = (CommunityStats(0, 1, 0.0, 1.0), CommunityStats(1, 1, 0.0, 1.0))
 
 
@@ -33,7 +34,7 @@ def _result() -> RunResult:
 RECORDS = {
     "Document": (lambda: Document("u1", "some text"), "text"),
     "Corpus": (lambda: build_corpus([Document("u1", "a b"), Document("u2", "b")]), "users"),
-    "EdgeList": (lambda: EdgeList.from_pairs([("b", "a"), ("a", "a")]), "edges"),
+    "EdgeList": (lambda: EdgeList.from_pairs([("b", "a"), ("a", "a")]), "ids"),
     "Partition": (lambda: Partition.from_assignment({"a": 0, "b": 1}, 2, 2), "m"),
     "SentimentLexicon": (lambda: SentimentLexicon({"good": 1.0}), "scores"),
     "CommunityStats": (lambda: CommunityStats(0, 2, 1.0, 2.0), "size"),
@@ -45,8 +46,7 @@ RECORDS = {
     "RunResult": (_result, "out_dir"),
     "CompareResult": (lambda: CompareResult(_result(), _result(), [(2, -0.5, -0.5)]), "rows"),
 }
-HASHABLE = ("Document", "EdgeList", "CommunityStats", "QualityReport", "SyntheticSpec",
-            "RunConfig")
+HASHABLE = ("Document", "CommunityStats", "QualityReport", "SyntheticSpec", "RunConfig")
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -82,7 +82,7 @@ def test_frozen_records_hash_by_field_values(name):
     make, _ = RECORDS[name]
     if name in HASHABLE:
         assert hash(make()) == hash(make())
-    else:  # a dict field, or a record holding one
+    else:  # a dict or array field, or a record holding one
         with pytest.raises(TypeError):
             hash(make())
 
@@ -98,7 +98,7 @@ def test_positional_and_keyword_construction_with_defaults():
                            None, None, True)
     assert RunConfig(edges=Path("e")) == positional
     assert RunConfig(Path("e"), k_values=(2,)) == positional
-    assert EdgeList((("a", "b"),)).self_loops_dropped == 0
+    assert EdgeList(("a", "b"), array("H", [0]), array("H", [1])).self_loops_dropped == 0
 
 
 @pytest.mark.parametrize("args, kwargs", [
